@@ -144,10 +144,6 @@ class IntegralEstimate:
                 "sampler": self.sampler}
 
 
-def compare_constant(estimate: IntegralEstimate, target: float) -> float:
-    return estimate.z(target)
-
-
 def _threads() -> int:
     env = os.environ.get("PERIODFORGE_THREADS")
     if env:
@@ -287,10 +283,13 @@ def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,
 
     Each class is integrated over its canonical representative in the
     chart orientation; the chain coefficients already carry the edge-order
-    parities relative to those representatives.
+    parities relative to those representatives.  Class ``i`` is seeded
+    from ``SeedSequence(seed, spawn_key=(i,))``, so no two (seed, class)
+    pairs share a stream.
     """
+    sampler = kw.get("sampler", "tropical")
     if chain.is_zero():
-        return IntegralEstimate(0.0, 0.0, 0, seed, "tropical")
+        return IntegralEstimate(0.0, 0.0, 0, seed, sampler)
     for cls in chain.coeffs:
         if cls.graph.ne != spec.degree + 1:
             raise GraphError("chain graphs must have degree + 1 edges")
@@ -299,12 +298,14 @@ def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,
     n = 0
     for idx, (cls, coeff) in enumerate(
             sorted(chain.coeffs.items(), key=lambda t: t[0].key())):
+        ss = np.random.SeedSequence(seed, spawn_key=(idx,))
         est = integrate_canonical(cls.graph, spec, samples,
-                                  seed + 7919 * idx, **kw)
+                                  int(ss.generate_state(1, np.uint64)[0]),
+                                  **kw)
         mean += float(coeff) * est.mean
         var += float(coeff) ** 2 * est.stderr ** 2
         n += est.samples
-    return IntegralEstimate(mean, math.sqrt(var), n, seed, "tropical")
+    return IntegralEstimate(mean, math.sqrt(var), n, seed, sampler)
 
 
 def tolerance(target: float, stderr: float, sigmas: float = 3.0,

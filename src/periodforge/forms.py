@@ -584,8 +584,14 @@ class BatchedGraphFormEvaluator:
     The Laplacian's coefficient matrices are the rank-one cycle outer
     products q_e q_e^T, so one Gram tensor per batch feeds the same subset
     dynamic programme as the scalar evaluator, with numpy arrays over the
-    sample axis.
+    sample axis.  The DP reads the Gram tensor in (edge, edge, sample)
+    layout and accumulates in place, keeping the per-element order of the
+    floating-point operations of the plain term-by-term sum: estimates are
+    bit-identical to that sum, whatever the block size.
     """
+
+    # samples per block of the subset DP in `evaluate`
+    _DP_BLOCK = 8192
 
     def __init__(self, g: Graph, spec: FormSpec, chart: int | None = None,
                  basis: CycleBasis | None = None):
@@ -661,61 +667,98 @@ class BatchedGraphFormEvaluator:
                 out[e, f] = float(val)
         return out
 
-    def _component_coefficients(self, n: int, gram):
-        """dict frozenset -> (B,) coefficient arrays for tr((X^-1 dX)^n)."""
+    def _component_coefficients(self, n: int, gt):
+        """dict frozenset -> (B,) coefficient arrays for tr((X^-1 dX)^n).
+
+        ``gt`` is the Gram tensor in (edge, edge, sample) layout, so every
+        factor ``gt[last, w]`` is a contiguous row.  Paths accumulate in
+        place: the first term for a key is its product (negated when the
+        sign is odd), later terms are added or subtracted, and the closing
+        factor and the rotation count multiply into the path's own array.
+        Per element this is the same sequence of floating-point operations
+        as forming each signed term and summing the terms in path order, so
+        the result does not depend on the layout, the accumulation being in
+        place, or how the samples are split into batches.
+        """
         import numpy as np
 
-        B = gram.shape[0]
+        mul = np.multiply
+        tmp = np.empty(gt.shape[2])
         vars_ = self.chart_vars
-        vpos = {v: i for i, v in enumerate(vars_)}
         out: dict[frozenset, np.ndarray] = {}
         for ai, anchor in enumerate(vars_):
             bigger = vars_[ai + 1:]
             if len(bigger) < n - 1:
                 continue
             ga = anchor - 1
+            # (bits above w, bit of w, graph index of w) per bigger variable
+            steps = [(wi + 1, 1 << wi, w - 1) for wi, w in enumerate(bigger)]
             # paths keyed by (mask over `bigger`, last var index in graph)
-            paths = {(0, ga): np.ones(B)}
+            paths = {(0, ga): np.ones(gt.shape[2])}
             for _ in range(n - 1):
                 nxt: dict = {}
-                for (mask, last), val in paths.items():
-                    for wi, w in enumerate(bigger):
-                        bitw = 1 << wi
+                for key in list(paths):
+                    # popped, so each path's array is freed once extended
+                    val = paths.pop(key)
+                    mask, last = key
+                    row = gt[last]
+                    for above, bitw, w1 in steps:
                         if mask & bitw:
                             continue
-                        flips = bin(mask >> (wi + 1)).count("1")
-                        term = val * gram[:, last, w - 1]
-                        if flips % 2:
-                            term = -term
-                        key = (mask | bitw, w - 1)
-                        if key in nxt:
-                            nxt[key] = nxt[key] + term
+                        odd = (mask >> above).bit_count() & 1
+                        dst = (mask | bitw, w1)
+                        acc = nxt.get(dst)
+                        if acc is None:
+                            acc = mul(val, row[w1])
+                            if odd:
+                                np.negative(acc, out=acc)
+                            nxt[dst] = acc
                         else:
-                            nxt[key] = term
+                            mul(val, row[w1], out=tmp)
+                            if odd:
+                                acc -= tmp
+                            else:
+                                acc += tmp
                 paths = nxt
             for (mask, last), val in paths.items():
                 s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
                                            if mask >> i & 1}
-                closing = gram[:, last, ga]
-                acc = val * closing * n
-                if s in out:
-                    out[s] = out[s] + acc
+                mul(val, gt[last, ga], out=val)
+                val *= n
+                prev = out.get(s)
+                if prev is None:
+                    out[s] = val
                 else:
-                    out[s] = acc
+                    prev += val
         return out
 
     def evaluate(self, xs):
         """(B,) array: coefficient of the ascending top chart wedge.
 
         ``xs`` holds full edge coordinate rows (chart column included).
+        The Gram tensor is computed for the whole batch, then the DP runs
+        on blocks of at most ``_DP_BLOCK`` samples, whose path arrays stay
+        small enough to be reused from the allocator and the caches.
         """
         import numpy as np
 
-        gram = self._gram(xs)
-        comps = list(self.spec.components)
-        per = {n: self._component_coefficients(n, gram) for n in set(comps)}
-        allvars = frozenset(self.chart_vars)
+        # sample-contiguous copy; the (sample, edge, edge) Gram is dropped
+        # before the DP so that only one of the two is alive there
+        gt = self._gram(xs).transpose(1, 2, 0).copy()
         B = xs.shape[0]
+        total = np.empty(B)
+        step = self._DP_BLOCK
+        for lo in range(0, B, step):
+            total[lo:lo + step] = self._word(gt[:, :, lo:lo + step])
+        return total
+
+    def _word(self, gt):
+        """Top chart coefficient of the word on one block of samples."""
+        import numpy as np
+
+        comps = list(self.spec.components)
+        per = {n: self._component_coefficients(n, gt) for n in set(comps)}
+        allvars = frozenset(self.chart_vars)
 
         def split(rest: frozenset, idx: int):
             n = comps[idx]
@@ -731,7 +774,7 @@ class BatchedGraphFormEvaluator:
                 for tail, cval in split(rest - s, idx + 1):
                     yield (s,) + tail, c1 * cval
 
-        total = np.zeros(B)
+        total = np.zeros(gt.shape[2])
         for parts, val in split(allvars, 0):
             sign = 1
             placed: list[int] = []

@@ -275,18 +275,6 @@ class Poly:
             total += term
         return total
 
-    def evaluate_floats(self, xs):
-        import numpy as np
-
-        out = np.zeros(xs.shape[0])
-        for k, c in self.coeffs.items():
-            term = np.full(xs.shape[0], float(c))
-            for i, e in enumerate(k):
-                if e:
-                    term = term * xs[:, i] ** e
-            out += term
-        return out
-
     def to_multilinear(self) -> MultilinearPoly:
         out = {}
         for k, c in self.coeffs.items():
@@ -386,22 +374,6 @@ class LinearFormMatrix:
 
     def evaluate(self, point: Mapping[int, Fraction]) -> list[list[Fraction]]:
         return [[f.evaluate(point) for f in row] for row in self.entries]
-
-    def assemble_batch(self, xs):
-        """(batch, size, size) float array at the rows of xs (1-based vars)."""
-        import numpy as np
-
-        b = xs.shape[0]
-        m = self.size
-        out = np.zeros((b, m, m))
-        for i in range(m):
-            for j in range(m):
-                f = self.entries[i][j]
-                acc = np.full(b, float(f.const))
-                for e, c in f.coeffs.items():
-                    acc = acc + float(c) * xs[:, e - 1]
-                out[:, i, j] = acc
-        return out
 
     def transpose(self) -> "LinearFormMatrix":
         m = self.size

@@ -11,8 +11,8 @@ from periodforge.forms import FormSpec
 from periodforge.tropical import (DivergentIntegrandError, TropicalSampler,
                                   build_measure, tropical_sample)
 from periodforge.engine import (Integrand, IntegralEstimate, IntegrationError,
-                                canonical_integrand, compare_constant,
-                                integrate, integrate_canonical,
+                                canonical_integrand, integrate,
+                                integrate_canonical,
                                 integrate_chain, integrate_residue,
                                 monomial_integrand, residue_integrand,
                                 tolerance)
@@ -120,10 +120,10 @@ def test_dirichlet_sampler_on_bubble():
     assert abs(est.z(1.0)) <= 3.5
 
 
-def test_compare_constant_and_tolerance():
+def test_z_score_and_tolerance():
     est = IntegralEstimate(10.0, 0.5, 100, 0, "tropical")
-    assert compare_constant(est, 10.0) == 0.0
-    assert compare_constant(est, 9.0) == 2.0
+    assert est.z(10.0) == 0.0
+    assert est.z(9.0) == 2.0
     exact = IntegralEstimate(5.0, 0.0, 10, 0, "tropical")
     assert exact.z(5.0) == 0.0
     with pytest.raises(IntegrationError):
@@ -143,6 +143,48 @@ def test_integrate_chain_linearity():
     assert zero.mean == 0.0 and zero.stderr == 0.0
     cancel = integrate_chain(c - c, spec, 1000, seed=0)
     assert cancel.mean == 0.0
+
+
+def test_form_word_determinism_and_threads():
+    """Shards of a form-word integral share one evaluator across threads;
+    the estimate is bit-identical at one and two threads."""
+    spec = FormSpec((5,))
+    e1 = integrate_canonical(wheel(3), spec, 20000, seed=12, threads=1,
+                             shard_size=4096)
+    e2 = integrate_canonical(wheel(3), spec, 20000, seed=12, threads=2,
+                             shard_size=4096)
+    assert (e1.mean, e1.stderr) == (e2.mean, e2.stderr)
+
+
+def test_integrate_chain_class_streams_and_sampler(monkeypatch):
+    """Per-class seeds come from SeedSequence spawn keys, so (seed 0,
+    class 1) no longer shares a stream with (seed 7919, class 0); the
+    estimate reports the sampler that was used."""
+    import periodforge.engine as engine
+    from periodforge.graphcomplex import gc_basis
+
+    basis = gc_basis(5, 10)
+    assert len(basis) >= 2
+    chain = ChainVector({basis[0]: 1, basis[1]: 1})
+    seeds = []
+
+    def fake(g, spec, samples, seed, **kw):
+        seeds.append(seed)
+        return IntegralEstimate(1.0, 0.1, samples, seed, kw["sampler"])
+
+    monkeypatch.setattr(engine, "integrate_canonical", fake)
+    spec = FormSpec((9,))
+    est = integrate_chain(chain, spec, 100, seed=0, sampler="dirichlet")
+    assert est.sampler == "dirichlet"
+    integrate_chain(chain, spec, 100, seed=7919, sampler="dirichlet")
+    assert len(seeds) == 4 and len(set(seeds)) == 4
+    for seed, idx, got in [(0, 0, seeds[0]), (0, 1, seeds[1]),
+                           (7919, 0, seeds[2]), (7919, 1, seeds[3])]:
+        ss = np.random.SeedSequence(seed, spawn_key=(idx,))
+        assert got == int(ss.generate_state(1, np.uint64)[0])
+    zero = integrate_chain(ChainVector.zero(), spec, 100, seed=0,
+                           sampler="dirichlet")
+    assert zero.sampler == "dirichlet"
 
 
 def test_nonfinite_abort_reports_point():

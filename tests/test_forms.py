@@ -315,3 +315,91 @@ def test_form_word_computes_for_wrong_loop_order():
     xs[1, :5] = 0.4
     vals = ev.evaluate(xs)
     assert np.isfinite(vals).all()
+
+
+def _reference_component_coefficients(chart_vars, n, gram):
+    """The dict subset DP over a (sample, edge, edge) Gram tensor, with a
+    fresh array per term: the oracle for the in-place batched DP."""
+    B = gram.shape[0]
+    out = {}
+    for ai, anchor in enumerate(chart_vars):
+        bigger = chart_vars[ai + 1:]
+        if len(bigger) < n - 1:
+            continue
+        ga = anchor - 1
+        paths = {(0, ga): np.ones(B)}
+        for _ in range(n - 1):
+            nxt = {}
+            for (mask, last), val in paths.items():
+                for wi, w in enumerate(bigger):
+                    bitw = 1 << wi
+                    if mask & bitw:
+                        continue
+                    flips = bin(mask >> (wi + 1)).count("1")
+                    term = val * gram[:, last, w - 1]
+                    if flips % 2:
+                        term = -term
+                    key = (mask | bitw, w - 1)
+                    if key in nxt:
+                        nxt[key] = nxt[key] + term
+                    else:
+                        nxt[key] = term
+            paths = nxt
+        for (mask, last), val in paths.items():
+            s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
+                                       if mask >> i & 1}
+            acc = val * gram[:, last, ga] * n
+            if s in out:
+                out[s] = out[s] + acc
+            else:
+                out[s] = acc
+    return out
+
+
+def _assert_dp_matches_reference(ev, n, xs):
+    gram = ev._gram(xs)
+    ref = _reference_component_coefficients(ev.chart_vars, n, gram)
+    got = ev._component_coefficients(n, gram.transpose(1, 2, 0).copy())
+    assert list(got) == list(ref)
+    for s in ref:
+        assert np.array_equal(got[s], ref[s]), sorted(s)
+
+
+def test_batched_dp_bit_identical_to_reference():
+    """The sample-contiguous in-place DP repeats the oracle's floating-point
+    operations element by element, so the coefficients agree exactly."""
+    from periodforge.graphs import complete
+
+    rng = np.random.default_rng(17)
+    w3 = BatchedGraphFormEvaluator(wheel(3), FormSpec((5,)))
+    xs = rng.dirichlet(np.ones(6), size=40)
+    xs = np.vstack([xs, [[1, 1, 1, 1e-300, 1e-300, 1e-300]]])
+    _assert_dp_matches_reference(w3, 5, xs)
+    w5 = BatchedGraphFormEvaluator(wheel(5), FormSpec((9,)))
+    _assert_dp_matches_reference(w5, 9, rng.dirichlet(np.ones(10), size=40))
+    k6 = BatchedGraphFormEvaluator(complete(6), FormSpec((5, 9)))
+    xs = rng.uniform(0.05, 2.0, size=(3, 15))
+    _assert_dp_matches_reference(k6, 5, xs)
+    _assert_dp_matches_reference(k6, 9, xs)
+
+
+def test_batched_evaluate_independent_of_dp_block():
+    ev = BatchedGraphFormEvaluator(wheel(5), FormSpec((9,)))
+    xs = np.random.default_rng(5).dirichlet(np.ones(10), size=50)
+    whole = ev.evaluate(xs)
+    ev._DP_BLOCK = 7
+    assert np.array_equal(ev.evaluate(xs), whole)
+
+
+def test_batched_exact_gram_row():
+    """A corner row whose Laplacian is singular in floats goes through the
+    exact Gram and still yields finite coefficients."""
+    ev = BatchedGraphFormEvaluator(wheel(3), FormSpec((5,)))
+    xs = np.array([[0.2, 0.3, 0.1, 0.15, 0.15, 0.1],
+                   [1, 1, 1, 1e-300, 1e-300, 1e-300]])
+    calls = []
+    exact = ev._gram_exact
+    ev._gram_exact = lambda x: calls.append(x) or exact(x)
+    vals = ev.evaluate(xs)
+    assert len(calls) == 1
+    assert np.isfinite(vals).all()
