@@ -60,6 +60,44 @@ def _certificate_for_order(g: Graph, pos: dict[int, int]):
     return (weights, tuple(pairs))
 
 
+def _cells(colors, nv):
+    cells: dict[int, list[int]] = {}
+    for v in range(1, nv + 1):
+        cells.setdefault(colors[v], []).append(v)
+    return [cells[c] for c in sorted(cells)]
+
+
+def _descend(g: Graph, adj, loops, colors, best: list) -> None:
+    """Individualisation search below ``colors``; keeps the least
+    certificate and its vertex positions in ``best``.
+
+    Module level rather than a closure: a recursive closure refers to
+    itself, and that cycle would keep each call's graph data alive until
+    the cyclic collector runs.
+    """
+    nv = g.nv
+    cells = _cells(colors, nv)
+    target = None
+    for cell in cells:
+        if len(cell) > 1:
+            target = cell
+            break
+    if target is None:
+        pos = {}
+        for rank, cell in enumerate(cells):
+            pos[cell[0]] = rank + 1
+        cert = _certificate_for_order(g, pos)
+        if best[0] is None or cert < best[0]:
+            best[0], best[1] = cert, pos
+        return
+    for v in target:
+        # individualise v: give it a colour just below its cell
+        bumped = [0] + [c * 2 for c in colors[1:]]
+        bumped[v] -= 1
+        _descend(g, adj, loops, _refine(g, _normalise(bumped, nv), adj, loops),
+                 best)
+
+
 def canonical_form(g: Graph) -> tuple[Graph, EdgePermutation]:
     """Isomorphism-class representative plus the edge permutation onto it.
 
@@ -72,35 +110,7 @@ def canonical_form(g: Graph) -> tuple[Graph, EdgePermutation]:
     colors0 = _refine(g, _initial_colors(g, adj, loops), adj, loops)
     nv = g.nv
     best: list = [None, None]  # certificate, pos
-
-    def cells_of(colors):
-        cells: dict[int, list[int]] = {}
-        for v in range(1, nv + 1):
-            cells.setdefault(colors[v], []).append(v)
-        return [cells[c] for c in sorted(cells)]
-
-    def descend(colors):
-        cells = cells_of(colors)
-        target = None
-        for cell in cells:
-            if len(cell) > 1:
-                target = cell
-                break
-        if target is None:
-            pos = {}
-            for rank, cell in enumerate(cells):
-                pos[cell[0]] = rank + 1
-            cert = _certificate_for_order(g, pos)
-            if best[0] is None or cert < best[0]:
-                best[0], best[1] = cert, pos
-            return
-        for v in target:
-            # individualise v: give it a colour just below its cell
-            bumped = [0] + [c * 2 for c in colors[1:]]
-            bumped[v] -= 1
-            descend(_refine(g, _normalise(bumped, nv), adj, loops))
-
-    descend(colors0)
+    _descend(g, adj, loops, colors0, best)
     pos = best[1]
     order = sorted(g.edge_ids,
                    key=lambda e: (min(pos[g.edges[e - 1][0]], pos[g.edges[e - 1][1]]),
@@ -138,43 +148,48 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # automorphisms
 # ---------------------------------------------------------------------------
 
+def _extend_automorphism(adj, loops, colors, verts, cap: int,
+                         out: list, i: int, img: dict[int, int],
+                         used: set[int]) -> None:
+    """Append to ``out`` every automorphism extending ``img`` on verts[:i]
+    (module level, so the recursion leaves no reference cycle)."""
+    if len(out) > cap:
+        raise GraphError("automorphism group exceeds enumeration cap")
+    nv = len(verts)
+    if i == nv:
+        out.append(dict(img))
+        return
+    v = verts[i]
+    for t in range(1, nv + 1):
+        if t in used or colors[t] != colors[v]:
+            continue
+        if loops[t] != loops[v]:
+            continue
+        ok = True
+        for u, m in adj[v].items():
+            if u in img and adj[t].get(img[u], 0) != m:
+                ok = False
+                break
+        if ok:
+            # also check mapped neighbours agree in reverse
+            for u in img:
+                if adj[v].get(u, 0) != adj[t].get(img[u], 0):
+                    ok = False
+                    break
+        if ok:
+            img[v] = t
+            _extend_automorphism(adj, loops, colors, verts, cap, out, i + 1,
+                                 img, used | {t})
+            del img[v]
+
+
 def vertex_automorphisms(g: Graph, cap: int = 200000) -> list[dict[int, int]]:
     """All weight- and adjacency-preserving vertex bijections."""
     adj, loops = _adjacency(g)
     colors = _refine(g, _initial_colors(g, adj, loops), adj, loops)
-    nv = g.nv
-    verts = sorted(range(1, nv + 1), key=lambda v: (colors[v], v))
+    verts = sorted(range(1, g.nv + 1), key=lambda v: (colors[v], v))
     out: list[dict[int, int]] = []
-
-    def rec(i: int, img: dict[int, int], used: set[int]):
-        if len(out) > cap:
-            raise GraphError("automorphism group exceeds enumeration cap")
-        if i == nv:
-            out.append(dict(img))
-            return
-        v = verts[i]
-        for t in range(1, nv + 1):
-            if t in used or colors[t] != colors[v]:
-                continue
-            if loops[t] != loops[v]:
-                continue
-            ok = True
-            for u, m in adj[v].items():
-                if u in img and adj[t].get(img[u], 0) != m:
-                    ok = False
-                    break
-            if ok:
-                # also check mapped neighbours agree in reverse
-                for u in img:
-                    if adj[v].get(u, 0) != adj[t].get(img[u], 0):
-                        ok = False
-                        break
-            if ok:
-                img[v] = t
-                rec(i + 1, img, used | {t})
-                del img[v]
-
-    rec(0, {}, set())
+    _extend_automorphism(adj, loops, colors, verts, cap, out, 0, {}, set())
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .graphs import Graph, GraphError
 from .polynomials import MultilinearPoly, cycle_basis, laplacian
 from .forms import BatchedGraphFormEvaluator, FormSpec
-from .tropical import TropicalSampler, build_measure
+from .tropical import TropicalSampler, build_measure, simplex_sample
 from .graphcomplex import ChainVector
 
 _SHARD = 65536
@@ -190,25 +190,11 @@ class _Evaluator:
         return num / psi ** ig.psi_power * xc ** (-ig.graph.ne)
 
 
-def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None,
-               nu: np.ndarray, kf: float, log_period: float,
-               seed: int, shard_index: int, count: int, dirichlet: bool):
+def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None, seed: int,
+               shard_index: int, count: int):
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,))))
-    g = ev.ig.graph
-    if dirichlet:
-        xs = rng.dirichlet(np.ones(g.ne), size=count)
-        logw = -math.lgamma(g.ne) * np.ones(count)  # 1/(n-1)!
-    else:
-        logxs, logpsitr = sampler.sample(rng, count)
-        xs = np.exp(logxs)
-        total = xs.sum(axis=1, keepdims=True)
-        xs = xs / total
-        scale = -np.log(total[:, 0])
-        hfull = g.loop_number()
-        logpsitr = logpsitr + hfull * scale
-        lognu = (np.log(xs) * nu).sum(axis=1)
-        logw = log_period + kf * logpsitr - lognu
+    xs, logw = simplex_sample(rng, count, ev.ig.graph.ne, sampler)
     vals = ev.values(xs)
     w = vals * np.exp(logw)
     bad = ~np.isfinite(w)
@@ -229,22 +215,16 @@ def integrate(ig: Integrand, samples: int, seed: int,
         raise IntegrationError("need at least two samples")
     g = ig.graph
     nu, k = ig.sampler_parameters()
-    dirichlet = sampler == "dirichlet"
     samp = None
-    log_period = 0.0
-    if not dirichlet:
+    if sampler != "dirichlet":
         if sampler != "tropical":
             raise IntegrationError(f"unknown sampler {sampler!r}")
-        measure = build_measure(g, nu, k)
-        samp = TropicalSampler(measure)
-        log_period = math.log(float(measure.tropical_period))
+        samp = TropicalSampler(build_measure(g, nu, k))
     ev = _Evaluator(ig)
-    nuv = np.array(nu, dtype=float)
     shards = [(i, min(shard_size, samples - i * shard_size))
               for i in range((samples + shard_size - 1) // shard_size)]
     nthreads = _threads() if threads is None else max(1, threads)
-    args = [(ev, samp, nuv, float(k), log_period, seed, i, c, dirichlet)
-            for i, c in shards]
+    args = [(ev, samp, seed, i, c) for i, c in shards]
     if nthreads == 1:
         results = [_run_shard(*a) for a in args]
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .graphs import Graph
+from .graphs import MAX_SUBSET_EDGES, Graph
 from .polynomials import (CycleBasis, LinearForm, LinearFormMatrix, Poly,
                           PolynomialError, cycle_basis, det_poly_general,
                           laplacian)
@@ -58,6 +58,40 @@ def _merge_sign(s1: frozenset, s2: frozenset) -> int:
             if b < a:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def _word_splits(comps, per, rest: frozenset, idx: int = 0):
+    """Ordered splits of ``rest`` into the parts of a wedge word.
+
+    Yields (parts, product of their coefficients), skipping every split
+    with a part that has no entry in ``per``.  The product is taken from
+    the last part backwards.  A module-level generator, so no recursive
+    closure holds the coefficient tables ``per`` in a reference cycle.
+    """
+    n = comps[idx]
+    if idx == len(comps) - 1:
+        if len(rest) == n and rest in per[n]:
+            yield (rest,), per[n][rest]
+        return
+    for combo in itertools.combinations(sorted(rest), n):
+        s = frozenset(combo)
+        c1 = per[n].get(s)
+        if c1 is None:
+            continue
+        for tail, cval in _word_splits(comps, per, rest - s, idx + 1):
+            yield (s,) + tail, c1 * cval
+
+
+def _word_total(comps, per, allvars: frozenset, total):
+    """``total`` plus the signed products over the splits of ``allvars``."""
+    for parts, val in _word_splits(comps, per, allvars):
+        sign = 1
+        placed: list[int] = []
+        for s in parts:
+            sign *= _merge_sign(frozenset(placed), s)
+            placed.extend(s)
+        total = total + sign * val
+    return total
 
 
 class RationalForm:
@@ -476,32 +510,12 @@ class FormEvaluator:
                 f"word degree {spec.degree} does not match chart dimension "
                 f"{len(allvars)}")
         comps = list(spec.components)
-        per = {n: self.coefficients(n, point, exact) for n in set(comps)}
+        # zero coefficients dropped: their splits add nothing
+        per = {n: {s: c for s, c in self.coefficients(n, point, exact).items()
+                   if c}
+               for n in set(comps)}
         zero = Fraction(0) if exact else 0.0
-
-        def split(rest: frozenset, idx: int):
-            n = comps[idx]
-            if idx == len(comps) - 1:
-                if len(rest) == n:
-                    yield (rest,), per[n].get(rest, zero)
-                return
-            for combo in itertools.combinations(sorted(rest), n):
-                s = frozenset(combo)
-                c1 = per[n].get(s, zero)
-                if not c1:
-                    continue
-                for tail, cval in split(rest - s, idx + 1):
-                    yield (s,) + tail, c1 * cval
-
-        total = zero
-        for parts, val in split(allvars, 0):
-            sign = 1
-            placed: list[int] = []
-            for s in parts:
-                sign *= _merge_sign(frozenset(placed), s)
-                placed.extend(s)
-            total = total + val * sign
-        return total
+        return _word_total(comps, per, allvars, zero)
 
 
 def canonical_form_numeric(x: LinearFormMatrix, spec: FormSpec,
@@ -604,8 +618,9 @@ class BatchedGraphFormEvaluator:
             raise FormError(
                 f"word degree {spec.degree} needs {spec.degree + 1} edges, "
                 f"graph has {g.ne}")
-        if g.ne > 16:
-            raise FormError("numeric form evaluation capped at 16 edges")
+        if g.ne > MAX_SUBSET_EDGES:
+            raise FormError("numeric form evaluation capped at "
+                            f"{MAX_SUBSET_EDGES} edges")
         b = cycle_basis(g) if basis is None else basis
         lam = laplacian(g, b)
         h = lam.size
@@ -758,31 +773,8 @@ class BatchedGraphFormEvaluator:
 
         comps = list(self.spec.components)
         per = {n: self._component_coefficients(n, gt) for n in set(comps)}
-        allvars = frozenset(self.chart_vars)
-
-        def split(rest: frozenset, idx: int):
-            n = comps[idx]
-            if idx == len(comps) - 1:
-                if len(rest) == n and rest in per[n]:
-                    yield (rest,), per[n][rest]
-                return
-            for combo in itertools.combinations(sorted(rest), n):
-                s = frozenset(combo)
-                c1 = per[n].get(s)
-                if c1 is None:
-                    continue
-                for tail, cval in split(rest - s, idx + 1):
-                    yield (s,) + tail, c1 * cval
-
-        total = np.zeros(gt.shape[2])
-        for parts, val in split(allvars, 0):
-            sign = 1
-            placed: list[int] = []
-            for s in parts:
-                sign *= _merge_sign(frozenset(placed), s)
-                placed.extend(s)
-            total = total + sign * val
-        return total
+        return _word_total(comps, per, frozenset(self.chart_vars),
+                           np.zeros(gt.shape[2]))
 
     def integrand_values(self, xs):
         """f with word = f * Omega: (-1)^chart * top coefficient / x_chart."""

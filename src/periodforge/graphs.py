@@ -13,6 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
+# largest edge count for tables over all 2^|E| edge subsets (subset loop
+# numbers, the tropical measure, the numeric form DP)
+MAX_SUBSET_EDGES = 16
+
 
 class GraphError(ValueError):
     pass

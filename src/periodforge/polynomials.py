@@ -736,37 +736,23 @@ def contraction_deletion_split(g: Graph, e: int) -> tuple[MultilinearPoly, Multi
 # subdivergences
 # ---------------------------------------------------------------------------
 
-def _subset_loop_number(g: Graph, edge_subset: Sequence[int]) -> int:
-    verts = set()
-    for e in edge_subset:
-        u, v = g.endpoints(e)
-        verts.update((u, v))
-    idx = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-    comps = len(verts)
-    for e in edge_subset:
-        u, v = g.endpoints(e)
-        ru, rv = _root(parent, idx[u]), _root(parent, idx[v])
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return len(edge_subset) - len(verts) + comps
-
-
 def divergent_subgraphs(g: Graph) -> list[tuple[int, ...]]:
     """Strict edge subsets gamma with |gamma| <= 2 h(gamma).
 
     Empty iff the graph is subdivergence-free.  Exhaustive over subsets,
-    capped at 16 edges.
+    read off the tropical loop-number table, so capped at
+    ``MAX_SUBSET_EDGES`` edges.
     """
-    if g.ne > 16:
-        raise GraphError("subdivergence scan capped at 16 edges")
-    out = []
-    ids = list(g.edge_ids)
-    for mask in range(1, (1 << g.ne) - 1):
-        subset = [ids[i] for i in range(g.ne) if mask >> i & 1]
-        if len(subset) <= 2 * _subset_loop_number(g, subset):
-            out.append(tuple(subset))
+    import numpy as np
+
+    from .tropical import _popcounts, subset_loop_numbers
+
+    h = subset_loop_numbers(g)
+    full = (1 << g.ne) - 1
+    size = _popcounts(g.ne)
+    masks = np.flatnonzero(size[1:full] <= 2 * h[1:full]) + 1
+    out = [tuple(i + 1 for i in range(g.ne) if m >> i & 1)
+           for m in masks.tolist()]
     out.sort(key=lambda s: (len(s), s))
     return out
 

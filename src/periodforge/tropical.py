@@ -15,6 +15,20 @@ subset lattice, the coordinates by power-law draws.
 
 Positivity of omega on proper nonempty subsets is exactly the convergence
 criterion; for nu = 0 and k = 2 it is subdivergence-freeness.
+
+The subset table is kept in integers.  With k = p/q in lowest terms,
+q * omega(S) = q * (nu(S) + |S|) - p * h(S) is an integer for every subset.
+The table T(empty) = 1, T(S) = sum_{i in S} T(S - i) / omega(S) for proper
+S and T(E) = sum_{i in E} T(E - i) becomes, scaled by N(S) = T(S) * L^|S|
+with L the lcm of q * omega over the proper nonempty subsets,
+
+    N(S) = q * (L // (q * omega(S))) * sum_{i in S} N(S - i),
+    N(E) = L * sum_{i in E} N(E - i).
+
+Every L // (q * omega(S)) is an exact quotient, so N is a table of
+integers and the tropical period is the rational N(E) / L^|E| exactly, with
+no fraction built per subset.  The sampler's floats N(S) / L^|S| come from
+Python's correctly rounded integer division, so they equal float(T(S)).
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, _root
+from .graphs import MAX_SUBSET_EDGES, Graph, GraphError
 
 
 class DivergentIntegrandError(ValueError):
@@ -41,30 +55,39 @@ class DivergentIntegrandError(ValueError):
             "the tropical measure diverges")
 
 
-def _subset_loop_numbers(g: Graph) -> np.ndarray:
-    """Loop number of every edge subset, indexed by bitmask."""
+def _popcounts(n: int) -> np.ndarray:
+    """Number of edges of every subset, indexed by bitmask."""
+    pc = np.zeros(1 << n, dtype=np.int8)
+    for i in range(n):
+        pc[1 << i:2 << i] = pc[:1 << i] + 1
+    return pc
+
+
+def subset_loop_numbers(g: Graph) -> np.ndarray:
+    """Loop number of every edge subset, indexed by bitmask.
+
+    Bit i of the mask is edge i + 1.  The table is built one edge at a
+    time: the subsets whose highest edge is i take the vertex component
+    labels of the subset without i.  Edge i closes a loop when its
+    endpoints already share a label (always for a self-edge); otherwise it
+    merges the two labels.
+    """
     n = g.ne
-    ends = [(u, v) for u, v in g.edges]
+    if n > MAX_SUBSET_EDGES:
+        raise GraphError(f"subset tables capped at {MAX_SUBSET_EDGES} edges")
     h = np.zeros(1 << n, dtype=np.int8)
-    for mask in range(1, 1 << n):
-        parent = list(range(g.nv + 1))
-        edges = 0
-        verts = set()
-        loops = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            u, v = ends[i]
-            verts.add(u)
-            verts.add(v)
-            edges += 1
-            ru, rv = _root(parent, u), _root(parent, v)
-            if ru == rv:
-                loops += 1
-            else:
-                parent[ru] = rv
-        h[mask] = loops
+    # component label of every vertex, for each subset of the edges so far
+    labels = np.empty((1 << max(n - 1, 0), g.nv + 1),
+                      dtype=np.min_scalar_type(g.nv))
+    labels[0] = np.arange(g.nv + 1)
+    for i, (u, v) in enumerate(g.edges):
+        lo = 1 << i
+        below = labels[:lo]
+        lu, lv = below[:, u], below[:, v]
+        h[lo:2 * lo] = h[:lo] + (lu == lv)
+        if i + 1 < n:
+            labels[lo:2 * lo] = np.where(below == lv[:, None], lu[:, None],
+                                         below)
     return h
 
 
@@ -76,13 +99,20 @@ class TropicalMeasure:
     nu: tuple[int, ...]
     k: Fraction
     tropical_period: Fraction
-    omegas: list[Fraction]            # by bitmask
-    subset_weights: list[Fraction]    # T-table by bitmask
-    h: np.ndarray
+    h: np.ndarray                 # loop number by bitmask
+    omega_num: np.ndarray         # q * omega by bitmask, where k = p/q
+    scale: int                    # L, the lcm of q * omega on proper subsets
+    scaled_weights: np.ndarray    # N = T * L^|S| by bitmask, Python ints
 
     @property
     def n(self) -> int:
         return self.graph.ne
+
+    def subset_weights(self) -> np.ndarray:
+        """Float T-table by bitmask, each entry correctly rounded."""
+        lpow = np.array([self.scale ** j for j in range(self.n + 1)],
+                        dtype=object)
+        return (self.scaled_weights / lpow[_popcounts(self.n)]).astype(float)
 
 
 def build_measure(g: Graph, nu: Sequence[int] | None = None,
@@ -90,14 +120,13 @@ def build_measure(g: Graph, nu: Sequence[int] | None = None,
     """Exact preprocessing pass; k defaults to the projective exponent.
 
     Raises DivergentIntegrandError when some proper subset makes the
-    tropical measure infinite, and GraphError when the density is not
-    projectively homogeneous.
+    tropical measure infinite (the subset of smallest bitmask is reported),
+    and GraphError when the density is not projectively homogeneous.
     """
     n = g.ne
-    if n > 16:
-        raise GraphError("tropical preprocessing capped at 16 edges")
     if n < 2:
         raise GraphError("need at least two edges to integrate")
+    h = subset_loop_numbers(g)
     nu = tuple(int(x) for x in (nu if nu is not None else [0] * n))
     if len(nu) != n or any(x < 0 for x in nu):
         raise GraphError("nu needs one non-negative exponent per edge")
@@ -105,33 +134,43 @@ def build_measure(g: Graph, nu: Sequence[int] | None = None,
     if k is None:
         k = Fraction(sum(nu) + n, hloop)
     k = Fraction(k)
-    h = _subset_loop_numbers(g)
     full = (1 << n) - 1
     if Fraction(sum(nu) + n) - k * int(h[full]) != 0:
         raise GraphError(
             f"density x^nu/(Psi^tr)^{k} is not projectively homogeneous")
-    nusum = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        nusum[mask] = nusum[mask & (mask - 1)] + nu[low]
-    omegas = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        om = nusum[mask] + bin(mask).count("1") - k * int(h[mask])
-        omegas[mask] = om
-        if mask != full and om <= 0:
-            subset = tuple(i + 1 for i in range(n) if mask >> i & 1)
-            raise DivergentIntegrandError(subset, om)
-    T = [Fraction(0)] * (1 << n)
-    T[0] = Fraction(1)
-    for mask in range(1, 1 << n):
-        acc = Fraction(0)
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            acc += T[mask & ~(1 << i)]
-        T[mask] = acc if mask == full else acc / omegas[mask]
-    return TropicalMeasure(g, nu, k, T[full], omegas, T, h)
+    p, q = k.numerator, k.denominator
+    # q * omega by bitmask: machine integers while every entry is below
+    # 2^53 (so a float holds it exactly), Python integers otherwise
+    bound = q * (sum(nu) + n) + abs(p) * n
+    dtype = np.int64 if bound < 1 << 53 else object
+    qom = np.zeros(1 << n, dtype=dtype)
+    for i in range(n):
+        qom[1 << i:2 << i] = qom[:1 << i] + q * (nu[i] + 1)
+    qom -= p * h.astype(dtype)
+    bad = np.flatnonzero(qom[1:full] <= 0)
+    if bad.size:
+        mask = int(bad[0]) + 1
+        subset = tuple(i + 1 for i in range(n) if mask >> i & 1)
+        raise DivergentIntegrandError(subset, Fraction(int(qom[mask]), q))
+    scale = math.lcm(*set(qom[1:full].tolist()))
+    coef = np.empty(1 << n, dtype=object)
+    coef[1:full] = q * (scale // qom[1:full].astype(object))
+    coef[full] = scale
+    # N level by level: a subset of size l needs every subset of size l - 1
+    pc = _popcounts(n)
+    order = np.argsort(pc, kind="stable")
+    ends = np.cumsum(np.bincount(pc, minlength=n + 1))
+    N = np.zeros(1 << n, dtype=object)
+    N[0] = 1
+    for size in range(1, n + 1):
+        masks = order[ends[size - 1]:ends[size]]
+        acc = np.zeros(masks.size, dtype=object)
+        for i in range(n):
+            has = (masks >> i & 1).astype(bool)
+            acc[has] += N[masks[has] ^ (1 << i)]
+        N[masks] = coef[masks] * acc
+    period = Fraction(N[full], scale ** n)
+    return TropicalMeasure(g, nu, k, period, h, qom, scale, N)
 
 
 class TropicalSampler:
@@ -140,6 +179,12 @@ class TropicalSampler:
     Draws are deterministic functions of the numpy Generator handed in;
     points come back as log-coordinates normalised to max log x = 0,
     together with log Psi^tr at the point.
+
+    Row ``mask`` of the tables lists the edges of the subset in increasing
+    order: ``bit`` the edge, ``cum`` the cumulative probability of dropping
+    it (T(mask - edge) over the sum of these, added left to right), and
+    ``hdrop`` the loop number lost with it.  Columns past the size of the
+    subset hold 1.0 in ``cum`` and 0 elsewhere.
     """
 
     def __init__(self, measure: TropicalMeasure):
@@ -147,24 +192,43 @@ class TropicalSampler:
         n = measure.n
         size = 1 << n
         self.n = n
-        T = measure.subset_weights
-        self.cum = np.zeros((size, n))
+        h = measure.h
+        T = measure.subset_weights()
+        masks = np.arange(size, dtype=np.int32)
+        bitno = np.zeros(size, dtype=np.int8)
+        bitno[1 << np.arange(n)] = np.arange(n)
+
+        def columns():
+            """Per column, the j-th lowest bit of every mask (0 if none)."""
+            rest = masks
+            for _ in range(n):
+                low = rest & -rest
+                rest = rest ^ low
+                yield low
+
+        total = np.zeros(size)
+        for low in columns():
+            total += np.where(low != 0, T[masks ^ low], 0.0)
+        total[0] = 1.0  # the empty subset has no column; avoids 0 / 0
+        self.cum = np.ones((size, n))
         self.bit = np.zeros((size, n), dtype=np.int8)
         self.hdrop = np.zeros((size, n), dtype=np.int8)
-        self.omega_f = np.ones(size)
-        h = measure.h
-        for mask in range(1, size):
-            bits = [i for i in range(n) if mask >> i & 1]
-            weights = [float(T[mask & ~(1 << i)]) for i in bits]
-            total = sum(weights)
-            acc = 0.0
-            for j, (i, w) in enumerate(zip(bits, weights)):
-                acc += w / total
-                self.cum[mask, j] = acc
-                self.bit[mask, j] = i
-                self.hdrop[mask, j] = h[mask] - h[mask & ~(1 << i)]
-            self.cum[mask, len(bits):] = 1.0
-            self.omega_f[mask] = float(measure.omegas[mask])
+        acc = np.zeros(size)
+        for j, low in enumerate(columns()):
+            sub = masks ^ low
+            acc += np.where(low != 0, T[sub] / total, 0.0)
+            self.cum[:, j] = np.where(low != 0, acc, 1.0)
+            self.bit[:, j] = bitno[low]
+            self.hdrop[:, j] = h - h[sub]
+        self.cum[0] = 0.0
+        # correctly rounded: machine-integer numerators are below 2^53
+        self.omega_f = np.asarray(measure.omega_num / measure.k.denominator,
+                                  dtype=float)
+        self.omega_f[0] = 1.0
+        self.nu = np.array(measure.nu, dtype=float)
+        self.kf = float(measure.k)
+        self.log_period = math.log(float(measure.tropical_period))
+        self.hfull = int(h[size - 1])
 
     def sample(self, rng: np.random.Generator, count: int):
         """Returns (logx (count, n), log_psi_tr (count,))."""
@@ -180,7 +244,8 @@ class TropicalSampler:
                 u = rng.random(count)
                 logx = logx + np.log(u) / self.omega_f[state]
             r = rng.random(count)
-            idx = (r[:, None] > self.cum[state]).sum(axis=1)
+            # a state of n - step edges: later columns are 1.0 > r
+            idx = (r[:, None] > self.cum[state, :n - step]).sum(axis=1)
             e = self.bit[state, idx].astype(np.int64)
             logxs[rows, e] = logx
             logpsitr += np.where(self.hdrop[state, idx] == 1, logx, 0.0)
@@ -188,34 +253,40 @@ class TropicalSampler:
         return logxs, logpsitr
 
 
-def tropical_sample(g: Graph, k, seed: int, count: int,
-                    nu: Sequence[int] | None = None):
-    """Convenience wrapper: (points on the simplex, importance weights).
+def simplex_sample(rng: np.random.Generator, count: int, n: int,
+                   sampler: TropicalSampler | None = None):
+    """(points on the simplex (count, n), log importance weights (count,)).
 
-    Points are normalised to sum 1.  The weight of a point x is the
-    reciprocal density  tropical_period * (Psi^tr(x))^k / x^nu,  so that
-    mean(weight * f(points)) estimates the projective integral of f.
-
-    k = 0 with trivial nu falls back to the plain uniform (Dirichlet)
-    sampler; its constant weight 1/(n-1)! is the volume of the simplex
-    against the projective form.
+    Points are normalised to sum 1.  Under a tropical sampler the weight of
+    a point x is the reciprocal density tropical_period * (Psi^tr(x))^k /
+    x^nu; without one the points are uniform (Dirichlet) and the weight is
+    the constant 1/(n-1)!, the volume of the simplex against the projective
+    form.  Either way mean(weight * f(points)) estimates the projective
+    integral of f.
     """
-    if (k == 0 or k is None) and not (nu and any(nu)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        xs = rng.dirichlet(np.ones(g.ne), size=count)
-        return xs, np.full(count, 1.0 / math.factorial(g.ne - 1))
-    measure = build_measure(g, nu, k)
-    sampler = TropicalSampler(measure)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    if sampler is None:
+        xs = rng.dirichlet(np.ones(n), size=count)
+        return xs, -math.lgamma(n) * np.ones(count)
     logxs, logpsitr = sampler.sample(rng, count)
     xs = np.exp(logxs)
     total = xs.sum(axis=1, keepdims=True)
     xs = xs / total
     # psi_tr is homogeneous of degree h: shift its log to the simplex scale
     scale = -np.log(total[:, 0])
-    hfull = int(measure.h[(1 << measure.n) - 1])
-    logpsitr_simplex = logpsitr + hfull * scale
-    lognu = (np.log(xs) * np.array(measure.nu)).sum(axis=1)
-    weights = np.exp(float(measure.k) * logpsitr_simplex - lognu) \
-        * float(measure.tropical_period)
-    return xs, weights
+    logpsitr = logpsitr + sampler.hfull * scale
+    lognu = (np.log(xs) * sampler.nu).sum(axis=1)
+    return xs, sampler.log_period + sampler.kf * logpsitr - lognu
+
+
+def tropical_sample(g: Graph, k, seed: int, count: int,
+                    nu: Sequence[int] | None = None):
+    """Convenience wrapper: (points on the simplex, importance weights).
+
+    k = 0 with trivial nu falls back to the plain uniform (Dirichlet)
+    sampler; see ``simplex_sample`` for the weights.
+    """
+    uniform = (k == 0 or k is None) and not (nu and any(nu))
+    sampler = None if uniform else TropicalSampler(build_measure(g, nu, k))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    xs, logw = simplex_sample(rng, count, g.ne, sampler)
+    return xs, np.exp(logw)

@@ -5,11 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from periodforge.graphs import Graph, GraphError, banana, cycle, wheel
+from periodforge.graphs import (Graph, GraphError, _root, banana, complete,
+                                cycle, wheel, zigzag)
 from periodforge.polynomials import MultilinearPoly, graph_polynomial
 from periodforge.forms import FormSpec
 from periodforge.tropical import (DivergentIntegrandError, TropicalSampler,
-                                  build_measure, tropical_sample)
+                                  build_measure, simplex_sample,
+                                  subset_loop_numbers, tropical_sample)
 from periodforge.engine import (Integrand, IntegralEstimate, IntegrationError,
                                 canonical_integrand, integrate,
                                 integrate_canonical,
@@ -77,6 +79,173 @@ def test_build_measure_validation():
         build_measure(wheel(3), k=3)  # not projective
     with pytest.raises(GraphError):
         build_measure(Graph((0, 0), ((1, 2),)), k=1)
+
+
+# ---------------------------------------------------------------------------
+# exact preprocessing against the per-mask reference
+# ---------------------------------------------------------------------------
+
+def _reference_loop_numbers(g):
+    """One union-find per edge subset."""
+    h = np.zeros(1 << g.ne, dtype=np.int8)
+    for mask in range(1, 1 << g.ne):
+        parent = list(range(g.nv + 1))
+        loops = 0
+        for i, (u, v) in enumerate(g.edges):
+            if not mask >> i & 1:
+                continue
+            ru, rv = _root(parent, u), _root(parent, v)
+            if ru == rv:
+                loops += 1
+            else:
+                parent[ru] = rv
+        h[mask] = loops
+    return h
+
+
+def _reference_measure(g, nu, k):
+    """(tropical period, omega table, T-table) in Fractions, or the
+    (subset, omega) of the first divergent subset in mask order."""
+    n = g.ne
+    nu = nu or [0] * n
+    k = Fraction(k)
+    h = _reference_loop_numbers(g)
+    full = (1 << n) - 1
+    omegas = [Fraction(0)] * (1 << n)
+    for mask in range(1, 1 << n):
+        bits = [i for i in range(n) if mask >> i & 1]
+        om = sum(nu[i] for i in bits) + len(bits) - k * int(h[mask])
+        omegas[mask] = om
+        if mask != full and om <= 0:
+            return tuple(i + 1 for i in bits), om
+    T = [Fraction(1)] + [Fraction(0)] * full
+    for mask in range(1, 1 << n):
+        acc = sum((T[mask & ~(1 << i)] for i in range(n) if mask >> i & 1),
+                  Fraction(0))
+        T[mask] = acc if mask == full else acc / omegas[mask]
+    return T[full], omegas, T
+
+
+def _reference_sampler_tables(n, h, omegas, T):
+    """(cum, bit, hdrop, omega_f) with one Python loop per mask."""
+    size = 1 << n
+    cum = np.zeros((size, n))
+    bit = np.zeros((size, n), dtype=np.int8)
+    hdrop = np.zeros((size, n), dtype=np.int8)
+    omega_f = np.ones(size)
+    for mask in range(1, size):
+        bits = [i for i in range(n) if mask >> i & 1]
+        weights = [float(T[mask & ~(1 << i)]) for i in bits]
+        # left to right, as sum() did before Python 3.12 compensated it
+        total = 0.0
+        for w in weights:
+            total += w
+        acc = 0.0
+        for j, (i, w) in enumerate(zip(bits, weights)):
+            acc += w / total
+            cum[mask, j] = acc
+            bit[mask, j] = i
+            hdrop[mask, j] = h[mask] - h[mask & ~(1 << i)]
+        cum[mask, len(bits):] = 1.0
+        omega_f[mask] = float(omegas[mask])
+    return cum, bit, hdrop, omega_f
+
+
+_SPOKES = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+_MEASURE_CASES = [
+    ("W3", wheel(3), None, None),
+    ("W5", wheel(5), None, None),
+    ("W5 spokes", wheel(5), _SPOKES, 3),
+    ("Z5", zigzag(5), None, None),
+    ("Z7", zigzag(7), None, None),
+    ("K6", complete(6), None, Fraction(3, 2)),
+    ("C3", cycle(3), None, 3),
+    ("B2", banana(2), None, 2),
+    # q * omega beyond 2^53: the tables fall back to Python integers
+    ("B2 wide", banana(2), [2 ** 60, 0], None),
+]
+
+
+def test_subset_loop_numbers_match_union_find():
+    self_edges = Graph((0, 0, 0), ((1, 1), (1, 2), (2, 3), (3, 3), (1, 3),
+                                   (2, 2), (1, 2)))
+    for g in (self_edges, wheel(4), zigzag(5), banana(3), dunce_graph()):
+        assert np.array_equal(subset_loop_numbers(g),
+                              _reference_loop_numbers(g))
+
+
+@pytest.mark.parametrize("name,g,nu,k", _MEASURE_CASES,
+                         ids=[c[0] for c in _MEASURE_CASES])
+def test_tables_match_fraction_reference(name, g, nu, k):
+    m = build_measure(g, nu, k)
+    period, omegas, T = _reference_measure(g, nu, m.k)
+    assert isinstance(m.tropical_period, Fraction)
+    assert m.tropical_period == period
+    h = _reference_loop_numbers(g)
+    assert np.array_equal(m.h, h)
+    s = TropicalSampler(m)
+    cum, bit, hdrop, omega_f = _reference_sampler_tables(g.ne, h, omegas, T)
+    assert np.array_equal(s.cum, cum)
+    assert np.array_equal(s.bit, bit)
+    assert np.array_equal(s.hdrop, hdrop)
+    assert np.array_equal(s.omega_f, omega_f)
+
+
+def test_divergent_subset_matches_reference():
+    chain = Graph((0, 0, 0), ((1, 2), (1, 2), (2, 3), (2, 3)))
+    for g in (dunce_graph(), chain):
+        with pytest.raises(DivergentIntegrandError) as exc:
+            build_measure(g, k=2)
+        subset, omega = _reference_measure(g, None, 2)
+        assert exc.value.subset == subset
+        assert exc.value.omega == omega
+        assert isinstance(exc.value.omega, Fraction)
+
+
+def test_sample_matches_full_width_gather():
+    s = TropicalSampler(build_measure(zigzag(5)))
+    logxs, logpsitr = s.sample(np.random.default_rng(17), 3000)
+    rng = np.random.default_rng(17)
+    n, count = s.n, 3000
+    state = np.full(count, (1 << n) - 1, dtype=np.int64)
+    logx = np.zeros(count)
+    ref = np.zeros((count, n))
+    ref_psi = np.zeros(count)
+    for step in range(n):
+        if step > 0:
+            logx = logx + np.log(rng.random(count)) / s.omega_f[state]
+        r = rng.random(count)
+        idx = (r[:, None] > s.cum[state]).sum(axis=1)
+        e = s.bit[state, idx].astype(np.int64)
+        ref[np.arange(count), e] = logx
+        ref_psi += np.where(s.hdrop[state, idx] == 1, logx, 0.0)
+        state = state & ~(1 << e)
+    assert np.array_equal(logxs, ref)
+    assert np.array_equal(logpsitr, ref_psi)
+
+
+def test_simplex_sample_matches_inline_weights():
+    """Points and log weights against the formula written out term by term."""
+    nu = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+    m = build_measure(wheel(5), nu, 3)
+    s = TropicalSampler(m)
+    xs, logw = simplex_sample(np.random.default_rng(4), 2000, 10, s)
+    logxs, logpsitr = s.sample(np.random.default_rng(4), 2000)
+    ex = np.exp(logxs)
+    total = ex.sum(axis=1, keepdims=True)
+    assert np.array_equal(xs, ex / total)
+    logpsitr = logpsitr + wheel(5).loop_number() * -np.log(total[:, 0])
+    lognu = (np.log(ex / total) * np.array(nu, dtype=float)).sum(axis=1)
+    ref = math.log(float(m.tropical_period)) + 3.0 * logpsitr - lognu
+    assert np.array_equal(logw, ref)
+
+
+def test_subset_tables_capped():
+    big = Graph((0, 0), ((1, 2),) * 17)
+    with pytest.raises(GraphError, match="capped at 16 edges"):
+        subset_loop_numbers(big)
+    with pytest.raises(GraphError, match="capped at 16 edges"):
+        build_measure(big)
 
 
 def test_integrand_validation():

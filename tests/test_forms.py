@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 
@@ -403,3 +404,29 @@ def test_batched_exact_gram_row():
     vals = ev.evaluate(xs)
     assert len(calls) == 1
     assert np.isfinite(vals).all()
+
+
+def test_batched_evaluate_leaves_no_reference_cycles():
+    """The word split holds the coefficient tables of every component; a
+    cycle through it would keep them alive until the cyclic collector runs."""
+    ev = BatchedGraphFormEvaluator(wheel(3), FormSpec((5,)))
+    xs = np.random.default_rng(2).dirichlet(np.ones(6), size=64)
+    gc.collect()
+    gc.disable()
+    try:
+        ev.evaluate(xs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_scalar_word_leaves_no_reference_cycles():
+    x = laplacian(wheel(3), cycle_basis(wheel(3)))
+    point = [0.2, 0.3, 0.1, 0.15, 0.15, 0.1]
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_form_numeric(x, FormSpec((5,)), point)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

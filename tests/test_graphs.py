@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -100,6 +101,20 @@ def test_canonical_form_invariance(corpus, rng):
             h = h.reordered_edges(order)
             rep1, _ = canonical_form(h)
             assert rep1 == rep0
+
+
+def test_canonical_search_leaves_no_reference_cycles():
+    """Each call's graph data is freed when the call returns, not whenever
+    the cyclic collector next runs."""
+    g = wheel(5)
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_form(g)
+        automorphism_edge_group(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_canonical_form_idempotent(corpus):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from periodforge.graphs import (Graph, banana, complete, cycle, dumbbell,
-                                wheel, zigzag)
+from periodforge.graphs import (Graph, _root, banana, complete, cycle,
+                                dumbbell, wheel, zigzag)
 from periodforge.polynomials import (CycleBasis, LinearForm, MultilinearPoly,
                                      Poly, PolynomialError,
                                      contraction_deletion_split, cycle_basis,
@@ -228,6 +228,41 @@ def test_divergent_subgraphs():
     assert divergent_subgraphs(wheel(3)) == []
     assert divergent_subgraphs(wheel(4)) == []
     assert divergent_subgraphs(zigzag(5)) == []
+
+
+def _reference_loop_number(g, edge_subset):
+    """Loop number of one edge subset by union-find."""
+    verts = set()
+    for e in edge_subset:
+        verts.update(g.endpoints(e))
+    idx = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+    comps = len(verts)
+    for e in edge_subset:
+        u, v = g.endpoints(e)
+        ru, rv = _root(parent, idx[u]), _root(parent, idx[v])
+        if ru != rv:
+            parent[ru] = rv
+            comps -= 1
+    return len(edge_subset) - len(verts) + comps
+
+
+def _reference_divergent_subgraphs(g):
+    out = []
+    for mask in range(1, (1 << g.ne) - 1):
+        subset = [e for e in g.edge_ids if mask >> (e - 1) & 1]
+        if len(subset) <= 2 * _reference_loop_number(g, subset):
+            out.append(tuple(subset))
+    out.sort(key=lambda s: (len(s), s))
+    return out
+
+
+def test_divergent_subgraphs_match_reference():
+    chain = Graph((0, 0, 0), ((1, 2), (1, 2), (2, 3), (2, 3)))
+    self_edges = Graph((0, 0), ((1, 1), (1, 2), (1, 2), (2, 2)))
+    for g in (dunce_graph(), banana(3), wheel(4), zigzag(5), chain,
+              self_edges, complete(5)):
+        assert divergent_subgraphs(g) == _reference_divergent_subgraphs(g)
 
 
 def test_poly_division_and_derivative():
