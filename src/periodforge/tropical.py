@@ -63,6 +63,11 @@ def _popcounts(n: int) -> np.ndarray:
     return pc
 
 
+def _mask_edges(mask: int, n: int) -> tuple[int, ...]:
+    """Edge ids of a bitmask: bit i is edge i + 1."""
+    return tuple(i + 1 for i in range(n) if mask >> i & 1)
+
+
 def subset_loop_numbers(g: Graph) -> np.ndarray:
     """Loop number of every edge subset, indexed by bitmask.
 
@@ -91,6 +96,18 @@ def subset_loop_numbers(g: Graph) -> np.ndarray:
     return h
 
 
+def subdivergent_subsets(g: Graph) -> list[tuple[int, ...]]:
+    """Proper nonempty edge subsets S with |S| <= 2 h(S), in bitmask order.
+
+    These are the subsets where omega <= 0 for nu = 0 and k = 2.
+    """
+    full = (1 << g.ne) - 1
+    h = subset_loop_numbers(g)
+    size = _popcounts(g.ne)
+    masks = np.flatnonzero(size[1:full] <= 2 * h[1:full]) + 1
+    return [_mask_edges(m, g.ne) for m in masks.tolist()]
+
+
 @dataclass
 class TropicalMeasure:
     """Exact subset tables for one density x^nu / (Psi^tr)^k."""
@@ -100,7 +117,7 @@ class TropicalMeasure:
     k: Fraction
     tropical_period: Fraction
     h: np.ndarray                 # loop number by bitmask
-    omega_num: np.ndarray         # q * omega by bitmask, where k = p/q
+    omega_num: np.ndarray         # q * omega by bitmask, k = p/q; ints
     scale: int                    # L, the lcm of q * omega on proper subsets
     scaled_weights: np.ndarray    # N = T * L^|S| by bitmask, Python ints
 
@@ -139,22 +156,19 @@ def build_measure(g: Graph, nu: Sequence[int] | None = None,
         raise GraphError(
             f"density x^nu/(Psi^tr)^{k} is not projectively homogeneous")
     p, q = k.numerator, k.denominator
-    # q * omega by bitmask: machine integers while every entry is below
-    # 2^53 (so a float holds it exactly), Python integers otherwise
-    bound = q * (sum(nu) + n) + abs(p) * n
-    dtype = np.int64 if bound < 1 << 53 else object
-    qom = np.zeros(1 << n, dtype=dtype)
+    # q * omega by bitmask, as Python integers
+    qom = np.zeros(1 << n, dtype=object)
     for i in range(n):
         qom[1 << i:2 << i] = qom[:1 << i] + q * (nu[i] + 1)
-    qom -= p * h.astype(dtype)
+    qom -= p * h.astype(object)
     bad = np.flatnonzero(qom[1:full] <= 0)
     if bad.size:
         mask = int(bad[0]) + 1
-        subset = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        raise DivergentIntegrandError(subset, Fraction(int(qom[mask]), q))
+        raise DivergentIntegrandError(_mask_edges(mask, n),
+                                      Fraction(qom[mask], q))
     scale = math.lcm(*set(qom[1:full].tolist()))
     coef = np.empty(1 << n, dtype=object)
-    coef[1:full] = q * (scale // qom[1:full].astype(object))
+    coef[1:full] = q * (scale // qom[1:full])
     coef[full] = scale
     # N level by level: a subset of size l needs every subset of size l - 1
     pc = _popcounts(n)
@@ -221,9 +235,9 @@ class TropicalSampler:
             self.bit[:, j] = bitno[low]
             self.hdrop[:, j] = h - h[sub]
         self.cum[0] = 0.0
-        # correctly rounded: machine-integer numerators are below 2^53
-        self.omega_f = np.asarray(measure.omega_num / measure.k.denominator,
-                                  dtype=float)
+        # int / int division of Python integers is correctly rounded
+        self.omega_f = (measure.omega_num
+                        / measure.k.denominator).astype(float)
         self.omega_f[0] = 1.0
         self.nu = np.array(measure.nu, dtype=float)
         self.kf = float(measure.k)

@@ -161,7 +161,7 @@ _MEASURE_CASES = [
     ("K6", complete(6), None, Fraction(3, 2)),
     ("C3", cycle(3), None, 3),
     ("B2", banana(2), None, 2),
-    # q * omega beyond 2^53: the tables fall back to Python integers
+    # q * omega beyond 2^53, where a float no longer holds it exactly
     ("B2 wide", banana(2), [2 ** 60, 0], None),
 ]
 
