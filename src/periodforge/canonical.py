@@ -1,101 +1,184 @@
 """Canonical labeling and automorphisms of weighted multigraphs.
 
-Iterative colour refinement (weight, degree, self-edge count, then
-neighbour-colour multisets with edge multiplicities) followed by
-individualisation backtracking.  Exact and deterministic; meant for desk
-scale (up to ~20 edges), not for large graphs.
+One individualisation-refinement search gives both.  Colour refinement
+starts from (weight, degree, self-edge count) and splits cells by the
+multiset of (neighbour colour, edge multiplicity) pairs; colours are dense
+ranks ordered by signature.  The search individualises each vertex of the
+first non-singleton cell in turn; a leaf (a discrete colouring) orders the
+vertices, and the least certificate (weights, then sorted edge pairs) over
+the leaves picks the representative.
+
+A leaf whose certificate equals the best one so far gives an automorphism,
+which is recorded, and the search backs up to where its path left the best
+leaf's path (the rest of that subtree is the image of one already seen).
+At each node a vertex is skipped when the automorphisms found so far that
+fix the individualised prefix map an explored sibling onto it (McKay and
+Piperno, *Practical graph isomorphism II*, arXiv:1301.1493).  The recorded
+automorphisms generate the whole group.
+
+Pruning only skips subtrees whose certificates repeat earlier ones, so the
+first least leaf is the one the unpruned search finds.  That holds because
+the colour numbering, the cell order and the vertex order inside a cell are
+those of a plain search; with them, every representative and every edge
+permutation returned is the same as without pruning.  Exact and
+deterministic; meant for desk scale (up to ~20 edges), not for large graphs.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .graphs import Graph, EdgePermutation, GraphError
 
 
-def _adjacency(g: Graph):
-    """adj[v] = {u: multiplicity} for u != v; loops[v] = #self-edges."""
-    adj = [dict() for _ in range(g.nv + 1)]
-    loops = [0] * (g.nv + 1)
-    for u, v in g.edges:
-        if u == v:
-            loops[u] += 1
-        else:
-            adj[u][v] = adj[u].get(v, 0) + 1
-            adj[v][u] = adj[v].get(u, 0) + 1
-    return adj, loops
+def _refine(colors: list[int], ncells: int, nbrs, mult: int):
+    """Stable colour refinement of dense ``colors`` (index 0 unused).
 
-
-def _refine(g: Graph, colors: list[int], adj, loops) -> list[int]:
-    """Stable colour refinement; colours are dense ints ordered by signature."""
-    nv = g.nv
-    while True:
-        sigs = []
-        for v in range(1, nv + 1):
-            nb = sorted((colors[u], m) for u, m in adj[v].items())
-            sigs.append((colors[v], tuple(nb)))
-        order = sorted(set(sigs))
-        remap = {s: i for i, s in enumerate(order)}
-        newc = [0] + [remap[s] for s in sigs]
-        if newc == colors:
-            return colors
-        colors = newc
-
-
-def _initial_colors(g: Graph, adj, loops) -> list[int]:
-    degs = g.degrees()
-    sigs = [(g.weights[v - 1], degs[v - 1], loops[v])
-            for v in range(1, g.nv + 1)]
-    order = sorted(set(sigs))
-    remap = {s: i for i, s in enumerate(order)}
-    return [0] + [remap[s] for s in sigs]
-
-
-def _certificate_for_order(g: Graph, pos: dict[int, int]):
-    weights = tuple(g.weights[v - 1] for v in
-                    sorted(range(1, g.nv + 1), key=lambda v: pos[v]))
-    pairs = sorted((min(pos[a], pos[b]), max(pos[a], pos[b]))
-                   for a, b in g.edges)
-    return (weights, tuple(pairs))
-
-
-def _cells(colors, nv):
-    cells: dict[int, list[int]] = {}
-    for v in range(1, nv + 1):
-        cells.setdefault(colors[v], []).append(v)
-    return [cells[c] for c in sorted(cells)]
-
-
-def _descend(g: Graph, adj, loops, colors, best: list) -> None:
-    """Individualisation search below ``colors``; keeps the least
-    certificate and its vertex positions in ``best``.
-
-    Module level rather than a closure: a recursive closure refers to
-    itself, and that cycle would keep each call's graph data alive until
-    the cyclic collector runs.
+    ``nbrs[v]`` lists (u, multiplicity) for u != v; a pair is keyed as
+    ``colour * mult + multiplicity``, which orders like the pair itself.
+    A vertex alone in its cell cannot split, so its signature is its colour
+    alone, which sorts the same.  Returns the colours and their count; stops
+    once no cell splits.
     """
-    nv = g.nv
-    cells = _cells(colors, nv)
-    target = None
-    for cell in cells:
-        if len(cell) > 1:
-            target = cell
+    nv = len(colors) - 1
+    while ncells < nv:
+        size = [0] * ncells
+        for c in colors:
+            size[c] += 1
+        size[0] -= 1                  # colors[0] is not a vertex
+        sigs = [(c, tuple(sorted([colors[u] * mult + m for u, m in nbrs[v]])))
+                if size[c] > 1 else (c,)
+                for v, c in enumerate(colors) if v]
+        distinct = set(sigs)
+        if len(distinct) == ncells:
             break
-    if target is None:
-        pos = {}
-        for rank, cell in enumerate(cells):
-            pos[cell[0]] = rank + 1
-        cert = _certificate_for_order(g, pos)
-        if best[0] is None or cert < best[0]:
-            best[0], best[1] = cert, pos
-        return
-    for v in target:
-        # individualise v: give it a colour just below its cell
-        bumped = [0] + [c * 2 for c in colors[1:]]
-        bumped[v] -= 1
-        _descend(g, adj, loops, _refine(g, _normalise(bumped, nv), adj, loops),
-                 best)
+        rank = {s: i for i, s in enumerate(sorted(distinct))}
+        colors = [0] + [rank[s] for s in sigs]
+        ncells = len(distinct)
+    return colors, ncells
+
+
+class _Search:
+    """State of one search: the graph's tables, the best leaf so far and
+    the vertex automorphisms found (lists indexed by vertex, 0 unused)."""
+
+    def __init__(self, g: Graph):
+        nv = g.nv
+        adj = [{} for _ in range(nv + 1)]
+        loops = [0] * (nv + 1)
+        deg = [0] * (nv + 1)
+        for u, v in g.edges:
+            deg[u] += 1
+            deg[v] += 1
+            if u == v:
+                loops[u] += 1
+            else:
+                a = adj[u]
+                a[v] = a.get(v, 0) + 1
+                a = adj[v]
+                a[u] = a.get(u, 0) + 1
+        self.nbrs = [tuple(a.items()) for a in adj]
+        self.mult = g.ne + 1          # above every edge multiplicity
+        self.weights = (0,) + g.weights
+        self.edges = g.edges
+        self.cert = None
+        self.best: list[int] = []
+        self.best_prefix: list[int] = []
+        self.gens: list[list[int]] = []
+        sigs = [(w, deg[v], loops[v]) for v, w in enumerate(g.weights, 1)]
+        distinct = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(distinct)}
+        colors, ncells = _refine([0] + [rank[s] for s in sigs],
+                                 len(distinct), self.nbrs, self.mult)
+        self._descend(colors, ncells, [])
+
+    def _leaf(self, colors: list[int], prefix: list[int]) -> int:
+        """Keep a leaf below the best, record the automorphism onto an equal
+        one; returns the depth the search resumes at."""
+        nv = len(colors) - 1
+        inv = [0] * nv
+        for v in range(1, nv + 1):
+            inv[colors[v]] = v
+        weights = self.weights
+        n = nv + 1
+        pairs = []     # position pair (a, b), a <= b, as a * n + b
+        for a, b in self.edges:
+            a, b = colors[a], colors[b]
+            pairs.append(a * n + b if a <= b else b * n + a)
+        pairs.sort()
+        cert = (tuple([weights[v] for v in inv]), tuple(pairs))
+        if self.cert is None or cert < self.cert:
+            self.cert, self.best, self.best_prefix = cert, colors, prefix
+            return len(prefix)
+        if cert != self.cert:
+            return len(prefix)
+        best = self.best
+        self.gens.append([0] + [inv[best[u]] for u in range(1, nv + 1)])
+        common = 0
+        for a, b in zip(prefix, self.best_prefix):
+            if a != b:
+                break
+            common += 1
+        return common
+
+    def _descend(self, colors: list[int], ncells: int,
+                 prefix: list[int]) -> int:
+        """Search below a node; returns the depth the search resumes at.
+
+        A leaf equal to the best one returns the length of its common
+        prefix with the best leaf, and every node deeper than that returns
+        at once; otherwise a node returns its own depth.
+        """
+        nv = len(colors) - 1
+        if ncells == nv:
+            return self._leaf(colors, prefix)
+        depth = len(prefix)
+        count = [0] * ncells
+        for v in range(1, nv + 1):
+            count[colors[v]] += 1
+        c = 0
+        while count[c] == 1:
+            c += 1
+        target = [v for v in range(1, nv + 1) if colors[v] == c]
+        gens = self.gens
+        explored: list[int] = []
+        fixing: list[list[int]] = []   # found automorphisms fixing prefix
+        seen = 0                       # of ``gens``, already sorted out
+        orbit: set[int] = set()        # orbits of the explored vertices
+        for v in target:
+            if len(gens) > seen:
+                fixing += [s for s in gens[seen:]
+                           if all(s[p] == p for p in prefix)]
+                seen = len(gens)
+                orbit = _orbit(explored, fixing)
+            if v in orbit:
+                continue
+            child = [x + 1 if x > c else x for x in colors]
+            for u in target:
+                child[u] = c + 1
+            child[v] = c
+            child, k = _refine(child, ncells + 1, self.nbrs, self.mult)
+            resume = self._descend(child, k, prefix + [v])
+            if resume < depth:
+                return resume
+            explored.append(v)
+            orbit |= _orbit([v], fixing)
+        return depth
+
+
+def _orbit(points: list[int], gens: list[list[int]]) -> set[int]:
+    """Union of the orbits of ``points`` under the group ``gens`` generate."""
+    orbit = set(points)
+    stack = list(points)
+    while stack:
+        x = stack.pop()
+        for s in gens:
+            y = s[x]
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
 
 
 def canonical_form(g: Graph) -> tuple[Graph, EdgePermutation]:
@@ -106,33 +189,18 @@ def canonical_form(g: Graph) -> tuple[Graph, EdgePermutation]:
     parallel edges it preserves the original id order, so its parity is
     well defined exactly up to automorphisms of the class.
     """
-    adj, loops = _adjacency(g)
-    colors0 = _refine(g, _initial_colors(g, adj, loops), adj, loops)
-    nv = g.nv
-    best: list = [None, None]  # certificate, pos
-    _descend(g, adj, loops, colors0, best)
-    pos = best[1]
-    order = sorted(g.edge_ids,
-                   key=lambda e: (min(pos[g.edges[e - 1][0]], pos[g.edges[e - 1][1]]),
-                                  max(pos[g.edges[e - 1][0]], pos[g.edges[e - 1][1]]),
-                                  e))
+    search = _Search(g)
+    pos = search.best
+    keyed = []
+    for e, (a, b) in enumerate(g.edges, 1):
+        a, b = pos[a] + 1, pos[b] + 1
+        keyed.append(((a, b) if a <= b else (b, a), e))
+    keyed.sort()
     mapping = [0] * g.ne
-    for new_id, e in enumerate(order, start=1):
+    for new_id, (_, e) in enumerate(keyed, 1):
         mapping[e - 1] = new_id
-    weights = tuple(g.weights[v - 1] for v in
-                    sorted(range(1, nv + 1), key=lambda v: pos[v]))
-    rep_edges = tuple(
-        (min(pos[g.edges[e - 1][0]], pos[g.edges[e - 1][1]]),
-         max(pos[g.edges[e - 1][0]], pos[g.edges[e - 1][1]]))
-        for e in order)
-    rep = Graph(weights, rep_edges)
+    rep = Graph(search.cert[0], tuple([ends for ends, _ in keyed]))
     return rep, EdgePermutation(tuple(mapping))
-
-
-def _normalise(colors, nv):
-    order = sorted(set(colors[1:]))
-    remap = {c: i for i, c in enumerate(order)}
-    return [0] + [remap[c] for c in colors[1:]]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -148,117 +216,75 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # automorphisms
 # ---------------------------------------------------------------------------
 
-def _extend_automorphism(adj, loops, colors, verts, cap: int,
-                         out: list, i: int, img: dict[int, int],
-                         used: set[int]) -> None:
-    """Append to ``out`` every automorphism extending ``img`` on verts[:i]
-    (module level, so the recursion leaves no reference cycle)."""
-    if len(out) > cap:
-        raise GraphError("automorphism group exceeds enumeration cap")
-    nv = len(verts)
-    if i == nv:
-        out.append(dict(img))
-        return
-    v = verts[i]
-    for t in range(1, nv + 1):
-        if t in used or colors[t] != colors[v]:
-            continue
-        if loops[t] != loops[v]:
-            continue
-        ok = True
-        for u, m in adj[v].items():
-            if u in img and adj[t].get(img[u], 0) != m:
-                ok = False
-                break
-        if ok:
-            # also check mapped neighbours agree in reverse
-            for u in img:
-                if adj[v].get(u, 0) != adj[t].get(img[u], 0):
-                    ok = False
-                    break
-        if ok:
-            img[v] = t
-            _extend_automorphism(adj, loops, colors, verts, cap, out, i + 1,
-                                 img, used | {t})
-            del img[v]
-
-
-def vertex_automorphisms(g: Graph, cap: int = 200000) -> list[dict[int, int]]:
-    """All weight- and adjacency-preserving vertex bijections."""
-    adj, loops = _adjacency(g)
-    colors = _refine(g, _initial_colors(g, adj, loops), adj, loops)
-    verts = sorted(range(1, g.nv + 1), key=lambda v: (colors[v], v))
-    out: list[dict[int, int]] = []
-    _extend_automorphism(adj, loops, colors, verts, cap, out, 0, {}, set())
-    return out
-
-
-def _induced_edge_perm(g: Graph, vperm: dict[int, int]) -> EdgePermutation:
-    """Edge permutation induced by a vertex automorphism; parallel classes
-    are matched in ascending id order."""
-    classes: dict[tuple[int, int], list[int]] = {}
-    for e in g.edge_ids:
-        u, v = g.endpoints(e)
-        key = (u, v) if u <= v else (v, u)
-        classes.setdefault(key, []).append(e)
-    mapping = [0] * g.ne
-    for (u, v), ids in classes.items():
-        a, b = vperm[u], vperm[v]
-        key = (a, b) if a <= b else (b, a)
-        target = classes[key]
-        for e, f in zip(ids, target):
-            mapping[e - 1] = f
-    return EdgePermutation(tuple(mapping))
-
-
 @dataclass(frozen=True)
 class EdgeGroup:
-    """Image of Aut(G) in the symmetric group on edge ids."""
+    """Image of Aut(G) in the symmetric group on edge ids.
+
+    ``order`` is the size of the closure over the generators, computed on
+    first use and capped at ``cap`` elements.
+    """
 
     generators: tuple[EdgePermutation, ...]
-    order: int
     has_odd: bool
+    cap: int = field(default=500000, repr=False, compare=False)
+
+    @cached_property
+    def order(self) -> int:
+        return _closure_order(self.generators, self.cap)
 
 
 def automorphism_edge_group(g: Graph, cap: int = 500000) -> EdgeGroup:
-    """Generators, order and parity content of the edge-permutation image
-    of the automorphism group (weights respected)."""
+    """Generators and parity content of the edge-permutation image of the
+    automorphism group (weights respected).
+
+    The generators are the search's vertex automorphisms lifted to edges
+    (parallel classes matched in ascending id order) and the transpositions
+    of neighbouring ids in each parallel class.  Parity is a homomorphism,
+    so the group has an odd element iff some generator is odd.
+    """
     if not g.is_connected:
         raise GraphError("automorphism_edge_group needs a connected graph")
-    gens: set[tuple[int, ...]] = set()
-    for vp in vertex_automorphisms(g):
-        gens.add(_induced_edge_perm(g, vp).mapping)
-    # permutations of parallel edges (and of self-edges at a vertex)
     classes: dict[tuple[int, int], list[int]] = {}
     for e in g.edge_ids:
         u, v = g.endpoints(e)
-        key = (u, v) if u <= v else (v, u)
-        classes.setdefault(key, []).append(e)
+        classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
     ident = tuple(range(1, g.ne + 1))
+    gens: set[tuple[int, ...]] = set()
+    for s in _Search(g).gens:
+        mapping = [0] * g.ne
+        for (u, v), ids in classes.items():
+            a, b = s[u], s[v]
+            for e, f in zip(ids, classes[(a, b) if a <= b else (b, a)]):
+                mapping[e - 1] = f
+        gens.add(tuple(mapping))
     for ids in classes.values():
         for a, b in zip(ids, ids[1:]):
             m = list(ident)
             m[a - 1], m[b - 1] = b, a
             gens.add(tuple(m))
     gens.discard(ident)
-    order = _closure_order(gens, g.ne, cap)
     perms = tuple(EdgePermutation(m) for m in sorted(gens))
-    has_odd = any(p.parity == -1 for p in perms)
-    return EdgeGroup(perms, order, has_odd)
+    return EdgeGroup(perms, any(p.parity == -1 for p in perms), cap)
 
 
-def _closure_order(gens: set[tuple[int, ...]], n: int, cap: int) -> int:
+def _closure_order(gens: tuple[EdgePermutation, ...], cap: int) -> int:
+    if not gens:
+        return 1
+    n = len(gens[0].mapping)
+    maps = [p.mapping for p in gens]
     ident = tuple(range(1, n + 1))
     seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
-            for q in gens:
-                r = tuple(p[q[i] - 1] for i in range(n))
+            for q in maps:
+                r = tuple([p[i - 1] for i in q])
                 if r not in seen:
                     if len(seen) >= cap:
-                        raise GraphError("edge group exceeds closure cap")
+                        raise GraphError(
+                            f"edge group of a {n}-edge graph exceeds the "
+                            f"closure cap of {cap} elements")
                     seen.add(r)
                     nxt.append(r)
         frontier = nxt

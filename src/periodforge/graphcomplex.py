@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .graphs import Graph, GraphError, enumerate_gc_graphs
+from .graphs import EdgePermutation, Graph, enumerate_gc_graphs
 from .canonical import canonical_form, automorphism_edge_group
 
 _MOD_PRIME = 2**31 - 1
@@ -56,26 +56,9 @@ class OrientedClass:
 _PARITY_CACHE: dict[tuple, bool] = {}
 
 
-def is_zero_class(g: Graph) -> bool:
-    """True iff the class of g dies: parallel edges, or an odd automorphism."""
-    _check_generator(g)
-    if g.has_parallel_edges():
-        return True
-    rep, _ = canonical_form(g)
-    key = (rep.weights, rep.edges)
-    odd = _PARITY_CACHE.get(key)
-    if odd is None:
-        odd = automorphism_edge_group(rep).has_odd
-        _PARITY_CACHE[key] = odd
-    return odd
-
-
-def reduce_to_basis(g: Graph) -> tuple[OrientedClass, int] | None:
-    """Canonical class and the parity of the edge permutation onto it.
-
-    None encodes the zero class.  The graph's own edge order is the input
-    orientation.
-    """
+def _reduce(g: Graph) -> tuple[Graph, EdgePermutation] | None:
+    """Canonical form of a generator, or None for a zero class (parallel
+    edges, or an odd automorphism; parities are cached by class)."""
     _check_generator(g)
     if g.has_parallel_edges():
         return None
@@ -85,8 +68,24 @@ def reduce_to_basis(g: Graph) -> tuple[OrientedClass, int] | None:
     if odd is None:
         odd = automorphism_edge_group(rep).has_odd
         _PARITY_CACHE[key] = odd
-    if odd:
+    return None if odd else (rep, perm)
+
+
+def is_zero_class(g: Graph) -> bool:
+    """True iff the class of g dies: parallel edges, or an odd automorphism."""
+    return _reduce(g) is None
+
+
+def reduce_to_basis(g: Graph) -> tuple[OrientedClass, int] | None:
+    """Canonical class and the parity of the edge permutation onto it.
+
+    None encodes the zero class.  The graph's own edge order is the input
+    orientation.
+    """
+    red = _reduce(g)
+    if red is None:
         return None
+    rep, perm = red
     return OrientedClass(rep), perm.parity
 
 
@@ -282,10 +281,17 @@ def matrix_rank(mat: Mapping[tuple[int, int], int], nrows: int, ncols: int) -> i
 
 
 def homology_dims(loops: int, max_loops: int = 6) -> dict[int, int]:
-    """Dimensions of graph homology at fixed loop order, keyed by degree.
+    """Dimensions of graph homology at fixed loop order, keyed by degree
+    (edges - 2*loops), read off ``homology_report``."""
+    return {row["degree"]: row["homology"]
+            for row in homology_report(loops, max_loops) if row["homology"]}
 
-    Degree is edges - 2*loops.  Loop orders above ``max_loops`` are refused
-    unless the bound is raised explicitly (memory grows quickly).
+
+def homology_report(loops: int, max_loops: int = 6) -> list[dict]:
+    """Per-bigrade report: basis size, rank of d, kernel and homology dims.
+
+    Loop orders above ``max_loops`` are refused unless the bound is raised
+    explicitly (memory grows quickly).
     """
     if loops > max_loops:
         raise ComplexError(
@@ -293,28 +299,6 @@ def homology_dims(loops: int, max_loops: int = 6) -> dict[int, int]:
             "raise max_loops explicitly if you mean it")
     if loops < 2:
         raise ComplexError("homology starts at 2 loops")
-    top = 3 * loops - 3
-    sizes = {n: len(gc_basis(loops, n)) for n in range(loops, top + 1)}
-    ranks = {top + 1: 0}
-    for n in range(loops, top + 1):
-        if sizes[n] == 0 or n - 1 < loops or sizes[n - 1] == 0:
-            ranks[n] = 0
-        else:
-            mat = differential_matrix(loops, n)
-            ranks[n] = matrix_rank(mat, sizes[n - 1], sizes[n])
-    dims: dict[int, int] = {}
-    for n in range(loops, top + 1):
-        dim = sizes[n] - ranks[n] - ranks[n + 1]
-        if dim:
-            dims[n - 2 * loops] = dim
-    return dims
-
-
-def homology_report(loops: int, max_loops: int = 6) -> list[dict]:
-    """Per-bigrade report: basis size, rank of d, kernel and homology dims."""
-    if loops > max_loops:
-        raise ComplexError(
-            f"loop order {loops} above the configured bound {max_loops}")
     top = 3 * loops - 3
     sizes = {n: len(gc_basis(loops, n)) for n in range(loops, top + 1)}
     ranks = {top + 1: 0}

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 # largest edge count for tables over all 2^|E| edge subsets (subset loop
 # numbers, the tropical measure, the numeric form DP)
@@ -113,9 +112,6 @@ class Graph:
             raise GraphError("genus requires a connected graph")
         return self.loop_number() + sum(self.weights)
 
-    def total_weight(self) -> int:
-        return sum(self.weights)
-
     def is_stable(self) -> bool:
         """Weight-0 vertices need degree >= 3, weight-1 vertices degree >= 1."""
         degs = self.degrees()
@@ -143,16 +139,6 @@ class Graph:
 
     def min_degree(self) -> int:
         return min(self.degrees())
-
-    def parallel_class(self, e: int) -> list[int]:
-        """Edge ids sharing both endpoints with e (including e itself)."""
-        u, v = self.endpoints(e)
-        key = (u, v) if u <= v else (v, u)
-        out = []
-        for k, (a, b) in enumerate(self.edges):
-            if ((a, b) if a <= b else (b, a)) == key:
-                out.append(k + 1)
-        return out
 
     # -- surgery ------------------------------------------------------------
 
@@ -230,9 +216,6 @@ class Graph:
 
     # -- misc ----------------------------------------------------------------
 
-    def unweighted(self) -> "Graph":
-        return Graph((0,) * self.nv, self.edges)
-
     def __repr__(self):
         ws = "" if not any(self.weights) else f", weights={self.weights}"
         return f"Graph(nv={self.nv}, edges={list(self.edges)}{ws})"
@@ -281,33 +264,9 @@ class EdgePermutation:
                                      for e in range(1, len(self.mapping) + 1)))
 
 
-def identity_permutation(n: int) -> EdgePermutation:
-    return EdgePermutation(tuple(range(1, n + 1)))
-
-
 # ---------------------------------------------------------------------------
 # operations mirroring the module surface
 # ---------------------------------------------------------------------------
-
-def loop_number(g: Graph) -> int:
-    return g.loop_number()
-
-
-def genus(g: Graph) -> int:
-    return g.genus()
-
-
-def is_stable(g: Graph) -> bool:
-    return g.is_stable()
-
-
-def contract_edge(g: Graph, e: int, mode: str = "weighted") -> Graph | None:
-    return g.contract_edge(e, mode)
-
-
-def delete_edge(g: Graph, e: int) -> Graph:
-    return g.delete_edge(e)
-
 
 def two_vertex_join(g1: Graph, e1: int, g2: Graph, e2: int,
                     flip: bool = False) -> Graph:
@@ -754,6 +713,8 @@ def enumerate_stable_weighted(genus_: int, _vertex_cap: int | None = None) -> li
             for degs in _degree_sequences(nv, 2 * ne, 0):
                 if degs and degs[-1] == 0 and nv > 1:
                     continue  # isolated vertex in a multi-vertex graph
+                if sum(map(_min_weight, degs)) > w_total:
+                    continue  # _weightings yields nothing
                 for mat in _fill_matrices(degs, max(1, ne), allow_loops=True):
                     g0 = _matrix_to_graph(mat)
                     if not g0.is_connected:
@@ -769,6 +730,11 @@ def enumerate_stable_weighted(genus_: int, _vertex_cap: int | None = None) -> li
     return [out[k] for k in sorted(out)]
 
 
+def _min_weight(degree: int) -> int:
+    """Least weight of a stable vertex of this degree."""
+    return 2 if degree == 0 else 1 if degree < 3 else 0
+
+
 def _weightings(degs: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
     nv = len(degs)
 
@@ -777,12 +743,7 @@ def _weightings(degs: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
             if left == 0:
                 yield tuple(acc)
             return
-        lo = 0
-        if degs[i] < 3:
-            lo = 1  # weight-0 vertices need degree >= 3
-        if degs[i] == 0:
-            lo = 2 if nv == 1 else max(lo, 2)
-        for w in range(lo, left + 1):
+        for w in range(_min_weight(degs[i]), left + 1):
             acc.append(w)
             yield from rec(i + 1, left - w, acc)
             acc.pop()

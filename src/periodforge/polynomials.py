@@ -750,7 +750,3 @@ def divergent_subgraphs(g: Graph) -> list[tuple[int, ...]]:
     from .tropical import subdivergent_subsets
 
     return sorted(subdivergent_subsets(g), key=lambda s: (len(s), s))
-
-
-def is_subdivergence_free(g: Graph) -> bool:
-    return not divergent_subgraphs(g)

@@ -8,10 +8,11 @@ from periodforge.graphs import (Graph, GraphError, banana, builtin_graph,
                                 cycle, decompletions, dumbbell,
                                 enumerate_gc_graphs, enumerate_stable_weighted,
                                 two_vertex_join, wheel, zigzag,
-                                _connected_multigraphs)
-from periodforge.canonical import (are_isomorphic, automorphism_edge_group,
-                                   canonical_form)
-from conftest import dunce_graph, random_connected_graph
+                                _GC_CACHE, _connected_multigraphs,
+                                _degree_sequences, _min_weight, _weightings)
+from periodforge.canonical import (_Search, are_isomorphic,
+                                   automorphism_edge_group, canonical_form)
+from conftest import dunce_graph, random_connected_graph, small_corpus
 
 
 def test_loop_numbers():
@@ -316,3 +317,224 @@ def test_random_relabel_consistency(rng):
         h = g.permuted_vertices({i + 1: vp[i] for i in range(g.nv)})
         rep2, _ = canonical_form(h)
         assert rep == rep2
+
+
+# ---------------------------------------------------------------------------
+# reference: the unpruned individualisation search and the brute-force
+# vertex automorphism enumeration that the pruned search replaced
+# ---------------------------------------------------------------------------
+
+def _ref_adjacency(g):
+    adj = [dict() for _ in range(g.nv + 1)]
+    loops = [0] * (g.nv + 1)
+    for u, v in g.edges:
+        if u == v:
+            loops[u] += 1
+        else:
+            adj[u][v] = adj[u].get(v, 0) + 1
+            adj[v][u] = adj[v].get(u, 0) + 1
+    return adj, loops
+
+
+def _ref_refine(g, colors, adj):
+    while True:
+        sigs = []
+        for v in range(1, g.nv + 1):
+            nb = sorted((colors[u], m) for u, m in adj[v].items())
+            sigs.append((colors[v], tuple(nb)))
+        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        newc = [0] + [remap[s] for s in sigs]
+        if newc == colors:
+            return colors
+        colors = newc
+
+
+def _ref_initial_colors(g, loops):
+    degs = g.degrees()
+    sigs = [(g.weights[v - 1], degs[v - 1], loops[v])
+            for v in range(1, g.nv + 1)]
+    remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [0] + [remap[s] for s in sigs]
+
+
+def _ref_normalise(colors):
+    remap = {c: i for i, c in enumerate(sorted(set(colors[1:])))}
+    return [0] + [remap[c] for c in colors[1:]]
+
+
+def _ref_descend(g, adj, colors, best):
+    cells = {}
+    for v in range(1, g.nv + 1):
+        cells.setdefault(colors[v], []).append(v)
+    cells = [cells[c] for c in sorted(cells)]
+    target = next((cell for cell in cells if len(cell) > 1), None)
+    if target is None:
+        pos = {cell[0]: rank + 1 for rank, cell in enumerate(cells)}
+        weights = tuple(g.weights[v - 1] for v in
+                        sorted(range(1, g.nv + 1), key=lambda v: pos[v]))
+        pairs = sorted((min(pos[a], pos[b]), max(pos[a], pos[b]))
+                       for a, b in g.edges)
+        cert = (weights, tuple(pairs))
+        if best[0] is None or cert < best[0]:
+            best[0], best[1] = cert, pos
+        return
+    for v in target:
+        bumped = [0] + [c * 2 for c in colors[1:]]
+        bumped[v] -= 1
+        _ref_descend(g, adj, _ref_refine(g, _ref_normalise(bumped), adj),
+                     best)
+
+
+def _ref_canonical_form(g):
+    adj, loops = _ref_adjacency(g)
+    best = [None, None]
+    _ref_descend(g, adj, _ref_refine(g, _ref_initial_colors(g, loops), adj),
+                 best)
+    pos = best[1]
+
+    def ends(e):
+        a, b = pos[g.edges[e - 1][0]], pos[g.edges[e - 1][1]]
+        return (min(a, b), max(a, b))
+
+    order = sorted(g.edge_ids, key=lambda e: (ends(e), e))
+    mapping = [0] * g.ne
+    for new_id, e in enumerate(order, start=1):
+        mapping[e - 1] = new_id
+    weights = tuple(g.weights[v - 1] for v in
+                    sorted(range(1, g.nv + 1), key=lambda v: pos[v]))
+    return Graph(weights, tuple(ends(e) for e in order)), tuple(mapping)
+
+
+def _ref_vertex_automorphisms(g):
+    adj, loops = _ref_adjacency(g)
+    colors = _ref_refine(g, _ref_initial_colors(g, loops), adj)
+    verts = sorted(range(1, g.nv + 1), key=lambda v: (colors[v], v))
+    out = []
+
+    def extend(i, img, used):
+        if i == len(verts):
+            out.append(dict(img))
+            return
+        v = verts[i]
+        for t in range(1, g.nv + 1):
+            if t in used or colors[t] != colors[v] or loops[t] != loops[v]:
+                continue
+            if all(adj[v].get(u, 0) == adj[t].get(img[u], 0) for u in img):
+                img[v] = t
+                extend(i + 1, img, used | {t})
+                del img[v]
+
+    extend(0, {}, set())
+    return out
+
+
+def _ref_has_odd(g):
+    """Some automorphism or parallel-edge swap permutes the edges oddly."""
+    from periodforge.graphs import EdgePermutation
+
+    classes = {}
+    for e in g.edge_ids:
+        u, v = g.endpoints(e)
+        classes.setdefault((min(u, v), max(u, v)), []).append(e)
+    if any(len(ids) > 1 for ids in classes.values()):
+        return True
+    for vp in _ref_vertex_automorphisms(g):
+        mapping = [0] * g.ne
+        for (u, v), ids in classes.items():
+            a, b = vp[u], vp[v]
+            for e, f in zip(ids, classes[(min(a, b), max(a, b))]):
+                mapping[e - 1] = f
+        if EdgePermutation(tuple(mapping)).parity == -1:
+            return True
+    return False
+
+
+def _vertex_group_order(gens, nv):
+    ident = tuple(range(nv + 1))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for s in gens:
+                r = tuple(s[x] for x in p)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return len(seen)
+
+
+def _oracle_graphs():
+    """Corpus, relabelled random graphs with self-edges, every cached GC
+    level graph at loops <= 5 with its edges reversed, stable genus 3."""
+    rng = random.Random(4242)
+    out = list(small_corpus())
+    for _ in range(200):
+        g = random_connected_graph(rng)
+        vp = list(range(1, g.nv + 1))
+        rng.shuffle(vp)
+        order = list(g.edge_ids)
+        rng.shuffle(order)
+        out.append(g.permuted_vertices({i + 1: vp[i] for i in range(g.nv)})
+                   .reordered_edges(order))
+    for loops in range(2, 6):
+        enumerate_gc_graphs(loops, 3 * loops - 3)
+        for keys in _GC_CACHE[loops].values():
+            for key in keys:
+                g = Graph(*key)
+                out.append(g.reordered_edges(list(reversed(g.edge_ids))))
+    out += enumerate_stable_weighted(3)
+    return out
+
+
+def test_canonical_form_matches_unpruned_search():
+    graphs = _oracle_graphs()
+    assert len(graphs) > 400
+    for g in graphs:
+        rep, perm = canonical_form(g)
+        assert (rep, perm.mapping) == _ref_canonical_form(g), g
+
+
+def test_search_generators_give_the_whole_group():
+    for g in _oracle_graphs():
+        gens = _Search(g).gens
+        assert _vertex_group_order(gens, g.nv) == \
+            len(_ref_vertex_automorphisms(g)), g
+        if g.is_connected:
+            assert automorphism_edge_group(g).has_odd == _ref_has_odd(g), g
+
+
+def test_k9_parity_needs_no_group_enumeration():
+    # |Aut(K9)| = 9! = 362,880; parity comes from a few generators
+    eg = automorphism_edge_group(complete(9))
+    assert eg.has_odd is True
+    assert all(len(p.mapping) == 36 for p in eg.generators)
+
+
+def test_closure_cap_names_cap_and_edge_count():
+    eg = automorphism_edge_group(banana(4), cap=5)
+    assert eg.has_odd
+    with pytest.raises(GraphError, match=r"4-edge graph .* cap of 5"):
+        eg.order
+    assert automorphism_edge_group(banana(4)).order == 24
+
+
+def test_stable_weighted_genus4_count():
+    assert len(enumerate_stable_weighted(4)) == 379
+
+
+def test_skipped_degree_sequences_have_no_weightings():
+    """Every degree sequence the stable enumeration skips for weight would
+    have yielded no weighting (in any vertex order)."""
+    skipped = 0
+    for genus_ in range(1, 5):
+        for w_total in range(genus_ + 1):
+            h = genus_ - w_total
+            for nv in range(1, max(1, 2 * genus_ - 2) + 1):
+                for degs in _degree_sequences(nv, 2 * (h + nv - 1), 0):
+                    if sum(map(_min_weight, degs)) <= w_total:
+                        continue
+                    skipped += 1
+                    assert not list(_weightings(degs, w_total)), degs
+                    assert not list(_weightings(degs[::-1], w_total)), degs
+    assert skipped > 100
