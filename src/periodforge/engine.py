@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, GraphError
-from .polynomials import MultilinearPoly, cycle_basis, laplacian
-from .forms import BatchedGraphFormEvaluator, FormSpec
+from .polynomials import MultilinearPoly
+from .forms import BatchedGraphFormEvaluator, CycleIncidence, FormSpec
 from .tropical import TropicalSampler, build_measure, simplex_sample
 from .graphcomplex import ChainVector
 
@@ -157,21 +157,11 @@ class _Evaluator:
     def __init__(self, ig: Integrand):
         self.ig = ig
         g = ig.graph
-        b = cycle_basis(g)
-        h = g.loop_number()
-        q = np.zeros((g.ne, h))
-        for i, vec in enumerate(b.as_dicts()):
-            for e, c in vec.items():
-                q[e - 1, i] = c
-        self.q = q
         self.chart = g.ne if ig.chart is None else ig.chart
         self.form = None
         if ig.form_spec is not None:
             self.form = BatchedGraphFormEvaluator(g, ig.form_spec, self.chart)
-
-    def psi(self, xs):
-        lam = np.einsum("be,ei,ej->bij", xs, self.q, self.q)
-        return np.linalg.det(lam)
+        self.inc = self.form.inc if self.form else CycleIncidence(g)
 
     def values(self, xs):
         """Integrand f with I = integral of f * Omega, at simplex points.
@@ -185,7 +175,7 @@ class _Evaluator:
             return self.form.integrand_values(xs)
         xc = xs[:, self.chart - 1]
         ys = xs / xc[:, None]
-        psi = self.psi(ys)
+        psi = np.linalg.det(self.inc.laplacians(ys))
         num = ig.numerator.evaluate_floats(ys)
         return num / psi ** ig.psi_power * xc ** (-ig.graph.ne)
 
@@ -200,7 +190,22 @@ def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None, seed: int,
     bad = ~np.isfinite(w)
     if bad.any():
         raise NonFinitePointError(xs[int(np.argmax(bad))])
-    return float(w.sum()), float((w * w).sum()), count
+    # (count, sum, M2 about the shard's own mean), in two passes
+    total = float(w.sum())
+    dev = w - total / count
+    dev *= dev
+    return count, total, float(dev.sum())
+
+
+def _merge_moments(parts):
+    """(n, mean, M2) of the concatenated shards: M2 = sum_i M2_i +
+    sum_i n_i (mean_i - mean)^2 (Chan, Golub and LeVeque), which never
+    subtracts two large second moments."""
+    n = sum(p[0] for p in parts)
+    mean = math.fsum(p[1] for p in parts) / n
+    m2 = math.fsum(p[2] for p in parts) + math.fsum(
+        p[0] * (p[1] / p[0] - mean) ** 2 for p in parts)
+    return n, mean, m2
 
 
 def integrate(ig: Integrand, samples: int, seed: int,
@@ -230,12 +235,8 @@ def integrate(ig: Integrand, samples: int, seed: int,
     else:
         with ThreadPoolExecutor(max_workers=nthreads) as ex:
             results = list(ex.map(lambda a: _run_shard(*a), args))
-    total = math.fsum(r[0] for r in results)
-    total2 = math.fsum(r[1] for r in results)
-    n = sum(r[2] for r in results)
-    mean = total / n
-    var = max(total2 / n - mean * mean, 0.0)
-    stderr = math.sqrt(var / (n - 1)) if n > 1 else float("inf")
+    n, mean, m2 = _merge_moments(results)
+    stderr = math.sqrt(m2 / n / (n - 1)) if n > 1 else float("inf")
     return IntegralEstimate(mean, stderr, n, seed, sampler)
 
 

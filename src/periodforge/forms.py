@@ -413,31 +413,23 @@ class FormEvaluator:
     # -- scalar Gram data --------------------------------------------------
 
     def _gram(self, point, exact: bool):
+        """g[i][j] = b_i^T X^-1 a_j over the rank-one atoms (v, a, b)."""
         xp = self.x.evaluate({e: point[e - 1] for e in range(1, self.nvars + 1)})
-        if exact:
-            xinv = _invert_exact(xp)
-        else:
+        bs = [b for _, _, b in self.atoms]
+        as_ = [a for _, a, _ in self.atoms]
+        if not exact:
             import numpy as np
 
-            xinv = np.linalg.inv(np.array([[float(c) for c in row]
-                                           for row in xp]))
-        na = len(self.atoms)
-        g = [[None] * na for _ in range(na)]
-        for i, (_, _, bi) in enumerate(self.atoms):
-            if exact:
-                tmp = [sum(Fraction(bi[r]) * xinv[r][c] for r in range(self.m))
-                       for c in range(self.m)]
-            else:
-                import numpy as np
-
-                tmp = np.array([float(v) for v in bi]) @ xinv
-            for j, (_, aj, _) in enumerate(self.atoms):
-                if exact:
-                    g[i][j] = sum(tmp[c] * Fraction(aj[c]) for c in range(self.m))
-                else:
-                    g[i][j] = float(sum(tmp[c] * float(aj[c])
-                                        for c in range(self.m)))
-        return g
+            def arr(rows):
+                return np.array([[float(c) for c in r] for r in rows]
+                                ).reshape(-1, self.m)
+            return (arr(bs) @ np.linalg.inv(arr(xp)) @ arr(as_).T).tolist()
+        xinv = _invert_exact(xp)
+        ms = range(self.m)
+        tmp = [[sum(Fraction(b[r]) * xinv[r][c] for r in ms) for c in ms]
+               for b in bs]
+        return [[sum(t[c] * Fraction(a[c]) for c in ms) for a in as_]
+                for t in tmp]
 
     # -- coefficients of tr((X^-1 dX)^n) ------------------------------------
 
@@ -592,16 +584,46 @@ def dense_coefficients(x: LinearFormMatrix, n: int, point,
 # batched evaluator for graph Laplacian words (Monte-Carlo hot path)
 # ---------------------------------------------------------------------------
 
+class CycleIncidence:
+    """Cycle-incidence matrix q (q[e, i]: edge e in basis cycle i) and the
+    kernels that make the Laplacian sum_e x_e q_e q_e^T and the Gram
+    q_e^T Lambda^-1 q_f one matrix product per batch:
+    ``lap[e, i*h + j] = q_ei q_ej`` and ``pair[e*ne + f, i*h + j] = q_ei q_fj``.
+    For the fundamental cycle basis every kernel entry is 0 or +-1, so each
+    product with a coordinate is exact."""
+
+    def __init__(self, g: Graph, basis: CycleBasis | None = None):
+        import numpy as np
+
+        b = cycle_basis(g) if basis is None else basis
+        ne, h = g.ne, b.rank
+        q = np.zeros((ne, h))
+        for i, vec in enumerate(b.as_dicts()):
+            for e, c in vec.items():
+                q[e - 1, i] = c
+        self.q = q
+        self.h = h
+        self.lap = (q[:, :, None] * q[:, None, :]).reshape(ne, h * h)
+        self.pair = (q[:, None, :, None] * q[None, :, None, :]).reshape(
+            ne * ne, h * h)
+
+    def laplacians(self, xs):
+        """(B, h, h) Laplacians at the rows of ``xs`` (B, ne)."""
+        return (xs @ self.lap).reshape(xs.shape[0], self.h, self.h)
+
+
 class BatchedGraphFormEvaluator:
     """Vectorised chart coefficients of a form word on a graph Laplacian.
 
     The Laplacian's coefficient matrices are the rank-one cycle outer
     products q_e q_e^T, so one Gram tensor per batch feeds the same subset
     dynamic programme as the scalar evaluator, with numpy arrays over the
-    sample axis.  The DP reads the Gram tensor in (edge, edge, sample)
-    layout and accumulates in place, keeping the per-element order of the
+    sample axis.  The diagonally preconditioned Laplacians are inverted in
+    one batched call and one product with ``CycleIncidence.pair`` writes the
+    Gram straight into the (edge, edge, sample) layout the DP reads.  The DP
+    accumulates in place, keeping the per-element order of the
     floating-point operations of the plain term-by-term sum: estimates are
-    bit-identical to that sum, whatever the block size.
+    bit-identical to that sum over the same Gram, whatever the block size.
     """
 
     # samples per block of the subset DP in `evaluate`
@@ -609,8 +631,6 @@ class BatchedGraphFormEvaluator:
 
     def __init__(self, g: Graph, spec: FormSpec, chart: int | None = None,
                  basis: CycleBasis | None = None):
-        import numpy as np
-
         self.graph = g
         self.spec = spec
         self.chart = g.ne if chart is None else chart
@@ -621,66 +641,51 @@ class BatchedGraphFormEvaluator:
         if g.ne > MAX_SUBSET_EDGES:
             raise FormError("numeric form evaluation capped at "
                             f"{MAX_SUBSET_EDGES} edges")
-        b = cycle_basis(g) if basis is None else basis
-        lam = laplacian(g, b)
-        h = lam.size
-        q = np.zeros((g.ne, h))
-        for i, vec in enumerate(b.as_dicts()):
-            for e, c in vec.items():
-                q[e - 1, i] = c
-        self.q = q
-        self.h = h
+        self.inc = CycleIncidence(g, basis)
         self.chart_vars = [v for v in range(1, g.ne + 1) if v != self.chart]
 
     def _gram(self, xs):
-        """Gram tensor q_e^T Lambda^-1 q_f, diagonally preconditioned.
+        """(edge, edge, sample) Gram tensor q_e^T Lambda^-1 q_f.
 
-        Rows where the Laplacian is singular in floats (extreme corner
-        samples) are redone in exact rational arithmetic.
+        Lambda is inverted scaled by its diagonal, d_i = sqrt(Lambda_ii),
+        and Lambda^-1_ij = S^-1_ij / (d_i d_j).  Rows whose inverse is not
+        finite (extreme corner samples) are redone in rational arithmetic.
         """
         import numpy as np
 
-        lam = np.einsum("be,ei,ej->bij", xs, self.q, self.q)
+        lam = self.inc.laplacians(xs)
         d = np.sqrt(np.einsum("bii->bi", lam))
         scaled = lam / d[:, :, None] / d[:, None, :]
         try:
             inv = np.linalg.inv(scaled)
-            bad = ~np.isfinite(inv).all(axis=(1, 2))
         except np.linalg.LinAlgError:
-            inv = np.empty_like(scaled)
-            bad = np.zeros(xs.shape[0], dtype=bool)
+            inv = np.full_like(scaled, np.nan)
             for i in range(xs.shape[0]):
                 try:
                     inv[i] = np.linalg.inv(scaled[i])
                 except np.linalg.LinAlgError:
-                    bad[i] = True
-        qd = self.q[None, :, :] / d[:, None, :]
-        gram = np.einsum("bei,bij,bfj->bef", qd, inv, qd)
-        if bad.any():
-            for i in np.flatnonzero(bad):
-                gram[i] = self._gram_exact(xs[i])
-        return gram
+                    pass  # left NaN, so the row is redone exactly
+        inv /= d[:, :, None]
+        inv /= d[:, None, :]
+        bad = ~np.isfinite(inv).all(axis=(1, 2))
+        B, ne = xs.shape
+        gt = (self.inc.pair @ inv.reshape(B, -1).T).reshape(ne, ne, B)
+        for i in np.flatnonzero(bad):
+            gt[:, :, i] = self._gram_exact(xs[i])
+        return gt
 
     def _gram_exact(self, x):
+        """One row's Gram matrix in rational arithmetic, rounded once."""
         import numpy as np
 
-        from fractions import Fraction
-
-        h = self.h
+        q = [[Fraction(c) for c in row] for row in self.inc.q.tolist()]
         pt = [Fraction(float(c)) for c in x]
-        lam = [[sum(pt[e] * Fraction(self.q[e, i]) * Fraction(self.q[e, j])
-                    for e in range(len(pt))) for j in range(h)]
-               for i in range(h)]
-        inv = _invert_exact(lam)
-        ne = len(pt)
-        out = np.zeros((ne, ne))
-        for e in range(ne):
-            for f in range(ne):
-                val = sum(Fraction(self.q[e, i]) * inv[i][j]
-                          * Fraction(self.q[f, j])
-                          for i in range(h) for j in range(h))
-                out[e, f] = float(val)
-        return out
+        hs = range(self.inc.h)
+        inv = _invert_exact([[sum(p * r[i] * r[j] for p, r in zip(pt, q))
+                              for j in hs] for i in hs])
+        qinv = [[sum(r[i] * inv[i][j] for i in hs) for j in hs] for r in q]
+        return np.array([[float(sum(a * b for a, b in zip(u, r))) for r in q]
+                         for u in qinv])
 
     def _component_coefficients(self, n: int, gt):
         """dict frozenset -> (B,) coefficient arrays for tr((X^-1 dX)^n).
@@ -757,9 +762,7 @@ class BatchedGraphFormEvaluator:
         """
         import numpy as np
 
-        # sample-contiguous copy; the (sample, edge, edge) Gram is dropped
-        # before the DP so that only one of the two is alive there
-        gt = self._gram(xs).transpose(1, 2, 0).copy()
+        gt = self._gram(xs)
         B = xs.shape[0]
         total = np.empty(B)
         step = self._DP_BLOCK

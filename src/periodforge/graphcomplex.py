@@ -186,17 +186,16 @@ def gc_basis(loops: int, edges: int) -> list[OrientedClass]:
     return out
 
 
-def differential_matrix(loops: int, edges: int) -> dict[tuple[int, int], int]:
+def differential_matrix(loops: int, edges: int, *, bases=None
+                        ) -> dict[tuple[int, int], int]:
     """Sparse matrix of d from bigrade (loops, edges) to (loops, edges-1).
 
     Keys are (row, col) with rows indexed by the target basis and columns by
-    the source basis, both in gc_basis order.
+    the source basis, both in gc_basis order.  ``bases`` passes the source
+    and target ``gc_basis`` lists when the caller already has them.
     """
-    src = gc_basis(loops, edges)
-    if edges - 1 >= loops:
-        dst = gc_basis(loops, edges - 1)
-    else:
-        dst = []
+    src, dst = bases or (gc_basis(loops, edges), gc_basis(loops, edges - 1)
+                         if edges - 1 >= loops else [])
     index = {oc: i for i, oc in enumerate(dst)}
     mat: dict[tuple[int, int], int] = {}
     for j, oc in enumerate(src):
@@ -300,14 +299,16 @@ def homology_report(loops: int, max_loops: int = 6) -> list[dict]:
     if loops < 2:
         raise ComplexError("homology starts at 2 loops")
     top = 3 * loops - 3
-    sizes = {n: len(gc_basis(loops, n)) for n in range(loops, top + 1)}
+    bases = {n: gc_basis(loops, n) for n in range(loops, top + 1)}
+    sizes = {n: len(b) for n, b in bases.items()}
     ranks = {top + 1: 0}
     for n in range(loops, top + 1):
         if sizes[n] == 0 or n - 1 < loops or sizes[n - 1] == 0:
             ranks[n] = 0
         else:
-            ranks[n] = matrix_rank(differential_matrix(loops, n),
-                                   sizes[n - 1], sizes[n])
+            mat = differential_matrix(loops, n,
+                                      bases=(bases[n], bases[n - 1]))
+            ranks[n] = matrix_rank(mat, sizes[n - 1], sizes[n])
     out = []
     for n in range(loops, top + 1):
         kernel = sizes[n] - ranks[n]

@@ -435,109 +435,103 @@ def builtin_graph(name: str, *sizes: int) -> Graph:
 # enumeration: degree-sequence driven multigraph generation
 # ---------------------------------------------------------------------------
 
-def _degree_sequences(nv: int, total: int, min_deg: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing degree sequences of length nv summing to total."""
+def _degree_sequences(nv: int, total: int, min_deg: int,
+                      cap: int | None = None,
+                      prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Non-increasing degree sequences of length nv summing to total (each
+    degree at most cap), appended to prefix."""
+    if nv == 0:
+        if total == 0:
+            yield prefix
+        return
+    cap = total if cap is None else cap
+    lo = max(min_deg, total - cap * (nv - 1))
+    hi = min(cap, total - min_deg * (nv - 1))
+    for d in range(hi, lo - 1, -1):
+        yield from _degree_sequences(nv - 1, total - d, min_deg, d,
+                                     prefix + (d,))
 
-    def rec(prefix: list[int], remaining: int, slots: int, cap: int):
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        lo = max(min_deg, remaining - cap * (slots - 1))
-        hi = min(cap, remaining - min_deg * (slots - 1))
-        for d in range(hi, lo - 1, -1):
-            prefix.append(d)
-            yield from rec(prefix, remaining - d, slots - 1, d)
-            prefix.pop()
 
-    yield from rec([], total, nv, total)
-
-
-def _fill_matrices(degs: tuple[int, ...], max_mult: int,
-                   allow_loops: bool) -> Iterator[tuple[tuple[int, ...], ...]]:
+def _fill_matrices(degs: tuple[int, ...], max_mult: int, allow_loops: bool,
+                   state=None, i: int = 0
+                   ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Symmetric multiplicity matrices realising a degree sequence.
 
     Rows are filled one at a time with a lexicographic-descent constraint
     between equal-degree vertices whose earlier columns agree; duplicates are
     still possible and must be removed by canonical form downstream.
+    ``state`` holds the self-edge counts, the matrix and the remaining
+    degrees of the rows above ``i``.
     """
     nv = len(degs)
-    loops = [0] * nv                       # self-edge count (2 per degree)
-    m = [[0] * nv for _ in range(nv)]
-    rem = list(degs)
+    if state is None:
+        state = ([0] * nv, [[0] * nv for _ in range(nv)], list(degs))
+    loops, m, rem = state
+    if i == nv:
+        yield tuple(tuple(r) for r in m)
+        return
+    entry_rem = rem[i]
+    for opt in _row_options(rem, i, max_mult, allow_loops):
+        nl, tail = opt[0], opt[1:]
+        # symmetry prune: equal-degree neighbour rows with equal prefix
+        if i > 0 and degs[i] == degs[i - 1]:
+            same_prefix = all(m[a][i] == m[a][i - 1] for a in range(i - 1))
+            if same_prefix:
+                # swapping i-1 and i fixes m[i-1][i]; compare the rest
+                prev_key = (loops[i - 1],) + tuple(
+                    m[i - 1][j] for j in range(i + 1, nv))
+                cur_key = (nl,) + tail
+                if cur_key > prev_key:
+                    continue
+        loops[i] = nl
+        for j, k in enumerate(tail):
+            m[i][i + 1 + j] = k
+            m[i + 1 + j][i] = k
+            rem[i + 1 + j] -= k
+        m[i][i] = nl
+        rem[i] = 0
+        if _rows_feasible(rem, i, allow_loops):
+            yield from _fill_matrices(degs, max_mult, allow_loops, state,
+                                      i + 1)
+        # undo
+        rem[i] = entry_rem
+        for j, k in enumerate(tail):
+            rem[i + 1 + j] += k
+            m[i][i + 1 + j] = 0
+            m[i + 1 + j][i] = 0
+        m[i][i] = 0
+        loops[i] = 0
 
-    def feasible(i: int) -> bool:
-        # remaining degrees on vertices > i must form a loopless multigraph
-        tail = rem[i + 1:]
-        s = sum(tail)
-        if s % 2:
-            return allow_loops
-        if not tail:
-            return s == 0
-        if not allow_loops and max(tail) > s - max(tail):
-            return False
-        return True
 
-    def row_options(i: int) -> Iterator[tuple[int, ...]]:
-        # distribute rem[i] over loops (if allowed) and columns i+1..nv-1
-        cols = nv - 1 - i
-        budget = rem[i]
+def _rows_feasible(rem: list[int], i: int, allow_loops: bool) -> bool:
+    """Remaining degrees on vertices > i can form a loopless multigraph."""
+    tail = rem[i + 1:]
+    s = sum(tail)
+    if s % 2:
+        return allow_loops
+    return allow_loops or not tail or 2 * max(tail) <= s
 
-        def rec(j: int, left: int, row: list[int]):
-            if j == cols:
-                if left == 0:
-                    yield tuple(row)
-                return
-            cap = min(left, rem[i + 1 + j], max_mult)
-            for k in range(cap, -1, -1):
-                row.append(k)
-                yield from rec(j + 1, left - k, row)
-                row.pop()
 
-        if allow_loops:
-            for nl in range(budget // 2, -1, -1):
-                for tail in rec(0, budget - 2 * nl, []):
-                    yield (nl,) + tail
-        else:
-            for tail in rec(0, budget, []):
-                yield (0,) + tail
+def _row_options(rem: list[int], i: int, max_mult: int,
+                 allow_loops: bool) -> Iterator[tuple[int, ...]]:
+    # distribute rem[i] over loops (if allowed) and columns i+1..nv-1
+    budget = rem[i]
+    for nl in range(budget // 2 if allow_loops else 0, -1, -1):
+        for tail in _row_tails(rem, i + 1, budget - 2 * nl, max_mult, []):
+            yield (nl,) + tail
 
-    def rec_rows(i: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == nv:
-            yield tuple(tuple(r) for r in m)
-            return
-        entry_rem = rem[i]
-        for opt in row_options(i):
-            nl, tail = opt[0], opt[1:]
-            # symmetry prune: equal-degree neighbour rows with equal prefix
-            if i > 0 and degs[i] == degs[i - 1]:
-                same_prefix = all(m[a][i] == m[a][i - 1] for a in range(i - 1))
-                if same_prefix:
-                    # swapping i-1 and i fixes m[i-1][i]; compare the rest
-                    prev_key = (loops[i - 1],) + tuple(
-                        m[i - 1][j] for j in range(i + 1, nv))
-                    cur_key = (nl,) + tail
-                    if cur_key > prev_key:
-                        continue
-            loops[i] = nl
-            for j, k in enumerate(tail):
-                m[i][i + 1 + j] = k
-                m[i + 1 + j][i] = k
-                rem[i + 1 + j] -= k
-            m[i][i] = nl
-            rem[i] = 0
-            if feasible(i):
-                yield from rec_rows(i + 1)
-            # undo
-            rem[i] = entry_rem
-            for j, k in enumerate(tail):
-                rem[i + 1 + j] += k
-                m[i][i + 1 + j] = 0
-                m[i + 1 + j][i] = 0
-            m[i][i] = 0
-            loops[i] = 0
 
-    yield from rec_rows(0)
+def _row_tails(rem: list[int], col: int, left: int, max_mult: int,
+               row: list[int]) -> Iterator[tuple[int, ...]]:
+    if col == len(rem):
+        if left == 0:
+            yield tuple(row)
+        return
+    cap = min(left, rem[col], max_mult)
+    for k in range(cap, -1, -1):
+        row.append(k)
+        yield from _row_tails(rem, col + 1, left - k, max_mult, row)
+        row.pop()
 
 
 def _matrix_to_graph(mat: Sequence[Sequence[int]],
@@ -735,17 +729,14 @@ def _min_weight(degree: int) -> int:
     return 2 if degree == 0 else 1 if degree < 3 else 0
 
 
-def _weightings(degs: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
-    nv = len(degs)
-
-    def rec(i: int, left: int, acc: list[int]):
-        if i == nv:
-            if left == 0:
-                yield tuple(acc)
-            return
-        for w in range(_min_weight(degs[i]), left + 1):
-            acc.append(w)
-            yield from rec(i + 1, left - w, acc)
-            acc.pop()
-
-    yield from rec(0, total, [])
+def _weightings(degs: tuple[int, ...], total: int, i: int = 0,
+                acc: list[int] | None = None) -> Iterator[tuple[int, ...]]:
+    acc = [] if acc is None else acc
+    if i == len(degs):
+        if total == 0:
+            yield tuple(acc)
+        return
+    for w in range(_min_weight(degs[i]), total + 1):
+        acc.append(w)
+        yield from _weightings(degs, total - w, i + 1, acc)
+        acc.pop()

@@ -220,9 +220,6 @@ class Poly:
         c = _num(c)
         return Poly(self.nvars, {k: c * v for k, v in self.coeffs.items()})
 
-    def total_degree(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
-
     def leading(self) -> tuple[tuple, Fraction]:
         k = max(self.coeffs)
         return k, self.coeffs[k]

@@ -245,10 +245,16 @@ class TropicalSampler:
         self.hfull = int(h[size - 1])
 
     def sample(self, rng: np.random.Generator, count: int):
-        """Returns (logx (count, n), log_psi_tr (count,))."""
+        """Returns (logx (count, n), log_psi_tr (count,)).
+
+        A state of w edges drops the edge of its first column with cum >= r,
+        found by a branchless lower-bound search over the first w - 1
+        columns: the last live edge takes every r above them, also where
+        its cum, a rounded sum, is just below 1.
+        """
         n = self.n
-        full = (1 << n) - 1
-        state = np.full(count, full, dtype=np.int64)
+        cum, bit, hdrop = self.cum.ravel(), self.bit.ravel(), self.hdrop.ravel()
+        state = np.full(count, (1 << n) - 1, dtype=np.int64)
         logx = np.zeros(count)
         logxs = np.zeros((count, n))
         logpsitr = np.zeros(count)
@@ -258,11 +264,17 @@ class TropicalSampler:
                 u = rng.random(count)
                 logx = logx + np.log(u) / self.omega_f[state]
             r = rng.random(count)
-            # a state of n - step edges: later columns are 1.0 > r
-            idx = (r[:, None] > self.cum[state, :n - step]).sum(axis=1)
-            e = self.bit[state, idx].astype(np.int64)
+            at = state * n
+            length = n - step - 1
+            while length > 1:
+                half = length // 2
+                at += (cum[at + half] < r) * half
+                length -= half
+            if length:
+                at += cum[at] < r
+            e = bit[at].astype(np.int64)
             logxs[rows, e] = logx
-            logpsitr += np.where(self.hdrop[state, idx] == 1, logx, 0.0)
+            logpsitr += np.where(hdrop[at] == 1, logx, 0.0)
             state = state & ~(1 << e)
         return logxs, logpsitr
 

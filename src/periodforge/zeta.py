@@ -31,13 +31,6 @@ def bernoulli_fraction(n: int) -> Fraction:
     return -total / (n + 1)
 
 
-def _binom_row(n: int) -> list[int]:
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return row
-
-
 def hurwitz(s: int, a: int, terms: int = 40, korder: int = 25) -> mp.mpf:
     """sum_{m >= a} m^-s by Euler-Maclaurin, for integer s >= 2, a >= 1."""
     if s < 2 or a < 1:

@@ -224,6 +224,28 @@ def test_sample_matches_full_width_gather():
     assert np.array_equal(logpsitr, ref_psi)
 
 
+class _TopRng:
+    """Stub generator whose every draw is the largest float below 1."""
+
+    def random(self, count):
+        return np.full(count, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("g", [wheel(5), zigzag(8)], ids=["W5", "Z8"])
+def test_sample_draws_every_edge_once_at_top_of_range(g):
+    """With r just below 1 each state drops its last live edge, the highest
+    one.  On these paths some states have a last cum just below r, and the
+    last live edge must still take it."""
+    s = TropicalSampler(build_measure(g))
+    logxs, _ = s.sample(_TopRng(), 4)
+    # log(u) < 0, so each step after the first writes a new, lower logx:
+    # the edges are drawn from the highest down, each exactly once
+    for row in logxs:
+        assert len(set(row.tolist())) == g.ne
+        assert row[-1] == 0.0
+        assert (np.diff(row) > 0).all()
+
+
 def test_simplex_sample_matches_inline_weights():
     """Points and log weights against the formula written out term by term."""
     nu = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
@@ -354,6 +376,35 @@ def test_integrate_chain_class_streams_and_sampler(monkeypatch):
     zero = integrate_chain(ChainVector.zero(), spec, 100, seed=0,
                            sampler="dirichlet")
     assert zero.sampler == "dirichlet"
+
+
+def test_shard_variance_merge_is_stable(monkeypatch):
+    """Weights 1e9 + U(0, 1): a variance from sum(w^2)/n - mean^2 loses
+    every digit, the merged per-shard M2 keeps them."""
+    import periodforge.engine as engine
+
+    rng = np.random.default_rng(8)
+    shards = [1e9 + rng.random(c) for c in (5000, 4096, 1, 777)]
+    by_count = {w.size: w for w in shards}
+    # points are the weights themselves, with log importance weight 0
+    monkeypatch.setattr(engine, "simplex_sample", lambda rng, count, n, s:
+                        (by_count[count], np.zeros(count)))
+
+    class Ev:
+        ig = residue_integrand(banana(2))
+
+        def values(self, xs):
+            return xs
+
+    parts = [engine._run_shard(Ev(), None, 0, i, w.size)
+             for i, w in enumerate(shards)]
+    n, mean, m2 = engine._merge_moments(parts)
+    allw = np.concatenate(shards)
+    assert n == allw.size
+    assert mean == math.fsum(w.sum() for w in shards) / n
+    assert m2 / n == pytest.approx(np.var(allw), rel=1e-9)
+    naive = math.fsum((w * w).sum() for w in shards) / n - mean * mean
+    assert abs(naive - np.var(allw)) > np.var(allw)
 
 
 def test_nonfinite_abort_reports_point():

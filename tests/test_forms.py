@@ -358,9 +358,10 @@ def _reference_component_coefficients(chart_vars, n, gram):
 
 
 def _assert_dp_matches_reference(ev, n, xs):
-    gram = ev._gram(xs)
-    ref = _reference_component_coefficients(ev.chart_vars, n, gram)
-    got = ev._component_coefficients(n, gram.transpose(1, 2, 0).copy())
+    gt = ev._gram(xs)
+    ref = _reference_component_coefficients(ev.chart_vars, n,
+                                            gt.transpose(2, 0, 1))
+    got = ev._component_coefficients(n, gt)
     assert list(got) == list(ref)
     for s in ref:
         assert np.array_equal(got[s], ref[s]), sorted(s)
@@ -390,6 +391,27 @@ def test_batched_evaluate_independent_of_dp_block():
     whole = ev.evaluate(xs)
     ev._DP_BLOCK = 7
     assert np.array_equal(ev.evaluate(xs), whole)
+
+
+def test_gram_matches_exact_gram():
+    """The (edge, edge, sample) Gram from the batched inverse and the
+    incidence product agrees with the rational Gram of each row.  The
+    tolerance is relative to the row's largest entry: entries that are
+    small by cancellation carry the conditioning of the Laplacian, whatever
+    the order of the contraction."""
+    from periodforge.graphs import complete
+
+    rng = np.random.default_rng(23)
+    for g, spec in [(wheel(3), (5,)), (wheel(5), (9,)),
+                    (complete(6), (5, 9))]:
+        ev = BatchedGraphFormEvaluator(g, FormSpec(spec))
+        xs = rng.dirichlet(np.ones(g.ne), size=12)
+        gt = ev._gram(xs)
+        assert gt.shape == (g.ne, g.ne, 12)
+        for i in range(12):
+            exact = ev._gram_exact(xs[i])
+            assert np.allclose(gt[:, :, i], exact, rtol=1e-12,
+                               atol=1e-12 * np.abs(exact).max())
 
 
 def test_batched_exact_gram_row():

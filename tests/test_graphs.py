@@ -118,6 +118,20 @@ def test_canonical_search_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_enumeration_leaves_no_reference_cycles(monkeypatch):
+    """The degree-sequence, matrix and weighting recursions hold no
+    references to themselves, so enumeration frees its state on return."""
+    monkeypatch.setitem(_GC_CACHE, 4, {})
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_stable_weighted(2)
+        enumerate_gc_graphs(4, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_canonical_form_idempotent(corpus):
     for g in corpus:
         rep, _ = canonical_form(g)
