@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .graphs import MAX_SUBSET_EDGES, Graph
 from .polynomials import (CycleBasis, LinearForm, LinearFormMatrix, Poly,
                           PolynomialError, cycle_basis, det_poly_general,
-                          laplacian)
+                          echelon, laplacian)
 
 
 class FormError(ValueError):
@@ -368,22 +369,17 @@ def _rank_one_terms(mat: Sequence[Sequence[Fraction]]):
 
 
 def _invert_exact(mat: Sequence[Sequence[Fraction]]):
+    """Exact inverse: ``echelon`` on [A | I], pivoting in A's columns only."""
     m = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(m)]
-         + [Fraction(1) if k == i else Fraction(0) for k in range(m)]
-         for i in range(m)]
-    for c in range(m):
-        piv = next((r for r in range(c, m) if a[r][c]), None)
-        if piv is None:
-            raise FormError("matrix is singular at the evaluation point")
-        a[c], a[piv] = a[piv], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [v * inv for v in a[c]]
-        for r in range(m):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [u - f * w for u, w in zip(a[r], a[c])]
-    return [row[m:] for row in a]
+    rows = [{j: Fraction(v) for j, v in enumerate(r) if v}
+            | {m + i: Fraction(1)} for i, r in enumerate(mat)]
+    pivots = echelon(rows, limit=m)
+    if len(pivots) < m:
+        raise FormError("matrix is singular at the evaluation point")
+    inv = [None] * m
+    for r, c, _ in pivots:
+        inv[c] = [rows[r].get(m + j, Fraction(0)) for j in range(m)]
+    return inv
 
 
 class FormEvaluator:
@@ -604,7 +600,13 @@ class CycleIncidence:
         self.q = q
         self.h = h
         self.lap = (q[:, :, None] * q[:, None, :]).reshape(ne, h * h)
-        self.pair = (q[:, None, :, None] * q[None, :, None, :]).reshape(
+
+    @cached_property
+    def pair(self):
+        """The Gram kernel, built on first use: only form words read it."""
+        q = self.q
+        ne, h = q.shape
+        return (q[:, None, :, None] * q[None, :, None, :]).reshape(
             ne * ne, h * h)
 
     def laplacians(self, xs):

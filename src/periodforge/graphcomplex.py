@@ -15,6 +15,7 @@ from typing import Mapping
 
 from .graphs import EdgePermutation, Graph, enumerate_gc_graphs
 from .canonical import canonical_form, automorphism_edge_group
+from .polynomials import echelon
 
 _MOD_PRIME = 2**31 - 1
 
@@ -209,71 +210,18 @@ def differential_matrix(loops: int, edges: int, *, bases=None
     return {k: v for k, v in mat.items() if v}
 
 
-def _rank_exact(mat: Mapping[tuple[int, int], int], nrows: int, ncols: int) -> int:
-    """Rank over Q by Fraction elimination with Markowitz-style pivoting."""
-    rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
-    for (i, j), v in mat.items():
-        rows[i][j] = Fraction(v)
-    rank = 0
-    active = [r for r in rows if r]
-    while active:
-        # pick the sparsest row, then its smallest column
-        active.sort(key=lambda r: (len(r), min(r)))
-        piv_row = active.pop(0)
-        piv_col = min(piv_row, key=lambda j: (len([1 for r in active if j in r]), j))
-        piv_val = piv_row[piv_col]
-        rank += 1
-        nxt = []
-        for r in active:
-            if piv_col in r:
-                f = r[piv_col] / piv_val
-                for j, v in piv_row.items():
-                    nv = r.get(j, 0) - f * v
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
-            if r:
-                nxt.append(r)
-        active = nxt
-    return rank
-
-
-def _rank_modular(mat: Mapping[tuple[int, int], int], nrows: int, ncols: int,
-                  p: int = _MOD_PRIME) -> int:
-    rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
-    for (i, j), v in mat.items():
-        vm = v % p
-        if vm:
-            rows[i][j] = vm
-    rank = 0
-    active = [r for r in rows if r]
-    while active:
-        active.sort(key=lambda r: (len(r), min(r)))
-        piv_row = active.pop(0)
-        piv_col = min(piv_row)
-        inv = pow(piv_row[piv_col], p - 2, p)
-        rank += 1
-        nxt = []
-        for r in active:
-            if piv_col in r:
-                f = r[piv_col] * inv % p
-                for j, v in piv_row.items():
-                    nv = (r.get(j, 0) - f * v) % p
-                    if nv:
-                        r[j] = nv
-                    else:
-                        r.pop(j, None)
-            if r:
-                nxt.append(r)
-        active = nxt
-    return rank
-
-
 def matrix_rank(mat: Mapping[tuple[int, int], int], nrows: int, ncols: int) -> int:
-    """Exact rank, cross-checked modulo a large prime."""
-    r = _rank_exact(mat, nrows, ncols)
-    rm = _rank_modular(mat, nrows, ncols)
+    """Exact rank over Q, cross-checked against the rank modulo the prime
+    2^31 - 1; both come from ``polynomials.echelon``."""
+    rows: list[dict[int, Fraction]] = [dict() for _ in range(nrows)]
+    mod: list[dict[int, int]] = [dict() for _ in range(nrows)]
+    for (i, j), v in mat.items():
+        if v:
+            rows[i][j] = Fraction(v)
+        if v % _MOD_PRIME:
+            mod[i][j] = v % _MOD_PRIME
+    r = len(echelon(rows))
+    rm = len(echelon(mod, _MOD_PRIME))
     if r != rm:
         raise ComplexError(f"rank mismatch: exact {r} vs mod-p {rm}")
     return r

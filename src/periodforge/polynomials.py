@@ -542,36 +542,12 @@ def validate_cycle_basis(g: Graph, b: CycleBasis) -> None:
         if any(boundary.values()):
             raise PolynomialError("vector is not a cycle")
     # rank over Q
-    rows = [[Fraction(vec.get(e, 0)) for e in g.edge_ids] for vec in b.as_dicts()]
-    if _rank_fraction(rows) != len(rows):
+    rows = [{e: Fraction(c) for e, c in vec.items() if c}
+            for vec in b.as_dicts()]
+    if len(echelon(rows)) != len(rows):
         raise PolynomialError("cycle vectors are dependent")
     if len(rows) != g.loop_number():
         raise PolynomialError("basis does not span the cycle space")
-
-
-def _rank_fraction(rows: list[list[Fraction]]) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
 
 
 def laplacian(g: Graph, basis: CycleBasis | None = None,
@@ -595,6 +571,61 @@ def laplacian(g: Graph, basis: CycleBasis | None = None,
             row.append(LinearForm(coeffs))
         rows.append(tuple(row))
     return LinearFormMatrix(tuple(rows), g.ne, symmetric=True)
+
+
+# ---------------------------------------------------------------------------
+# exact elimination on sparse rows
+# ---------------------------------------------------------------------------
+
+def pivot(rows: list[dict], r: int, c: int, p: int | None = None) -> None:
+    """One Gauss-Jordan step on sparse rows ``{column: value}``, in place:
+    scale row r to 1 at column c and clear column c from every other row.
+
+    Values are non-zero Fractions, or ints in [1, p) when a prime ``p`` is
+    given; zeros are never stored.
+    """
+    row = rows[r]
+    inv = pow(row[c], -1, p) if p else 1 / row[c]
+    for j, v in row.items():
+        row[j] = v * inv % p if p else v * inv
+    for i, other in enumerate(rows):
+        f = other.get(c)
+        if i == r or not f:
+            continue
+        for j, v in row.items():
+            nv = other.get(j, 0) - f * v
+            if p:
+                nv %= p
+            if nv:
+                other[j] = nv
+            else:
+                other.pop(j, None)
+
+
+def echelon(rows: list[dict], p: int | None = None,
+            limit: int | None = None) -> list[tuple[int, int, object]]:
+    """Bring sparse rows to reduced row echelon form, in place.
+
+    Each step pivots on the sparsest remaining row, at its smallest column
+    below ``limit`` (all columns when None).  Returns ``(row, column, value
+    before scaling)`` per pivot: their count is the rank, and the product
+    of the values times the sign of the map row -> column is the
+    determinant of a square matrix of full rank.
+    """
+    def live(i):
+        return [c for c in rows[i] if limit is None or c < limit]
+
+    pivots = []
+    rest = list(range(len(rows)))
+    while True:
+        rest = [i for i in rest if live(i)]
+        if not rest:
+            return pivots
+        r = min(rest, key=lambda i: len(rows[i]))
+        c = min(live(r))
+        pivots.append((r, c, rows[r][c]))
+        pivot(rows, r, c, p)
+        rest.remove(r)
 
 
 # ---------------------------------------------------------------------------

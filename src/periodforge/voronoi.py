@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .graphs import Graph, GraphError
-from .polynomials import CycleBasis, laplacian
+from .graphs import EdgePermutation, Graph, GraphError
+from .polynomials import CycleBasis, echelon, laplacian, pivot
 
 
 class VoronoiError(ValueError):
@@ -53,10 +53,19 @@ class QuadraticForm:
                    for i in range(n) for j in range(n))
 
     def leading_minors(self) -> list[Fraction]:
-        """Determinants of the leading principal minors, exactly."""
+        """Determinants of the leading principal minors, exactly: the
+        product of the echelon pivots times the sign of row -> column."""
         out = []
         for k in range(1, self.dim + 1):
-            out.append(_det_fraction([row[:k] for row in self.matrix[:k]]))
+            pivots = echelon([{j: v for j, v in enumerate(row[:k]) if v}
+                              for row in self.matrix[:k]])
+            det = Fraction(0)
+            if len(pivots) == k:
+                det = Fraction(EdgePermutation(
+                    tuple(c + 1 for _, c, _ in sorted(pivots))).parity)
+                for _, _, v in pivots:
+                    det *= v
+            out.append(det)
         return out
 
     def is_positive_definite(self) -> bool:
@@ -71,26 +80,6 @@ class QuadraticForm:
         out = [[sum(pt_a[i][k] * Fraction(p[k][j]) for k in range(n))
                 for j in range(n)] for i in range(n)]
         return QuadraticForm(out)
-
-
-def _det_fraction(rows) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
 
 
 def _ldlt(q: QuadraticForm):
@@ -122,6 +111,29 @@ def _isqrt_ceil_frac(x: Fraction) -> int:
     return r + (1 if rem else 0)
 
 
+def _fincke_pohst(L, d, x: list[int], j: int, remaining: Fraction):
+    """Yield the nonzero completions of x[j+1:] by x[:j+1], filled in place.
+
+    Q(x) = sum_j d[j] * (x_j + sum_{i>j} L[i][j] x_i)^2 ; recurse from the
+    last coordinate down, maintaining the partial sum.
+    """
+    if j < 0:
+        if any(x):
+            yield tuple(x)
+        return
+    s = sum(L[i][j] * x[i] for i in range(j + 1, len(x)))
+    # |x_j + s| <= sqrt(remaining / d[j])
+    r = _isqrt_ceil_frac(remaining / d[j])
+    lo = math.ceil(-s) - r
+    hi = math.floor(-s) + r
+    for v in range(lo, hi + 1):
+        term = d[j] * (v + s) ** 2
+        if term <= remaining:
+            x[j] = v
+            yield from _fincke_pohst(L, d, x, j - 1, remaining - term)
+            x[j] = 0
+
+
 def short_vectors(q: QuadraticForm, bound: Fraction) -> list[tuple[int, ...]]:
     """All nonzero integer vectors with Q(xi) <= bound (both signs).
 
@@ -129,33 +141,8 @@ def short_vectors(q: QuadraticForm, bound: Fraction) -> list[tuple[int, ...]]:
     windows come from integer square roots and every candidate is checked
     against the exact inequality.
     """
-    n = q.dim
     L, d = _ldlt(q)
-    bound = Fraction(bound)
-    out: list[tuple[int, ...]] = []
-    x = [0] * n
-
-    # Q(x) = sum_j d[j] * (x_j + sum_{i>j} L[i][j] x_i)^2 ; recurse from the
-    # last coordinate down, maintaining the partial sum.
-    def rec(j: int, remaining: Fraction):
-        if j < 0:
-            if any(x):
-                out.append(tuple(x))
-            return
-        s = sum(L[i][j] * x[i] for i in range(j + 1, n))
-        # |x_j + s| <= sqrt(remaining / d[j])
-        r = _isqrt_ceil_frac(remaining / d[j])
-        lo = math.ceil(-s) - r
-        hi = math.floor(-s) + r
-        for v in range(lo, hi + 1):
-            term = d[j] * (v + s) ** 2
-            if term <= remaining:
-                x[j] = v
-                rec(j - 1, remaining - term)
-                x[j] = 0
-
-    rec(n - 1, bound)
-    return sorted(out)
+    return sorted(_fincke_pohst(L, d, [0] * q.dim, q.dim - 1, Fraction(bound)))
 
 
 def minimal_vectors(q: QuadraticForm) -> list[tuple[int, ...]]:
@@ -260,71 +247,55 @@ def cone_membership(x: QuadraticForm, cell: VoronoiCell) -> ConeCertificate:
     rhs = _sym_entries(x.matrix)
     m = len(rhs)
     k = len(cols)
-    # orient rows so b >= 0
-    A = [[cols[j][i] for j in range(k)] for i in range(m)]
-    b = list(rhs)
-    flip = []
+    # phase-1 tableau of sparse rows, oriented so b >= 0: columns k
+    # original, m artificials and b at column k + m
+    zero = Fraction(0)
+    rhs_col = k + m
+    flip = [-1 if r < 0 else 1 for r in rhs]
+    tab = []
     for i in range(m):
-        if b[i] < 0:
-            A[i] = [-a for a in A[i]]
-            b[i] = -b[i]
-            flip.append(-1)
-        else:
-            flip.append(1)
-    # phase-1 tableau: columns = k original + m artificials
-    tab = [[Fraction(0)] * (k + m + 1) for _ in range(m)]
-    for i in range(m):
-        for j in range(k):
-            tab[i][j] = A[i][j]
-        tab[i][k + i] = Fraction(1)
-        tab[i][-1] = b[i]
+        row = {j: cols[j][i] * flip[i] for j in range(k) if cols[j][i]}
+        row[k + i] = Fraction(1)
+        if rhs[i]:
+            row[rhs_col] = rhs[i] * flip[i]
+        tab.append(row)
     basis = [k + i for i in range(m)]
-    # objective: minimise sum of artificials; reduced costs row
-    cost = [Fraction(0)] * (k + m + 1)
-    for i in range(m):
-        for j in range(k + m + 1):
-            cost[j] -= tab[i][j]
-    for i in range(m):
-        cost[k + i] = Fraction(0)
-
-    def pivot(r, c):
-        pr = tab[r]
-        inv = 1 / pr[c]
-        tab[r] = [v * inv for v in pr]
-        for i in range(m):
-            if i != r and tab[i][c]:
-                f = tab[i][c]
-                tab[i] = [a - f * bb for a, bb in zip(tab[i], tab[r])]
-        f = cost[c]
-        if f:
-            cost[:] = [a - f * bb for a, bb in zip(cost, tab[r])]
-        basis[r] = c
+    # objective: minimise sum of artificials; the last row holds the reduced
+    # costs, minus the column sums over the original columns and b
+    cost: dict[int, Fraction] = {}
+    for row in tab:
+        for j, v in row.items():
+            if j < k or j == rhs_col:
+                cost[j] = cost.get(j, zero) - v
+    cost = {j: v for j, v in cost.items() if v}
+    tab.append(cost)
 
     while True:
         # Bland: entering = smallest index with negative reduced cost
-        enter = next((j for j in range(k + m) if cost[j] < 0), None)
+        enter = next((j for j in range(k + m) if cost.get(j, zero) < 0), None)
         if enter is None:
             break
         best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
+            if tab[i].get(enter, zero) > 0:
+                ratio = tab[i].get(rhs_col, zero) / tab[i][enter]
                 if best is None or ratio < best[0] or \
                         (ratio == best[0] and basis[i] < basis[best[1]]):
                     best = (ratio, i)
         if best is None:
             raise VoronoiError("unbounded phase-1 LP (should not happen)")
-        pivot(best[1], enter)
+        pivot(tab, best[1], enter)
+        basis[best[1]] = enter
 
-    objective = -cost[-1]
+    objective = -cost.get(rhs_col, zero)
     if objective == 0:
-        lam = [Fraction(0)] * k
+        lam = [zero] * k
         for i, bv in enumerate(basis):
             if bv < k:
-                lam[bv] = tab[i][-1]
+                lam[bv] = tab[i].get(rhs_col, zero)
         return ConeCertificate(True, tuple(lam), None)
     # infeasible: duals from the artificial reduced costs, 1 - y_i = cost[k+i]
-    y_rows = [(1 - cost[k + i]) * flip[i] for i in range(m)]
+    y_rows = [(1 - cost.get(k + i, zero)) * flip[i] for i in range(m)]
     # unpack upper-triangular functional into a symmetric matrix; off
     # diagonal entries were counted once, so split them evenly
     y = [[Fraction(0)] * n for _ in range(n)]

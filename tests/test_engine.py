@@ -8,6 +8,7 @@ import pytest
 from periodforge.graphs import (Graph, GraphError, _root, banana, complete,
                                 cycle, wheel, zigzag)
 from periodforge.polynomials import MultilinearPoly, graph_polynomial
+from periodforge import engine
 from periodforge.forms import FormSpec
 from periodforge.tropical import (DivergentIntegrandError, TropicalSampler,
                                   build_measure, simplex_sample,
@@ -285,6 +286,23 @@ def test_integrand_validation():
 def test_bubble_residue():
     est = integrate_residue(banana(2), 100000, seed=1)
     assert abs(est.z(1.0)) <= 3
+
+
+def test_residue_integrate_leaves_gram_kernel_unbuilt(monkeypatch):
+    """Only form words read CycleIncidence.pair; a residue never builds it."""
+    built = []
+
+    class Recording(engine._Evaluator):
+        def __init__(self, ig):
+            super().__init__(ig)
+            built.append(self)
+
+    monkeypatch.setattr(engine, "_Evaluator", Recording)
+    integrate_residue(wheel(3), 1000, seed=1)
+    integrate_canonical(wheel(3), FormSpec((5,)), 1000, seed=1)
+    residue, form = built
+    assert "pair" not in vars(residue.inc)
+    assert "pair" in vars(form.inc)
 
 
 def test_determinism_and_threads():

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,20 @@ def test_principal_form_minimal_vectors():
     vecs = minimal_vectors(q)
     assert set(vecs) == {(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
     assert minimum(q) == 2
+
+
+def test_lattice_enumeration_leaves_no_reference_cycles():
+    """The Fincke-Pohst recursion holds no reference to itself, so the
+    enumeration frees its state on return."""
+    q = principal_form_g2()
+    gc.collect()
+    gc.disable()
+    try:
+        minimal_vectors(q)
+        voronoi_cell(q)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_identity_form():
