@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=1000000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target", help="expression, e.g. '6*zeta(3)'")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--sampler", choices=("tropical", "dirichlet"),
                     default="tropical")
 
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=500000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1)
 
     sp = add("gc-homology", _cmd_gc_homology, help="graph complex homology")
     sp.add_argument("--loops", type=int, required=True)

@@ -9,7 +9,6 @@ sampler) regardless of thread count.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,13 +143,6 @@ class IntegralEstimate:
                 "sampler": self.sampler}
 
 
-def _threads() -> int:
-    env = os.environ.get("PERIODFORGE_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 class _Evaluator:
     """Shared per-integrand state: Laplacian incidence + form evaluator."""
 
@@ -209,7 +201,7 @@ def _merge_moments(parts):
 
 
 def integrate(ig: Integrand, samples: int, seed: int,
-              sampler: str = "tropical", threads: int | None = None,
+              sampler: str = "tropical", threads: int = 1,
               shard_size: int = _SHARD) -> IntegralEstimate:
     """Importance-weighted estimate of the projective integral of ig.
 
@@ -228,7 +220,7 @@ def integrate(ig: Integrand, samples: int, seed: int,
     ev = _Evaluator(ig)
     shards = [(i, min(shard_size, samples - i * shard_size))
               for i in range((samples + shard_size - 1) // shard_size)]
-    nthreads = _threads() if threads is None else max(1, threads)
+    nthreads = max(1, threads)
     args = [(ev, samp, seed, i, c) for i, c in shards]
     if nthreads == 1:
         results = [_run_shard(*a) for a in args]

@@ -17,9 +17,8 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .graphs import MAX_SUBSET_EDGES, Graph
-from .polynomials import (CycleBasis, LinearForm, LinearFormMatrix, Poly,
-                          PolynomialError, cycle_basis, det_poly_general,
-                          echelon, laplacian)
+from .polynomials import (CycleBasis, LinearFormMatrix, Poly, cycle_basis,
+                          det_poly_general, echelon, laplacian)
 
 
 class FormError(ValueError):
@@ -382,6 +381,86 @@ def _invert_exact(mat: Sequence[Sequence[Fraction]]):
     return inv
 
 
+def _exact_gram(xp, bs, as_):
+    """[[b^T X^-1 a for a in as_] for b in bs] over Fraction vectors, with
+    X^-1 the exact inverse of the constant matrix ``xp``."""
+    xinv = _invert_exact(xp)
+    ms = range(len(xp))
+    tmp = [[sum(b[r] * xinv[r][c] for r in ms) for c in ms] for b in bs]
+    return [[sum(t[c] * a[c] for c in ms) for a in as_] for t in tmp]
+
+
+def _cycle_coefficients(n: int, gt, vars_, atoms_of) -> dict:
+    """dict frozenset -> (B,) coefficient arrays for tr((X^-1 dX)^n).
+
+    An anchored subset DP over cyclic products of Gram scalars, with the
+    n-fold rotation symmetry factored out.  ``gt`` is b_i^T X^-1 a_j over
+    the rank-one atoms (v, a, b) in (atom, atom, sample) layout, float64
+    or an object array of Fractions.  ``atoms_of[v]`` lists the atoms of
+    each of the ascending variables ``vars_``: one per edge of a graph
+    Laplacian, two per off-diagonal variable of a symmetric family.  Paths
+    accumulate in place: the first term for a key is its product (negated
+    when the sign is odd), later terms are added or subtracted, and the
+    closing factor and the rotation count multiply into the path's own
+    array.  Per element this is the same sequence of floating-point
+    operations as forming each signed term and summing the terms in path
+    order, so the result does not depend on the layout, the accumulation
+    being in place, or how the samples are split into batches.
+    """
+    import numpy as np
+
+    mul = np.multiply
+    B = gt.shape[2]
+    tmp = np.empty(B, dtype=gt.dtype)
+    out: dict[frozenset, np.ndarray] = {}
+    for ai, anchor in enumerate(vars_):
+        bigger = vars_[ai + 1:]
+        if len(bigger) < n - 1:
+            continue
+        # (bits above w, bit of w, atom of w) per atom of a bigger variable
+        steps = [(wi + 1, 1 << wi, beta) for wi, w in enumerate(bigger)
+                 for beta in atoms_of[w]]
+        for alpha in atoms_of[anchor]:
+            # paths keyed by (mask over `bigger`, last atom)
+            paths = {(0, alpha): np.ones(B, dtype=gt.dtype)}
+            for _ in range(n - 1):
+                nxt: dict = {}
+                for key in list(paths):
+                    # popped, so each path's array is freed once extended
+                    val = paths.pop(key)
+                    mask, last = key
+                    row = gt[last]
+                    for above, bitw, beta in steps:
+                        if mask & bitw:
+                            continue
+                        odd = (mask >> above).bit_count() & 1
+                        dst = (mask | bitw, beta)
+                        acc = nxt.get(dst)
+                        if acc is None:
+                            acc = mul(val, row[beta])
+                            if odd:
+                                np.negative(acc, out=acc)
+                            nxt[dst] = acc
+                        else:
+                            mul(val, row[beta], out=tmp)
+                            if odd:
+                                acc -= tmp
+                            else:
+                                acc += tmp
+                paths = nxt
+            for (mask, last), val in paths.items():
+                s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
+                                           if mask >> i & 1}
+                mul(val, gt[last, alpha], out=val)
+                val *= n
+                prev = out.get(s)
+                if prev is None:
+                    out[s] = val
+                else:
+                    prev += val
+    return out
+
+
 class FormEvaluator:
     """Pointwise evaluator for canonical form words on a matrix family.
 
@@ -399,95 +478,44 @@ class FormEvaluator:
         self.m = x.size
         coeffs = _coefficient_matrices(x)
         self.atoms = []  # (var, a, b)
+        self.atoms_of: dict[int, list[int]] = {}
         for v in sorted(coeffs):
             if v == self.chart:
                 continue
             for a, b in _rank_one_terms(coeffs[v]):
+                self.atoms_of.setdefault(v, []).append(len(self.atoms))
                 self.atoms.append((v, a, b))
-        self.variables = sorted({v for v, _, _ in self.atoms})
+        self.variables = sorted(self.atoms_of)
 
     # -- scalar Gram data --------------------------------------------------
 
     def _gram(self, point, exact: bool):
-        """g[i][j] = b_i^T X^-1 a_j over the rank-one atoms (v, a, b)."""
+        """(atom, atom, 1) tensor b_i^T X^-1 a_j over the rank-one atoms
+        (v, a, b): an object array of Fractions when exact."""
+        import numpy as np
+
         xp = self.x.evaluate({e: point[e - 1] for e in range(1, self.nvars + 1)})
         bs = [b for _, _, b in self.atoms]
         as_ = [a for _, a, _ in self.atoms]
-        if not exact:
-            import numpy as np
-
+        if exact:
+            g = np.array(_exact_gram(xp, bs, as_), dtype=object)
+        else:
             def arr(rows):
                 return np.array([[float(c) for c in r] for r in rows]
                                 ).reshape(-1, self.m)
-            return (arr(bs) @ np.linalg.inv(arr(xp)) @ arr(as_).T).tolist()
-        xinv = _invert_exact(xp)
-        ms = range(self.m)
-        tmp = [[sum(Fraction(b[r]) * xinv[r][c] for r in ms) for c in ms]
-               for b in bs]
-        return [[sum(t[c] * Fraction(a[c]) for c in ms) for a in as_]
-                for t in tmp]
+            g = arr(bs) @ np.linalg.inv(arr(xp)) @ arr(as_).T
+        return g.reshape(len(bs), len(bs), 1)
 
     # -- coefficients of tr((X^-1 dX)^n) ------------------------------------
 
-    def coefficients(self, n: int, point, exact: bool = False,
-                     subsets: Sequence[frozenset] | None = None) -> dict:
-        """Map frozenset S (|S| = n) -> coefficient of dx_S at the point.
-
-        Sums cyclic products of Gram scalars over orderings of S, an
-        anchored subset DP; the n-fold rotation symmetry is factored out.
-        """
+    def coefficients(self, n: int, point, exact: bool = False) -> dict:
+        """Map frozenset S (|S| = n) -> coefficient of dx_S at the point:
+        ``_cycle_coefficients`` on a batch of one."""
         if n % 2 == 0:
-            return {s: (Fraction(0) if exact else 0.0)
-                    for s in (subsets or [])}
-        g = self._gram(point, exact)
-        atoms = self.atoms
-        na = len(atoms)
-        by_var: dict[int, list[int]] = {}
-        for i, (v, _, _) in enumerate(atoms):
-            by_var.setdefault(v, []).append(i)
-        vars_ = self.variables
-        zero = Fraction(0) if exact else 0.0
-        want = None if subsets is None else {frozenset(s) for s in subsets}
-        out: dict[frozenset, object] = {}
-        # anchored DP per anchor variable
-        for anchor in vars_:
-            bigger = [v for v in vars_ if v > anchor]
-            if len(bigger) < n - 1:
-                continue
-            for alpha in by_var[anchor]:
-                # paths: dict[(frozenset vars beyond anchor, last atom)] -> value
-                paths = {(frozenset(), alpha): 1 if exact else 1.0}
-                for _step in range(n - 1):
-                    nxt: dict = {}
-                    for (tset, last), val in paths.items():
-                        for w in bigger:
-                            if w in tset:
-                                continue
-                            flips = sum(1 for t in tset if t > w)
-                            sign = -1 if flips % 2 else 1
-                            for beta in by_var[w]:
-                                gv = g[last][beta]
-                                if not gv:
-                                    continue
-                                key = (tset | {w}, beta)
-                                add = val * gv * sign
-                                if key in nxt:
-                                    nxt[key] = nxt[key] + add
-                                else:
-                                    nxt[key] = add
-                    paths = nxt
-                for (tset, last), val in paths.items():
-                    s = frozenset({anchor}) | tset
-                    if want is not None and s not in want:
-                        continue
-                    closing = g[last][alpha]
-                    if not closing:
-                        continue
-                    out[s] = out.get(s, zero) + val * closing * n
-        if want is not None:
-            for s in want:
-                out.setdefault(s, zero)
-        return out
+            return {}
+        out = _cycle_coefficients(n, self._gram(point, exact),
+                                  self.variables, self.atoms_of)
+        return {s: c[0] for s, c in out.items()}
 
     def word_top_coefficient(self, spec: FormSpec, point,
                              exact: bool = False):
@@ -618,14 +646,15 @@ class BatchedGraphFormEvaluator:
     """Vectorised chart coefficients of a form word on a graph Laplacian.
 
     The Laplacian's coefficient matrices are the rank-one cycle outer
-    products q_e q_e^T, so one Gram tensor per batch feeds the same subset
-    dynamic programme as the scalar evaluator, with numpy arrays over the
-    sample axis.  The diagonally preconditioned Laplacians are inverted in
-    one batched call and one product with ``CycleIncidence.pair`` writes the
-    Gram straight into the (edge, edge, sample) layout the DP reads.  The DP
-    accumulates in place, keeping the per-element order of the
-    floating-point operations of the plain term-by-term sum: estimates are
-    bit-identical to that sum over the same Gram, whatever the block size.
+    products q_e q_e^T, so one Gram tensor per batch feeds the scalar
+    evaluator's subset DP ``_cycle_coefficients``, with one atom per edge
+    and numpy arrays over the sample axis.  The diagonally preconditioned
+    Laplacians are inverted in one batched call and one product with
+    ``CycleIncidence.pair`` writes the Gram straight into the (edge, edge,
+    sample) layout the DP reads.  The DP accumulates in place, keeping the
+    per-element order of the floating-point operations of the plain
+    term-by-term sum: estimates are bit-identical to that sum over the same
+    Gram, whatever the block size.
     """
 
     # samples per block of the subset DP in `evaluate`
@@ -645,6 +674,7 @@ class BatchedGraphFormEvaluator:
                             f"{MAX_SUBSET_EDGES} edges")
         self.inc = CycleIncidence(g, basis)
         self.chart_vars = [v for v in range(1, g.ne + 1) if v != self.chart]
+        self.atoms_of = {v: [v - 1] for v in self.chart_vars}
 
     def _gram(self, xs):
         """(edge, edge, sample) Gram tensor q_e^T Lambda^-1 q_f.
@@ -683,76 +713,9 @@ class BatchedGraphFormEvaluator:
         q = [[Fraction(c) for c in row] for row in self.inc.q.tolist()]
         pt = [Fraction(float(c)) for c in x]
         hs = range(self.inc.h)
-        inv = _invert_exact([[sum(p * r[i] * r[j] for p, r in zip(pt, q))
-                              for j in hs] for i in hs])
-        qinv = [[sum(r[i] * inv[i][j] for i in hs) for j in hs] for r in q]
-        return np.array([[float(sum(a * b for a, b in zip(u, r))) for r in q]
-                         for u in qinv])
-
-    def _component_coefficients(self, n: int, gt):
-        """dict frozenset -> (B,) coefficient arrays for tr((X^-1 dX)^n).
-
-        ``gt`` is the Gram tensor in (edge, edge, sample) layout, so every
-        factor ``gt[last, w]`` is a contiguous row.  Paths accumulate in
-        place: the first term for a key is its product (negated when the
-        sign is odd), later terms are added or subtracted, and the closing
-        factor and the rotation count multiply into the path's own array.
-        Per element this is the same sequence of floating-point operations
-        as forming each signed term and summing the terms in path order, so
-        the result does not depend on the layout, the accumulation being in
-        place, or how the samples are split into batches.
-        """
-        import numpy as np
-
-        mul = np.multiply
-        tmp = np.empty(gt.shape[2])
-        vars_ = self.chart_vars
-        out: dict[frozenset, np.ndarray] = {}
-        for ai, anchor in enumerate(vars_):
-            bigger = vars_[ai + 1:]
-            if len(bigger) < n - 1:
-                continue
-            ga = anchor - 1
-            # (bits above w, bit of w, graph index of w) per bigger variable
-            steps = [(wi + 1, 1 << wi, w - 1) for wi, w in enumerate(bigger)]
-            # paths keyed by (mask over `bigger`, last var index in graph)
-            paths = {(0, ga): np.ones(gt.shape[2])}
-            for _ in range(n - 1):
-                nxt: dict = {}
-                for key in list(paths):
-                    # popped, so each path's array is freed once extended
-                    val = paths.pop(key)
-                    mask, last = key
-                    row = gt[last]
-                    for above, bitw, w1 in steps:
-                        if mask & bitw:
-                            continue
-                        odd = (mask >> above).bit_count() & 1
-                        dst = (mask | bitw, w1)
-                        acc = nxt.get(dst)
-                        if acc is None:
-                            acc = mul(val, row[w1])
-                            if odd:
-                                np.negative(acc, out=acc)
-                            nxt[dst] = acc
-                        else:
-                            mul(val, row[w1], out=tmp)
-                            if odd:
-                                acc -= tmp
-                            else:
-                                acc += tmp
-                paths = nxt
-            for (mask, last), val in paths.items():
-                s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
-                                           if mask >> i & 1}
-                mul(val, gt[last, ga], out=val)
-                val *= n
-                prev = out.get(s)
-                if prev is None:
-                    out[s] = val
-                else:
-                    prev += val
-        return out
+        lam = [[sum(p * r[i] * r[j] for p, r in zip(pt, q)) for j in hs]
+               for i in hs]
+        return np.array(_exact_gram(lam, q, q), dtype=float)
 
     def evaluate(self, xs):
         """(B,) array: coefficient of the ascending top chart wedge.
@@ -777,7 +740,8 @@ class BatchedGraphFormEvaluator:
         import numpy as np
 
         comps = list(self.spec.components)
-        per = {n: self._component_coefficients(n, gt) for n in set(comps)}
+        per = {n: _cycle_coefficients(n, gt, self.chart_vars, self.atoms_of)
+               for n in set(comps)}
         return _word_total(comps, per, frozenset(self.chart_vars),
                            np.zeros(gt.shape[2]))
 

@@ -205,7 +205,10 @@ def differential_matrix(loops: int, edges: int, *, bases=None
             i = index.get(cls)
             if i is None:
                 raise ComplexError("differential left the enumerated basis")
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise ComplexError(
+                    f"coefficient {c} of {cls.graph!r} in the differential "
+                    f"of {oc.graph!r} is not an integer")
             mat[(i, j)] = mat.get((i, j), 0) + c.numerator
     return {k: v for k, v in mat.items() if v}
 

@@ -686,7 +686,7 @@ def enumerate_gc_graphs(loops: int, edges: int,
     return out
 
 
-def enumerate_stable_weighted(genus_: int, _vertex_cap: int | None = None) -> list[Graph]:
+def enumerate_stable_weighted(genus_: int) -> list[Graph]:
     """All stable weighted graphs of the given genus up to isomorphism."""
     from .canonical import canonical_form
 
@@ -700,8 +700,6 @@ def enumerate_stable_weighted(genus_: int, _vertex_cap: int | None = None) -> li
         # degree counting: 2h + 2v - 2 >= 3*(weight-0) + (weighted) forces
         # v <= 2h + 2*w - 2 for multi-vertex graphs
         vmax = max(1, 2 * h + 2 * w_total - 2)
-        if _vertex_cap is not None:
-            vmax = min(vmax, _vertex_cap)
         for nv in range(1, vmax + 1):
             ne = h + nv - 1
             for degs in _degree_sequences(nv, 2 * ne, 0):

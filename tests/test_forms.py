@@ -11,8 +11,9 @@ from periodforge.polynomials import (Poly, cycle_basis, generic_2x2,
                                      graph_polynomial, laplacian)
 from periodforge.forms import (BatchedGraphFormEvaluator, FormError,
                                FormEvaluator, FormSpec, RationalForm,
-                               canonical_form_numeric, canonical_form_symbolic,
-                               dense_coefficients, graph_canonical_form, wedge)
+                               _cycle_coefficients, canonical_form_numeric,
+                               canonical_form_symbolic, dense_coefficients,
+                               graph_canonical_form, wedge)
 
 
 def _display_form(nvars, n, coeff, det):
@@ -188,16 +189,29 @@ def test_numeric_matches_symbolic_exact():
 
 
 def test_numeric_matches_dense_oracle():
-    lam = laplacian(wheel(3))
-    pt = [Fraction(k, 5) for k in (7, 3, 11, 4, 6, 5)]
-    dense = dense_coefficients(lam, 5, pt)
-    ev = FormEvaluator(lam, chart=6)
-    mine = ev.coefficients(5, pt, exact=True)
-    for s, val in mine.items():
-        assert dense.get(s, Fraction(0)) == val
-    for s, val in dense.items():
-        if 6 not in s:
-            assert mine.get(s, Fraction(0)) == val
+    """Graph Laplacian (one atom per variable), the symmetric family (two
+    atoms per off-diagonal variable) and the general 3x3 family (a != b)."""
+    sym_pt = [Fraction(k, 7) for k in (9, 12, 5, 3, 2, 4)]
+    cases = [
+        (laplacian(wheel(3)), 6, [Fraction(k, 5) for k in (7, 3, 11, 4, 6, 5)]),
+        (generic_symmetric(3), 0, sym_pt),
+        (generic_matrix(3), 0, [Fraction(k, 3) for k in (5, 1, 2, 7, 4, -1,
+                                                         3, 2, 8)]),
+    ]
+    nonzero = []
+    for x, chart, pt in cases:
+        dense = dense_coefficients(x, 5, pt)
+        mine = FormEvaluator(x, chart=chart).coefficients(5, pt, exact=True)
+        for s, val in mine.items():
+            assert dense.get(s, Fraction(0)) == val
+        for s, val in dense.items():
+            if chart not in s:
+                assert mine.get(s, Fraction(0)) == val
+        nonzero.append({s: v for s, v in mine.items() if v})
+    assert [len(c) for c in nonzero[1:]] == [6, 81]
+    f = canonical_form_symbolic(generic_symmetric(3), 5)
+    for s, val in nonzero[1].items():
+        assert f.evaluate_coefficient(s, sym_pt) == val
 
 
 def test_projective_invariance_numeric(rng):
@@ -361,7 +375,7 @@ def _assert_dp_matches_reference(ev, n, xs):
     gt = ev._gram(xs)
     ref = _reference_component_coefficients(ev.chart_vars, n,
                                             gt.transpose(2, 0, 1))
-    got = ev._component_coefficients(n, gt)
+    got = _cycle_coefficients(n, gt, ev.chart_vars, ev.atoms_of)
     assert list(got) == list(ref)
     for s in ref:
         assert np.array_equal(got[s], ref[s]), sorted(s)

@@ -132,6 +132,18 @@ def test_differential_matrix_shapes():
     # (6,15) -> (6,14) has the rank that gives H3 = 1 downstream
 
 
+def test_differential_matrix_rejects_non_integer_coefficient(monkeypatch):
+    """A fractional coefficient in d is an error naming the classes, also
+    under ``python -O``, where an ``assert`` would vanish."""
+    import periodforge.graphcomplex as gcx
+
+    target = gc_basis(5, 10)[0]
+    monkeypatch.setattr(gcx, "differential_of_class",
+                        lambda oc: ChainVector({target: Fraction(1, 2)}))
+    with pytest.raises(ComplexError, match=r"coefficient 1/2 of Graph"):
+        differential_matrix(5, 11)
+
+
 def test_d_squared_zero_matrices():
     for loops in (3, 4, 5):
         top = 3 * loops - 3
