@@ -180,7 +180,7 @@ def gc_basis(loops: int, edges: int) -> list[OrientedClass]:
     simple graphs only.
     """
     out = []
-    for g in enumerate_gc_graphs(loops, edges, simple_only=True):
+    for g in enumerate_gc_graphs(loops, edges):
         if not is_zero_class(g):
             out.append(OrientedClass(g))
     out.sort()

@@ -432,7 +432,7 @@ def builtin_graph(name: str, *sizes: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# enumeration: degree-sequence driven multigraph generation
+# enumeration
 # ---------------------------------------------------------------------------
 
 def _degree_sequences(nv: int, total: int, min_deg: int,
@@ -548,129 +548,21 @@ def _matrix_to_graph(mat: Sequence[Sequence[int]],
     return Graph(w, tuple(edges))
 
 
-def _connected_multigraphs(nv: int, ne: int, min_deg: int, max_mult: int,
-                           allow_loops: bool) -> list[Graph]:
-    """All connected multigraphs up to isomorphism, deduplicated."""
-    from .canonical import canonical_form
+def enumerate_gc_graphs(loops: int, edges: int) -> list[Graph]:
+    """Connected simple graphs with the given loop number and edge count and
+    minimum degree 3, up to isomorphism, as canonical representatives in
+    key order.  These are the graph-complex generators that parallel edges
+    do not already make zero.
 
-    seen: dict[tuple, Graph] = {}
-    for degs in _degree_sequences(nv, 2 * ne, min_deg):
-        if not allow_loops and max_mult == 1 and degs[0] > nv - 1:
-            continue
-        for mat in _fill_matrices(degs, max_mult, allow_loops):
-            g = _matrix_to_graph(mat)
-            if not g.is_connected:
-                continue
-            rep, _ = canonical_form(g)
-            seen.setdefault(_graph_key(rep), rep)
-    return [seen[k] for k in sorted(seen)]
-
-
-def _vertex_splits(g: Graph, v: int) -> Iterator[Graph]:
-    """All graphs obtained by splitting vertex v into two vertices of degree
-    >= 3 joined by a new edge (the inverse of edge contraction)."""
-    slots = []  # (edge index, which endpoint)
-    for k, (a, b) in enumerate(g.edges):
-        if a == v:
-            slots.append((k, 0))
-        if b == v:
-            slots.append((k, 1))
-    d = len(slots)
-    if d < 4:
-        return
-    w = g.nv + 1  # the new vertex
-    # unordered bipartitions with both sides >= 2; fix slots[0] on side A
-    for r in range(1, d - 2):
-        for rest in itertools.combinations(range(1, d), r):
-            stay = {0} | set(rest)
-            if not 2 <= len(stay) <= d - 2:
-                continue
-            edges = [list(e) for e in g.edges]
-            for idx, (k, side) in enumerate(slots):
-                if idx not in stay:
-                    edges[k][side] = w
-            edges.append([v, w])
-            yield Graph(g.weights + (0,), tuple(tuple(e) for e in edges))
-
-
-def _all_parallel_gc_graphs(loops: int, edges: int) -> list[Graph]:
-    """Min-degree-3 loopless multigraphs in which *every* parallel class has
-    multiplicity >= 2.  These force edges <= 2*loops, so the underlying
-    simple graph is tiny and can be enumerated directly."""
-    from .canonical import canonical_form
-
-    if edges > 2 * loops:
-        return []
-    nv = edges - loops + 1
-    out: dict[tuple, Graph] = {}
-    for ne_s in range(nv - 1, edges // 2 + 1):
-        for skel in _connected_multigraphs(nv, ne_s, 1, 1, allow_loops=False):
-            pairs = skel.edges
-            for mults in _compositions(edges, len(pairs), 2):
-                edge_list = []
-                for (u, v), m in zip(pairs, mults):
-                    edge_list.extend([(u, v)] * m)
-                g = Graph((0,) * nv, tuple(edge_list))
-                if g.min_degree() < 3:
-                    continue
-                rep, _ = canonical_form(g)
-                out.setdefault(_graph_key(rep), rep)
-    return list(out.values())
-
-
-def _compositions(total: int, parts: int, lo: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(lo, total - lo * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, lo):
-            yield (first,) + rest
-
-
-_GC_CACHE: dict[int, dict[int, list[tuple]]] = {}
-
-
-def _gc_level(loops: int, edges: int) -> list[tuple]:
-    """Canonical keys of all GC graphs at the bigrade, built bottom-up.
-
-    Level g+1 is the (g+1)-fold banana.  Every graph one level up either has
-    an edge in a parallel class of size one -- and is then a vertex split of
-    the level below -- or is covered by the all-parallel enumeration.
-    """
-    from .canonical import canonical_form
-
-    levels = _GC_CACHE.setdefault(loops, {})
-    if edges in levels:
-        return levels[edges]
-    n0 = loops + 1
-    if n0 not in levels:
-        rep, _ = canonical_form(banana(n0))
-        levels[n0] = [_graph_key(rep)]
-    n = max(k for k in levels if k <= edges)
-    while n < edges:
-        nxt: set[tuple] = set()
-        for key in levels[n]:
-            g = Graph(*key)
-            for v in range(1, g.nv + 1):
-                for h in _vertex_splits(g, v):
-                    rep, _ = canonical_form(h)
-                    nxt.add(_graph_key(rep))
-        for g in _all_parallel_gc_graphs(loops, n + 1):
-            nxt.add(_graph_key(g))
-        n += 1
-        levels[n] = sorted(nxt)
-    return levels[edges]
-
-
-def enumerate_gc_graphs(loops: int, edges: int,
-                        simple_only: bool = False) -> list[Graph]:
-    """Connected multigraphs with the given loop number and edge count,
-    no self-edges, minimum degree 3, up to isomorphism.
-
-    With ``simple_only`` parallel-edged graphs are filtered out; that is the
-    variant the graph complex consumes (parallel edges only ever produce
-    zero classes).
+    Built one vertex at a time by canonical augmentation (McKay,
+    *Isomorph-free exhaustive generation*, J. Algorithms 26, 1998): vertex
+    k+1 joins a set S of the vertices 1..k, and the child is kept iff the
+    new vertex lies in the automorphism orbit of its canonical deletion
+    vertex.  That is, among the minimum-degree vertices whose sorted
+    neighbour degrees are greatest, the one with the largest canonical
+    position; the invariant settles many rejections without a search.  With
+    S taken only up to the parent's automorphisms, every class is built
+    exactly once.
     """
     if loops < 2:
         raise GraphError("graph complex enumeration needs loops >= 2")
@@ -678,12 +570,104 @@ def enumerate_gc_graphs(loops: int, edges: int,
         raise GraphError(
             f"edge count {edges} outside feasible band [{loops}, {3 * loops - 3}]")
     nv = edges - loops + 1
-    if nv < 2:
-        return []
-    out = [Graph(*k) for k in _gc_level(loops, edges)]
-    if simple_only:
-        out = [g for g in out if not g.has_parallel_edges()]
-    return out
+    out: dict[tuple, Graph] = {}
+    _augment(nv, edges, (), [0, 0], [], out)
+    return [out[k] for k in sorted(out)]
+
+
+def _augment(nv: int, ne: int, edges: tuple[tuple[int, int], ...],
+             deg: list[int], gens: list[list[int]],
+             out: dict[tuple, Graph]) -> None:
+    """Add the canonical children of the graph on vertices 1..k with these
+    edges and degrees (``deg[0]`` unused) to ``out``, recursing until nv
+    vertices; ``gens`` generate its automorphism group.
+
+    A child survives only if it can still be completed and kept: no degree
+    above 2*ne - 3*(nv - 1), every degree at least 3 minus the vertices
+    still to add, degree deficits plus 3 per vertex still to add within
+    twice the edges still to add, the new vertex of least degree, and the
+    edges still to add within reach of the vertices still to add (each has
+    degree at most one more than the vertex before it).
+    """
+    from .canonical import _Search, _orbit, canonical_form
+
+    k = len(deg) - 1
+    new = k + 1
+    left = nv - new                       # vertices still to add after this
+    room = ne - len(edges)                # edges still to add, S included
+    need = 3 - left                       # least degree of the child
+    cap = 2 * ne - 3 * (nv - 1)           # greatest degree of the result
+    deficit = sum(max(0, 3 - d) for d in deg[1:])
+    least = min(deg[1:])
+    hi = min(room, k, cap, least + 1)
+    lo = room if left == 0 else max(0, need)
+    seen: set[tuple[int, ...]] = set()
+    for s in range(lo, hi + 1):
+        # below degree s or need a vertex must join the new one, and it can
+        # gain at most one edge
+        floor = max(s, need)
+        if least < floor - 1:
+            continue
+        # the i-th vertex still to add has degree at most s + i
+        if room - s > sum(min(new + i - 1, s + i, cap)
+                          for i in range(1, left + 1)):
+            continue
+        must = [u for u in range(1, new) if deg[u] < floor]
+        free = [u for u in range(1, new) if deg[u] >= floor and deg[u] < cap]
+        if len(must) > s:
+            continue
+        for extra in itertools.combinations(free, s - len(must)):
+            nbrs = tuple(sorted(must + list(extra)))
+            gain = sum(1 for u in nbrs if deg[u] < 3)
+            if deficit - gain + max(0, 3 - s) + 3 * left > 2 * (room - s):
+                continue
+            if gens:
+                if nbrs in seen:
+                    continue
+                seen |= _set_orbit(nbrs, gens)
+            child = edges + tuple([(u, new) for u in nbrs])
+            cdeg = list(deg)
+            for u in nbrs:
+                cdeg[u] += 1
+            cdeg.append(s)
+            ends = [v for v in range(1, new + 1) if cdeg[v] == s]
+            if len(ends) > 1:
+                nbr_degs = [[] for _ in range(new + 1)]
+                for a, b in child:
+                    nbr_degs[a].append(cdeg[b])
+                    nbr_degs[b].append(cdeg[a])
+                inv = {v: sorted(nbr_degs[v]) for v in ends}
+                top = max(inv.values())
+                if inv[new] != top:
+                    continue
+                ends = [v for v in ends if inv[v] == top]
+            g = Graph((0,) * new, child)
+            if left == 0 and not g.is_connected:
+                continue
+            search = _Search(g)
+            last = max(ends, key=search.best.__getitem__)
+            if last != new and new not in _orbit([last], search.gens):
+                continue
+            if left:
+                _augment(nv, ne, child, cdeg, search.gens, out)
+            else:
+                rep, _ = canonical_form(g)
+                out[_graph_key(rep)] = rep
+
+
+def _set_orbit(nbrs: tuple[int, ...],
+               gens: list[list[int]]) -> set[tuple[int, ...]]:
+    """Orbit of a sorted vertex tuple under the group ``gens`` generate."""
+    orbit = {nbrs}
+    stack = [nbrs]
+    while stack:
+        t = stack.pop()
+        for p in gens:
+            img = tuple(sorted([p[u] for u in t]))
+            if img not in orbit:
+                orbit.add(img)
+                stack.append(img)
+    return orbit
 
 
 def enumerate_stable_weighted(genus_: int) -> list[Graph]:

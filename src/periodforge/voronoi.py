@@ -7,7 +7,6 @@ rule for cone membership.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction

@@ -145,7 +145,7 @@ def test_differential_matrix_rejects_non_integer_coefficient(monkeypatch):
 
 
 def test_d_squared_zero_matrices():
-    for loops in (3, 4, 5):
+    for loops in (3, 4, 5, 6):
         top = 3 * loops - 3
         sizes = {n: len(gc_basis(loops, n)) for n in range(loops, top + 1)}
         for n in range(loops + 2, top + 1):
@@ -183,6 +183,18 @@ def test_homology_table():
     assert homology_dims(3) == {0: 1}
     assert homology_dims(4) == {}
     assert homology_dims(5) == {0: 1}
+
+
+def test_loop_seven_homology():
+    """Loop 7: the basis sizes the multigraph level builder gives, and
+    homology only in degree 0, where sigma_7 of grt_1 is the one class.
+    Dimensions are read off one report, as ``homology_dims`` reads them."""
+    rows = homology_report(7, max_loops=7)
+    sizes = {r["edges"]: r["basis"] for r in rows}
+    assert sizes == {**{e: 0 for e in range(7, 13)},
+                     13: 10, 14: 75, 15: 170, 16: 186, 17: 109, 18: 29}
+    assert {r["degree"]: r["homology"] for r in rows if r["homology"]} == \
+        {0: 1}
 
 
 def test_homology_loop_bound():

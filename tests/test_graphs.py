@@ -8,11 +8,11 @@ from periodforge.graphs import (Graph, GraphError, banana, builtin_graph,
                                 cycle, decompletions, dumbbell,
                                 enumerate_gc_graphs, enumerate_stable_weighted,
                                 two_vertex_join, wheel, zigzag,
-                                _GC_CACHE, _connected_multigraphs,
                                 _degree_sequences, _min_weight, _weightings)
 from periodforge.canonical import (_Search, are_isomorphic,
                                    automorphism_edge_group, canonical_form)
 from conftest import dunce_graph, random_connected_graph, small_corpus
+from gc_oracle import _GC_CACHE, _connected_multigraphs, gc_multigraphs
 
 
 def test_loop_numbers():
@@ -119,14 +119,16 @@ def test_canonical_search_leaves_no_reference_cycles():
 
 
 def test_enumeration_leaves_no_reference_cycles(monkeypatch):
-    """The degree-sequence, matrix and weighting recursions hold no
-    references to themselves, so enumeration frees its state on return."""
+    """The degree-sequence, matrix, weighting and augmentation recursions
+    hold no references to themselves, so enumeration frees its state on
+    return (the oracle's level builder runs on the same fill matrices)."""
     monkeypatch.setitem(_GC_CACHE, 4, {})
     gc.collect()
     gc.disable()
     try:
         enumerate_stable_weighted(2)
-        enumerate_gc_graphs(4, 6)
+        enumerate_gc_graphs(5, 10)
+        gc_multigraphs(4, 6)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -285,41 +287,63 @@ def test_stable_weighted_genus3_against_brute_force():
 
 
 def test_gc_enumeration_counts():
-    assert len(enumerate_gc_graphs(2, 3)) == 1
-    assert len(enumerate_gc_graphs(3, 6)) == 2
-    g36 = enumerate_gc_graphs(3, 6)
+    assert len(gc_multigraphs(2, 3)) == 1
+    assert len(gc_multigraphs(3, 6)) == 2
+    g36 = gc_multigraphs(3, 6)
     assert any(are_isomorphic(g, wheel(3)) for g in g36)
     assert any(g.has_parallel_edges() for g in g36)
-    with pytest.raises(GraphError):
-        enumerate_gc_graphs(3, 7)
-    with pytest.raises(GraphError):
-        enumerate_gc_graphs(1, 1)
+    assert enumerate_gc_graphs(2, 3) == []
+    assert enumerate_gc_graphs(3, 6) == [canonical_form(wheel(3))[0]]
+    for enumerate_ in (enumerate_gc_graphs, gc_multigraphs):
+        with pytest.raises(GraphError):
+            enumerate_(3, 7)
+        with pytest.raises(GraphError):
+            enumerate_(1, 1)
 
 
 def test_gc_enumeration_against_brute_force():
     for loops, edges in [(3, 4), (3, 5), (3, 6), (4, 6), (4, 7), (4, 8),
                          (4, 9)]:
-        fast = enumerate_gc_graphs(loops, edges)
+        levels = gc_multigraphs(loops, edges)
         nv = edges - loops + 1
         brute = _connected_multigraphs(nv, edges, 3, edges, allow_loops=False)
-        assert len(fast) == len(brute), (loops, edges)
+        assert len(levels) == len(brute), (loops, edges)
+    # simple graphs straight from degree sequences and fill matrices (the
+    # cubic graphs on 8 vertices take seconds this way, so loop 5 stops at 11)
+    for loops, top in [(3, 6), (4, 9), (5, 11)]:
+        for edges in range(loops, top + 1):
+            nv = edges - loops + 1
+            brute = _connected_multigraphs(nv, edges, 3, 1, allow_loops=False)
+            assert enumerate_gc_graphs(loops, edges) == brute, (loops, edges)
+
+
+def test_gc_enumeration_matches_level_builder():
+    """The augmentation generator returns the level builder's simple graphs,
+    element by element and in order, at every bigrade of loops 2-6."""
+    for loops in range(2, 7):
+        for edges in range(loops, 3 * loops - 2):
+            assert enumerate_gc_graphs(loops, edges) == \
+                gc_multigraphs(loops, edges, simple_only=True), (loops, edges)
 
 
 def test_gc_enumeration_filters():
     for loops, edges in [(3, 6), (4, 8), (5, 9)]:
-        gs = enumerate_gc_graphs(loops, edges)
-        for g in gs:
-            assert not g.has_self_edge()
-            assert g.min_degree() >= 3
-            assert g.loop_number() == loops and g.ne == edges
-        # pairwise non-isomorphic by construction of the canonical keys
-        keys = {(g.weights, g.edges) for g in gs}
-        assert len(keys) == len(gs)
+        simple = enumerate_gc_graphs(loops, edges)
+        for gs in (gc_multigraphs(loops, edges), simple):
+            for g in gs:
+                assert not g.has_self_edge()
+                assert g.min_degree() >= 3
+                assert g.is_connected
+                assert g.loop_number() == loops and g.ne == edges
+            # pairwise non-isomorphic by construction of the canonical keys
+            keys = {(g.weights, g.edges) for g in gs}
+            assert len(keys) == len(gs)
+        assert not any(g.has_parallel_edges() for g in simple)
 
 
 def test_gc_simple_top_level_count():
     # connected cubic simple graphs on 10 vertices
-    assert len(enumerate_gc_graphs(6, 15, simple_only=True)) == 19
+    assert len(enumerate_gc_graphs(6, 15)) == 19
 
 
 def test_random_relabel_consistency(rng):
@@ -492,7 +516,7 @@ def _oracle_graphs():
         out.append(g.permuted_vertices({i + 1: vp[i] for i in range(g.nv)})
                    .reordered_edges(order))
     for loops in range(2, 6):
-        enumerate_gc_graphs(loops, 3 * loops - 3)
+        gc_multigraphs(loops, 3 * loops - 3)
         for keys in _GC_CACHE[loops].values():
             for key in keys:
                 g = Graph(*key)
