@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # largest edge count for tables over all 2^|E| edge subsets (subset loop
 # numbers, the tropical measure, the numeric form DP)
@@ -71,15 +71,6 @@ class Graph:
 
     def weight(self, v: int) -> int:
         return self.weights[v - 1]
-
-    def degree(self, v: int) -> int:
-        d = 0
-        for u, w in self.edges:
-            if u == v:
-                d += 1
-            if w == v:
-                d += 1
-        return d
 
     def degrees(self) -> tuple[int, ...]:
         d = [0] * self.nv
@@ -321,18 +312,10 @@ def decompletions(gh: Graph) -> list[Graph]:
 
     gh must be 4-regular.
     """
-    from .canonical import canonical_form
-
     if any(d != 4 for d in gh.degrees()):
         raise GraphError("decompletions needs a 4-regular graph")
-    out: dict[tuple, Graph] = {}
-    for v in range(1, gh.nv + 1):
-        h = gh.delete_vertex(v)
-        if not h.is_connected:
-            continue
-        rep, _ = canonical_form(h)
-        out.setdefault(_graph_key(rep), rep)
-    return [out[k] for k in sorted(out)]
+    deleted = (gh.delete_vertex(v) for v in range(1, gh.nv + 1))
+    return _classes(h for h in deleted if h.is_connected)
 
 
 def _graph_key(g: Graph) -> tuple:
@@ -434,119 +417,6 @@ def builtin_graph(name: str, *sizes: int) -> Graph:
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
-
-def _degree_sequences(nv: int, total: int, min_deg: int,
-                      cap: int | None = None,
-                      prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """Non-increasing degree sequences of length nv summing to total (each
-    degree at most cap), appended to prefix."""
-    if nv == 0:
-        if total == 0:
-            yield prefix
-        return
-    cap = total if cap is None else cap
-    lo = max(min_deg, total - cap * (nv - 1))
-    hi = min(cap, total - min_deg * (nv - 1))
-    for d in range(hi, lo - 1, -1):
-        yield from _degree_sequences(nv - 1, total - d, min_deg, d,
-                                     prefix + (d,))
-
-
-def _fill_matrices(degs: tuple[int, ...], max_mult: int, allow_loops: bool,
-                   state=None, i: int = 0
-                   ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Symmetric multiplicity matrices realising a degree sequence.
-
-    Rows are filled one at a time with a lexicographic-descent constraint
-    between equal-degree vertices whose earlier columns agree; duplicates are
-    still possible and must be removed by canonical form downstream.
-    ``state`` holds the self-edge counts, the matrix and the remaining
-    degrees of the rows above ``i``.
-    """
-    nv = len(degs)
-    if state is None:
-        state = ([0] * nv, [[0] * nv for _ in range(nv)], list(degs))
-    loops, m, rem = state
-    if i == nv:
-        yield tuple(tuple(r) for r in m)
-        return
-    entry_rem = rem[i]
-    for opt in _row_options(rem, i, max_mult, allow_loops):
-        nl, tail = opt[0], opt[1:]
-        # symmetry prune: equal-degree neighbour rows with equal prefix
-        if i > 0 and degs[i] == degs[i - 1]:
-            same_prefix = all(m[a][i] == m[a][i - 1] for a in range(i - 1))
-            if same_prefix:
-                # swapping i-1 and i fixes m[i-1][i]; compare the rest
-                prev_key = (loops[i - 1],) + tuple(
-                    m[i - 1][j] for j in range(i + 1, nv))
-                cur_key = (nl,) + tail
-                if cur_key > prev_key:
-                    continue
-        loops[i] = nl
-        for j, k in enumerate(tail):
-            m[i][i + 1 + j] = k
-            m[i + 1 + j][i] = k
-            rem[i + 1 + j] -= k
-        m[i][i] = nl
-        rem[i] = 0
-        if _rows_feasible(rem, i, allow_loops):
-            yield from _fill_matrices(degs, max_mult, allow_loops, state,
-                                      i + 1)
-        # undo
-        rem[i] = entry_rem
-        for j, k in enumerate(tail):
-            rem[i + 1 + j] += k
-            m[i][i + 1 + j] = 0
-            m[i + 1 + j][i] = 0
-        m[i][i] = 0
-        loops[i] = 0
-
-
-def _rows_feasible(rem: list[int], i: int, allow_loops: bool) -> bool:
-    """Remaining degrees on vertices > i can form a loopless multigraph."""
-    tail = rem[i + 1:]
-    s = sum(tail)
-    if s % 2:
-        return allow_loops
-    return allow_loops or not tail or 2 * max(tail) <= s
-
-
-def _row_options(rem: list[int], i: int, max_mult: int,
-                 allow_loops: bool) -> Iterator[tuple[int, ...]]:
-    # distribute rem[i] over loops (if allowed) and columns i+1..nv-1
-    budget = rem[i]
-    for nl in range(budget // 2 if allow_loops else 0, -1, -1):
-        for tail in _row_tails(rem, i + 1, budget - 2 * nl, max_mult, []):
-            yield (nl,) + tail
-
-
-def _row_tails(rem: list[int], col: int, left: int, max_mult: int,
-               row: list[int]) -> Iterator[tuple[int, ...]]:
-    if col == len(rem):
-        if left == 0:
-            yield tuple(row)
-        return
-    cap = min(left, rem[col], max_mult)
-    for k in range(cap, -1, -1):
-        row.append(k)
-        yield from _row_tails(rem, col + 1, left - k, max_mult, row)
-        row.pop()
-
-
-def _matrix_to_graph(mat: Sequence[Sequence[int]],
-                     weights: Sequence[int] | None = None) -> Graph:
-    nv = len(mat)
-    edges = []
-    for i in range(nv):
-        for _ in range(mat[i][i]):
-            edges.append((i + 1, i + 1))
-        for j in range(i + 1, nv):
-            for _ in range(mat[i][j]):
-                edges.append((i + 1, j + 1))
-    w = tuple(weights) if weights is not None else (0,) * nv
-    return Graph(w, tuple(edges))
-
 
 def enumerate_gc_graphs(loops: int, edges: int) -> list[Graph]:
     """Connected simple graphs with the given loop number and edge count and
@@ -670,55 +540,75 @@ def _set_orbit(nbrs: tuple[int, ...],
     return orbit
 
 
-def enumerate_stable_weighted(genus_: int) -> list[Graph]:
-    """All stable weighted graphs of the given genus up to isomorphism."""
-    from .canonical import canonical_form
 
+
+def enumerate_stable_weighted(genus_: int) -> list[Graph]:
+    """All stable weighted graphs of the given genus up to isomorphism, as
+    canonical representatives in key order.
+
+    These are the cells of the moduli space of tropical curves, and its
+    faces are edge contractions.  Two facts make the cells the contraction
+    closure of the trivalent weight-0 graphs of the genus:
+
+    * every connected trivalent graph of genus >= 3 reduces by an inverse
+      handle move to one of genus one less.  Delete and smooth an edge that
+      is neither a self-edge nor a bridge; if there is none, the graph is a
+      tree with a self-edge at each leaf, and a leaf goes instead.  So
+      ``_trivalent_graphs`` reaches every class from genus 2;
+    * the space is pure (Brannetti, Melo, Viviani, *On the tropical Torelli
+      map*, arXiv:0907.3324): every stable graph of genus g >= 2 is a
+      weighted contraction of a trivalent one.  Contraction keeps
+      stability, so the closure holds nothing else.
+
+    Each level of the closure has one edge fewer than the one before.  See
+    also Maggiolo and Pagani, *Generating stable modular graphs*,
+    arXiv:1012.4777.
+    """
     if genus_ < 0:
         raise GraphError("genus must be non-negative")
-    if genus_ == 0:
+    if genus_ < 2:
         return []
+    level = _trivalent_graphs(genus_)
+    out: list[Graph] = []
+    while level:
+        out += level
+        level = _classes(g.contract_edge(e) for g in level for e in g.edge_ids)
+    return sorted(out, key=_graph_key)
+
+
+def _trivalent_graphs(genus_: int) -> list[Graph]:
+    """Connected trivalent weight-0 graphs of genus >= 2 up to isomorphism,
+    as canonical representatives in key order, grown from genus 2 one
+    handle at a time."""
+    level = _classes([banana(3), dumbbell()])
+    for _ in range(2, genus_):
+        level = _classes(h for g in level for h in _handles(g))
+    return level
+
+
+def _handles(g: Graph) -> Iterator[Graph]:
+    """The graphs one handle up from g: new points a, b on two edges (or
+    both on one edge) joined by a new edge, or a new self-edge at b hung
+    from a new point a on an edge."""
+    a, b = g.nv + 1, g.nv + 2
+    weights = g.weights + (0, 0)
+    for i, (u, v) in enumerate(g.edges):
+        rest = g.edges[:i] + g.edges[i + 1:]
+        yield Graph(weights, rest + ((u, a), (a, b), (b, v), (a, b)))
+        yield Graph(weights, rest + ((u, a), (a, v), (a, b), (b, b)))
+        for j in range(i, g.ne - 1):
+            x, y = rest[j]
+            yield Graph(weights, rest[:j] + rest[j + 1:]
+                        + ((u, a), (a, v), (x, b), (b, y), (a, b)))
+
+
+def _classes(graphs: Iterable[Graph]) -> list[Graph]:
+    """Canonical representatives of the isomorphism classes among graphs,
+    in key order."""
+    from .canonical import canonical_form
+
     out: dict[tuple, Graph] = {}
-    for w_total in range(genus_ + 1):
-        h = genus_ - w_total
-        # degree counting: 2h + 2v - 2 >= 3*(weight-0) + (weighted) forces
-        # v <= 2h + 2*w - 2 for multi-vertex graphs
-        vmax = max(1, 2 * h + 2 * w_total - 2)
-        for nv in range(1, vmax + 1):
-            ne = h + nv - 1
-            for degs in _degree_sequences(nv, 2 * ne, 0):
-                if degs and degs[-1] == 0 and nv > 1:
-                    continue  # isolated vertex in a multi-vertex graph
-                if sum(map(_min_weight, degs)) > w_total:
-                    continue  # _weightings yields nothing
-                for mat in _fill_matrices(degs, max(1, ne), allow_loops=True):
-                    g0 = _matrix_to_graph(mat)
-                    if not g0.is_connected:
-                        continue
-                    degs_g = g0.degrees()
-                    # weight assignments: weight>=1 wherever degree < 3
-                    for ws in _weightings(degs_g, w_total):
-                        g = Graph(ws, g0.edges)
-                        if not g.is_stable():
-                            continue
-                        rep, _ = canonical_form(g)
-                        out.setdefault(_graph_key(rep), rep)
+    for g in graphs:
+        rep, _ = canonical_form(g)
+        out.setdefault(_graph_key(rep), rep)
     return [out[k] for k in sorted(out)]
-
-
-def _min_weight(degree: int) -> int:
-    """Least weight of a stable vertex of this degree."""
-    return 2 if degree == 0 else 1 if degree < 3 else 0
-
-
-def _weightings(degs: tuple[int, ...], total: int, i: int = 0,
-                acc: list[int] | None = None) -> Iterator[tuple[int, ...]]:
-    acc = [] if acc is None else acc
-    if i == len(degs):
-        if total == 0:
-            yield tuple(acc)
-        return
-    for w in range(_min_weight(degs[i]), total + 1):
-        acc.append(w)
-        yield from _weightings(degs, total - w, i + 1, acc)
-        acc.pop()

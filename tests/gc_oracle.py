@@ -7,16 +7,150 @@ least two, which forces edges <= 2 * loops and is enumerated directly.  The
 levels hold all connected loopless multigraphs of minimum degree 3, so the
 simple ones among them are an independent check on
 ``graphs.enumerate_gc_graphs``.
+
+The fill-matrix enumerator below (degree sequences, symmetric multiplicity
+matrices, vertex weightings) also drives the brute-force check of
+``graphs.enumerate_stable_weighted``, which builds its graphs from trivalent
+ones by contraction instead.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from periodforge.canonical import canonical_form
-from periodforge.graphs import (Graph, GraphError, banana, _degree_sequences,
-                                _fill_matrices, _graph_key, _matrix_to_graph)
+from periodforge.graphs import Graph, GraphError, banana, _graph_key
+
+
+def _degree_sequences(nv: int, total: int, min_deg: int,
+                      cap: int | None = None,
+                      prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Non-increasing degree sequences of length nv summing to total (each
+    degree at most cap), appended to prefix."""
+    if nv == 0:
+        if total == 0:
+            yield prefix
+        return
+    cap = total if cap is None else cap
+    lo = max(min_deg, total - cap * (nv - 1))
+    hi = min(cap, total - min_deg * (nv - 1))
+    for d in range(hi, lo - 1, -1):
+        yield from _degree_sequences(nv - 1, total - d, min_deg, d,
+                                     prefix + (d,))
+
+
+def _fill_matrices(degs: tuple[int, ...], max_mult: int, allow_loops: bool,
+                   state=None, i: int = 0
+                   ) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Symmetric multiplicity matrices realising a degree sequence.
+
+    Rows are filled one at a time with a lexicographic-descent constraint
+    between equal-degree vertices whose earlier columns agree; duplicates are
+    still possible and must be removed by canonical form downstream.
+    ``state`` holds the self-edge counts, the matrix and the remaining
+    degrees of the rows above ``i``.
+    """
+    nv = len(degs)
+    if state is None:
+        state = ([0] * nv, [[0] * nv for _ in range(nv)], list(degs))
+    loops, m, rem = state
+    if i == nv:
+        yield tuple(tuple(r) for r in m)
+        return
+    entry_rem = rem[i]
+    for opt in _row_options(rem, i, max_mult, allow_loops):
+        nl, tail = opt[0], opt[1:]
+        # symmetry prune: equal-degree neighbour rows with equal prefix
+        if i > 0 and degs[i] == degs[i - 1]:
+            same_prefix = all(m[a][i] == m[a][i - 1] for a in range(i - 1))
+            if same_prefix:
+                # swapping i-1 and i fixes m[i-1][i]; compare the rest
+                prev_key = (loops[i - 1],) + tuple(
+                    m[i - 1][j] for j in range(i + 1, nv))
+                cur_key = (nl,) + tail
+                if cur_key > prev_key:
+                    continue
+        loops[i] = nl
+        for j, k in enumerate(tail):
+            m[i][i + 1 + j] = k
+            m[i + 1 + j][i] = k
+            rem[i + 1 + j] -= k
+        m[i][i] = nl
+        rem[i] = 0
+        if _rows_feasible(rem, i, allow_loops):
+            yield from _fill_matrices(degs, max_mult, allow_loops, state,
+                                      i + 1)
+        # undo
+        rem[i] = entry_rem
+        for j, k in enumerate(tail):
+            rem[i + 1 + j] += k
+            m[i][i + 1 + j] = 0
+            m[i + 1 + j][i] = 0
+        m[i][i] = 0
+        loops[i] = 0
+
+
+def _rows_feasible(rem: list[int], i: int, allow_loops: bool) -> bool:
+    """Remaining degrees on vertices > i can form a loopless multigraph."""
+    tail = rem[i + 1:]
+    s = sum(tail)
+    if s % 2:
+        return allow_loops
+    return allow_loops or not tail or 2 * max(tail) <= s
+
+
+def _row_options(rem: list[int], i: int, max_mult: int,
+                 allow_loops: bool) -> Iterator[tuple[int, ...]]:
+    # distribute rem[i] over loops (if allowed) and columns i+1..nv-1
+    budget = rem[i]
+    for nl in range(budget // 2 if allow_loops else 0, -1, -1):
+        for tail in _row_tails(rem, i + 1, budget - 2 * nl, max_mult, []):
+            yield (nl,) + tail
+
+
+def _row_tails(rem: list[int], col: int, left: int, max_mult: int,
+               row: list[int]) -> Iterator[tuple[int, ...]]:
+    if col == len(rem):
+        if left == 0:
+            yield tuple(row)
+        return
+    cap = min(left, rem[col], max_mult)
+    for k in range(cap, -1, -1):
+        row.append(k)
+        yield from _row_tails(rem, col + 1, left - k, max_mult, row)
+        row.pop()
+
+
+def _matrix_to_graph(mat: Sequence[Sequence[int]],
+                     weights: Sequence[int] | None = None) -> Graph:
+    nv = len(mat)
+    edges = []
+    for i in range(nv):
+        for _ in range(mat[i][i]):
+            edges.append((i + 1, i + 1))
+        for j in range(i + 1, nv):
+            for _ in range(mat[i][j]):
+                edges.append((i + 1, j + 1))
+    w = tuple(weights) if weights is not None else (0,) * nv
+    return Graph(w, tuple(edges))
+
+def _min_weight(degree: int) -> int:
+    """Least weight of a stable vertex of this degree."""
+    return 2 if degree == 0 else 1 if degree < 3 else 0
+
+
+def _weightings(degs: tuple[int, ...], total: int, i: int = 0,
+                acc: list[int] | None = None) -> Iterator[tuple[int, ...]]:
+    acc = [] if acc is None else acc
+    if i == len(degs):
+        if total == 0:
+            yield tuple(acc)
+        return
+    for w in range(_min_weight(degs[i]), total + 1):
+        acc.append(w)
+        yield from _weightings(degs, total - w, i + 1, acc)
+        acc.pop()
 
 
 def _connected_multigraphs(nv: int, ne: int, min_deg: int, max_mult: int,

@@ -8,11 +8,13 @@ from periodforge.graphs import (Graph, GraphError, banana, builtin_graph,
                                 cycle, decompletions, dumbbell,
                                 enumerate_gc_graphs, enumerate_stable_weighted,
                                 two_vertex_join, wheel, zigzag,
-                                _degree_sequences, _min_weight, _weightings)
+                                _trivalent_graphs)
 from periodforge.canonical import (_Search, are_isomorphic,
                                    automorphism_edge_group, canonical_form)
 from conftest import dunce_graph, random_connected_graph, small_corpus
-from gc_oracle import _GC_CACHE, _connected_multigraphs, gc_multigraphs
+from gc_oracle import (_GC_CACHE, _connected_multigraphs, _degree_sequences,
+                       _fill_matrices, _matrix_to_graph, _min_weight,
+                       _weightings, gc_multigraphs)
 
 
 def test_loop_numbers():
@@ -119,14 +121,15 @@ def test_canonical_search_leaves_no_reference_cycles():
 
 
 def test_enumeration_leaves_no_reference_cycles(monkeypatch):
-    """The degree-sequence, matrix, weighting and augmentation recursions
-    hold no references to themselves, so enumeration frees its state on
-    return (the oracle's level builder runs on the same fill matrices)."""
+    """The handle, contraction and augmentation steps and the oracle's
+    degree-sequence, matrix and weighting recursions hold no references to
+    themselves, so enumeration frees its state on return."""
     monkeypatch.setitem(_GC_CACHE, 4, {})
     gc.collect()
     gc.disable()
     try:
-        enumerate_stable_weighted(2)
+        enumerate_stable_weighted(3)
+        _brute_stable(2)
         enumerate_gc_graphs(5, 10)
         gc_multigraphs(4, 6)
         assert gc.collect() == 0
@@ -245,13 +248,11 @@ def test_stable_weighted_small_genera():
 
 
 def _brute_stable(genus):
-    """Independent enumeration over partitioned edge/weight budgets."""
-    from periodforge.graphs import _degree_sequences, _fill_matrices, \
-        _matrix_to_graph, _weightings
-    seen = set()
-    out = []
-    # one vertex beyond the provable bound v <= 2*genus - 2, to catch
-    # boundary mistakes in the production enumerator
+    """Stable graphs of the genus over every degree sequence, fill matrix and
+    weighting, in canonical key order."""
+    out = {}
+    # one vertex beyond the bound v <= 2*genus - 2, so the bound is checked
+    # rather than assumed
     for w_total in range(genus + 1):
         h = genus - w_total
         for nv in range(1, max(1, 2 * genus - 2) + 2):
@@ -261,6 +262,8 @@ def _brute_stable(genus):
             for degs in _degree_sequences(nv, 2 * ne, 0):
                 if degs and degs[-1] == 0 and nv > 1:
                     continue
+                if sum(map(_min_weight, degs)) > w_total:
+                    continue  # no stable weighting
                 for mat in _fill_matrices(degs, max(1, ne), allow_loops=True):
                     g0 = _matrix_to_graph(mat)
                     if not g0.is_connected:
@@ -270,20 +273,25 @@ def _brute_stable(genus):
                         if not g.is_stable() or g.genus() != genus:
                             continue
                         rep, _ = canonical_form(g)
-                        key = (rep.weights, rep.edges)
-                        if key not in seen:
-                            seen.add(key)
-                            out.append(rep)
-    return out
+                        out.setdefault((rep.weights, rep.edges), rep)
+    return [out[k] for k in sorted(out)]
 
 
-def test_stable_weighted_genus3_against_brute_force():
-    fast = enumerate_stable_weighted(3)
-    brute = _brute_stable(3)
-    assert len(fast) == len(brute)
-    keys_fast = {(g.weights, g.edges) for g in fast}
-    keys_brute = {(g.weights, g.edges) for g in brute}
-    assert keys_fast == keys_brute
+@pytest.mark.parametrize("genus_", [2, 3, 4])
+def test_stable_weighted_against_brute_force(genus_):
+    assert enumerate_stable_weighted(genus_) == _brute_stable(genus_)
+
+
+def test_trivalent_seed_counts():
+    # connected cubic multigraphs with loops on 2g - 2 vertices (OEIS A005967)
+    assert [len(_trivalent_graphs(g)) for g in range(2, 6)] == [2, 5, 17, 71]
+
+
+def test_trivalent_seeds_are_trivalent_of_their_genus():
+    for genus_ in range(2, 6):
+        for g in _trivalent_graphs(genus_):
+            assert g.is_connected and set(g.degrees()) == {3}, g
+            assert not any(g.weights) and g.genus() == genus_, g
 
 
 def test_gc_enumeration_counts():
@@ -561,18 +569,5 @@ def test_stable_weighted_genus4_count():
     assert len(enumerate_stable_weighted(4)) == 379
 
 
-def test_skipped_degree_sequences_have_no_weightings():
-    """Every degree sequence the stable enumeration skips for weight would
-    have yielded no weighting (in any vertex order)."""
-    skipped = 0
-    for genus_ in range(1, 5):
-        for w_total in range(genus_ + 1):
-            h = genus_ - w_total
-            for nv in range(1, max(1, 2 * genus_ - 2) + 1):
-                for degs in _degree_sequences(nv, 2 * (h + nv - 1), 0):
-                    if sum(map(_min_weight, degs)) <= w_total:
-                        continue
-                    skipped += 1
-                    assert not list(_weightings(degs, w_total)), degs
-                    assert not list(_weightings(degs[::-1], w_total)), degs
-    assert skipped > 100
+def test_stable_weighted_genus5_count():
+    assert len(enumerate_stable_weighted(5)) == 4555
