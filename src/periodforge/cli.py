@@ -66,7 +66,10 @@ def evaluate_target(expr: str) -> float:
             if isinstance(node.op, ast.Pow):
                 return a ** b
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            args = [int(ev(a)) for a in node.args]
+            args = [ev(a) for a in node.args]
+            if any(a != int(a) for a in args):
+                raise ValueError(f"zeta arguments must be integers: {expr!r}")
+            args = [int(a) for a in args]
             if node.func.id == "zeta" and len(args) == 1:
                 return _zeta(args[0])
             if node.func.id == "zeta2" and len(args) == 2:

@@ -82,6 +82,8 @@ def parse_matrix(text: str) -> QuadraticForm:
         entries = [Fraction(t) for t in tokens[1:]]
     except ValueError as exc:
         raise VoronoiError(f"cannot parse matrix file: {exc}") from None
+    if g < 1:
+        raise VoronoiError(f"matrix dimension must be positive, got {g}")
     if len(entries) != g * g:
         raise VoronoiError(f"expected {g * g} entries, found {len(entries)}")
     rows = [entries[i * g:(i + 1) * g] for i in range(g)]

@@ -550,13 +550,11 @@ def validate_cycle_basis(g: Graph, b: CycleBasis) -> None:
         raise PolynomialError("basis does not span the cycle space")
 
 
-def laplacian(g: Graph, basis: CycleBasis | None = None,
-              validate: bool = True) -> LinearFormMatrix:
+def laplacian(g: Graph, basis: CycleBasis | None = None) -> LinearFormMatrix:
     """Gram matrix of the cycle basis under <e_i, e_j> = delta_ij x_i."""
     if basis is None:
         basis = cycle_basis(g)
-    if validate:
-        validate_cycle_basis(g, basis)
+    validate_cycle_basis(g, basis)
     vecs = basis.as_dicts()
     h = len(vecs)
     rows = []
@@ -668,10 +666,6 @@ def det_poly(m: LinearFormMatrix) -> MultilinearPoly:
 # the graph polynomial
 # ---------------------------------------------------------------------------
 
-_PSI_CACHE: dict[tuple, MultilinearPoly] = {}
-_DIRECT_LIMIT = 12
-
-
 def spanning_trees(g: Graph) -> list[frozenset]:
     """Edge sets of all spanning trees (self-edges excluded automatically)."""
     non_self = [e for e in g.edge_ids if g.edges[e - 1][0] != g.edges[e - 1][1]]
@@ -692,43 +686,10 @@ def spanning_trees(g: Graph) -> list[frozenset]:
     return trees
 
 
-def _psi_direct(g: Graph) -> MultilinearPoly:
-    all_edges = frozenset(g.edge_ids)
-    coeffs = {all_edges - t: 1 for t in spanning_trees(g)}
-    return MultilinearPoly(coeffs)
-
-
 def _edge_rank_map(ids: Sequence[int], removed: int) -> dict[int, int]:
     """new id -> old id after deleting `removed` and renumbering densely."""
     kept = [e for e in ids if e != removed]
     return {k + 1: old for k, old in enumerate(kept)}
-
-
-def _psi_recursive(g: Graph) -> MultilinearPoly:
-    from .canonical import canonical_form
-
-    if not g.is_connected:
-        return MultilinearPoly.zero()
-    if g.ne <= _DIRECT_LIMIT:
-        return _psi_direct(g)
-    rep, perm = canonical_form(g)
-    key = (rep.weights, rep.edges)
-    cached = _PSI_CACHE.get(key)
-    if cached is None:
-        # pick a self-edge if any, else the first edge
-        e = next((i for i in rep.edge_ids
-                  if rep.edges[i - 1][0] == rep.edges[i - 1][1]), 1)
-        back = _edge_rank_map(list(rep.edge_ids), e)
-        deleted = rep.delete_edge(e)
-        psi_del = _psi_recursive(deleted).relabel(back).times_var(e) \
-            if deleted.component_count() == 1 else MultilinearPoly.zero()
-        contracted = rep.contract_edge(e, mode="zero")
-        psi_con = (_psi_recursive(contracted).relabel(back)
-                   if contracted is not None else MultilinearPoly.zero())
-        cached = psi_del + psi_con
-        _PSI_CACHE[key] = cached
-    inv = perm.inverse()
-    return cached.relabel({e: inv(e) for e in rep.edge_ids})
 
 
 def graph_polynomial(g: Graph) -> MultilinearPoly:
@@ -739,7 +700,8 @@ def graph_polynomial(g: Graph) -> MultilinearPoly:
     """
     if not g.is_connected:
         return MultilinearPoly.zero()
-    return _psi_recursive(g)
+    all_edges = frozenset(g.edge_ids)
+    return MultilinearPoly({all_edges - t: 1 for t in spanning_trees(g)})
 
 
 def contraction_deletion_split(g: Graph, e: int) -> tuple[MultilinearPoly, MultilinearPoly]:

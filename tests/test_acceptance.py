@@ -86,7 +86,7 @@ def test_criterion_02_matrix_tree():
     corpus = _acceptance_corpus()
     bad = 0
     for g in corpus:
-        if det_poly(laplacian(g, validate=False)) != graph_polynomial(g):
+        if det_poly(laplacian(g)) != graph_polynomial(g):
             bad += 1
     report("criterion 2: det Laplacian = psi on builders + 500 random graphs",
            bad == 0, f"{len(corpus)} graphs, {bad} failures")

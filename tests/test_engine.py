@@ -20,7 +20,7 @@ from periodforge.engine import (Integrand, IntegralEstimate, IntegrationError,
                                 monomial_integrand, residue_integrand,
                                 tolerance)
 from periodforge.graphcomplex import ChainVector
-from periodforge.zeta import bernoulli_fraction, zeta, zeta2
+from periodforge.zeta import zeta, zeta2
 from conftest import dunce_graph
 
 
@@ -437,18 +437,21 @@ def test_nonfinite_abort_reports_point():
 # zeta constants
 # ---------------------------------------------------------------------------
 
-def test_bernoulli():
-    assert bernoulli_fraction(2) == Fraction(1, 6)
-    assert bernoulli_fraction(4) == Fraction(-1, 30)
-    assert bernoulli_fraction(12) == Fraction(-691, 2730)
-
-
 def test_zeta_values():
     with mp.workdps(45):
         assert abs(zeta(2) - mp.pi ** 2 / 6) < mp.mpf(10) ** -35
         assert mp.nstr(zeta(3), 20) == "1.2020569031595942854"
-        for s in (2, 3, 5, 7, 8, 9, 11):
-            assert abs(zeta(s) - mp.zeta(s)) < mp.mpf(10) ** -35
+    with pytest.raises(ValueError):
+        zeta(0)
+    with mp.workdps(70):
+        pi, tol = mp.pi, mp.mpf(10) ** -58
+        assert abs(zeta(4) - pi ** 4 / 90) < tol
+        assert abs(zeta(6) - pi ** 6 / 945) < tol
+        assert abs(zeta(8) - pi ** 8 / 9450) < tol
+        # Euler's evaluations of double zeta values
+        assert abs(zeta2(2, 1) - zeta(3)) < tol
+        assert abs(zeta2(3, 1) - pi ** 4 / 360) < tol
+        assert abs(zeta2(2, 2) - pi ** 4 / 120) < tol
 
 
 def test_zeta_against_direct_summation():

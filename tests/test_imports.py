@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -10,14 +11,46 @@ import periodforge
 EXACT_MODULES = ("graphs", "canonical", "polynomials", "graphcomplex", "forms")
 
 
-def test_exact_layers_do_not_import_numpy():
-    code = ("import sys\n"
-            + "".join(f"import periodforge.{m}\n" for m in EXACT_MODULES)
-            + "print('numpy' in sys.modules)\n")
+def _fresh_modules(code: str) -> set[str]:
+    """Names in sys.modules after running ``code`` in a new interpreter."""
     src = str(Path(periodforge.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False", out.stderr
+    return set(out.stdout.split())
+
+
+def test_exact_layers_do_not_import_numpy():
+    mods = _fresh_modules("".join(f"import periodforge.{m}\n"
+                                  for m in EXACT_MODULES))
+    assert "numpy" not in mods
+
+
+def test_psi_does_not_load_the_labeller():
+    mods = _fresh_modules("from periodforge.graphs import complete\n"
+                          "from periodforge.polynomials import graph_polynomial\n"
+                          "graph_polynomial(complete(6))\n")
+    assert "periodforge.polynomials" in mods
+    assert "periodforge.canonical" not in mods
+
+
+def test_every_import_is_used():
+    """Each name a module imports is read somewhere in that module."""
+    unused = []
+    for path in sorted(Path(periodforge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused

@@ -118,6 +118,22 @@ def test_cli_residue_divergent_graph(files, capsys):
     assert "non-projective" in err
 
 
+def test_cli_rejects_non_integer_zeta_argument(files, capsys):
+    code = main(["residue", files["w3"], "--samples", "2000", "--seed", "1",
+                 "--target", "6*zeta(2.5)"])
+    assert code == 2
+    assert "integer" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_positive_matrix_dimension(tmp_path, capsys):
+    m = tmp_path / "bad.mat"
+    for text in ("0\n", "-1\n7\n"):
+        m.write_text(text)
+        for command in ("minvec", "cell"):
+            assert main([command, str(m)]) == 2
+            assert "dimension" in capsys.readouterr().err
+
+
 def test_cli_missing_file(capsys):
     assert main(["psi", "/definitely/not/here.g"]) == 2
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from periodforge.graphs import (Graph, _root, banana, complete, cycle,
-                                dumbbell, wheel, zigzag)
+from periodforge.graphs import (Graph, _root, banana, complete,
+                                complete_bipartite, cycle, dumbbell, wheel,
+                                zigzag)
 from periodforge.polynomials import (CycleBasis, LinearForm, MultilinearPoly,
                                      Poly, PolynomialError,
                                      contraction_deletion_split, cycle_basis,
@@ -54,15 +55,18 @@ def test_homogeneity(corpus):
             assert p.is_homogeneous(g.loop_number()), g
 
 
-def test_psi_memoised_recursion_matches_trees():
-    # force the recursive path by lowering the direct limit
-    import periodforge.polynomials as pp
-
-    k6 = complete(6)
-    direct = pp._psi_direct(k6)
-    assert len(direct.coeffs) == 1296  # 6^4 spanning trees
-    rec = graph_polynomial(k6)
-    assert rec == direct
+def test_psi_term_counts_match_closed_forms():
+    """Psi has one unit term per spanning tree; count the trees by formula."""
+    for n in range(3, 8):                       # Cayley: n^(n-2)
+        assert len(graph_polynomial(complete(n)).coeffs) == n ** (n - 2)
+    lucas = [2, 1]
+    while len(lucas) <= 16:
+        lucas.append(lucas[-1] + lucas[-2])
+    for n in range(3, 9):                       # wheels: L_2n - 2
+        assert len(graph_polynomial(wheel(n)).coeffs) == lucas[2 * n] - 2
+    for m, n in ((3, 3), (4, 4)):               # K_m,n: m^(n-1) n^(m-1)
+        p = graph_polynomial(complete_bipartite(m, n))
+        assert len(p.coeffs) == m ** (n - 1) * n ** (m - 1)
 
 
 def test_cycle_basis_shapes():
