@@ -22,6 +22,10 @@ the colour numbering, the cell order and the vertex order inside a cell are
 those of a plain search; with them, every representative and every edge
 permutation returned is the same as without pruning.  Exact and
 deterministic; meant for desk scale (up to ~20 edges), not for large graphs.
+
+One search serves every use of a class: ``_Search.form`` gives the label
+and the edge permutation, and ``_Search.edge_maps`` the automorphism group
+on edges, whence the parity and the edge orbits of ``symmetry``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .graphs import Graph, EdgePermutation, GraphError
+from .graphs import Graph, EdgePermutation, GraphError, _root
 
 
 def _refine(colors: list[int], ncells: int, nbrs, mult: int):
@@ -92,6 +96,45 @@ class _Search:
         colors, ncells = _refine([0] + [rank[s] for s in sigs],
                                  len(distinct), self.nbrs, self.mult)
         self._descend(colors, ncells, [])
+
+    def form(self) -> tuple[Graph, EdgePermutation]:
+        """The class representative and the edge permutation onto it (see
+        ``canonical_form``)."""
+        pos = self.best
+        keyed = []
+        for e, (a, b) in enumerate(self.edges, 1):
+            a, b = pos[a] + 1, pos[b] + 1
+            keyed.append(((a, b) if a <= b else (b, a), e))
+        keyed.sort()
+        mapping = [0] * len(keyed)
+        for new_id, (_, e) in enumerate(keyed, 1):
+            mapping[e - 1] = new_id
+        rep = Graph(self.cert[0], tuple([ends for ends, _ in keyed]))
+        return rep, EdgePermutation(tuple(mapping))
+
+    def edge_maps(self) -> list[list[int]]:
+        """The automorphisms found, lifted to edge permutations (parallel
+        classes matched in ascending id order), and the transpositions of
+        neighbouring ids in each parallel class: together they generate the
+        edge-permutation image of the automorphism group."""
+        ne = len(self.edges)
+        classes: dict[tuple[int, int], list[int]] = {}
+        for e, (u, v) in enumerate(self.edges, 1):
+            classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
+        maps = []
+        for s in self.gens:
+            m = [0] * ne
+            for (u, v), ids in classes.items():
+                a, b = s[u], s[v]
+                for e, f in zip(ids, classes[(a, b) if a <= b else (b, a)]):
+                    m[e - 1] = f
+            maps.append(m)
+        for ids in classes.values():
+            for a, b in zip(ids, ids[1:]):
+                m = list(range(1, ne + 1))
+                m[a - 1], m[b - 1] = b, a
+                maps.append(m)
+        return maps
 
     def _leaf(self, colors: list[int], prefix: list[int]) -> int:
         """Keep a leaf below the best, record the automorphism onto an equal
@@ -189,18 +232,7 @@ def canonical_form(g: Graph) -> tuple[Graph, EdgePermutation]:
     parallel edges it preserves the original id order, so its parity is
     well defined exactly up to automorphisms of the class.
     """
-    search = _Search(g)
-    pos = search.best
-    keyed = []
-    for e, (a, b) in enumerate(g.edges, 1):
-        a, b = pos[a] + 1, pos[b] + 1
-        keyed.append(((a, b) if a <= b else (b, a), e))
-    keyed.sort()
-    mapping = [0] * g.ne
-    for new_id, (_, e) in enumerate(keyed, 1):
-        mapping[e - 1] = new_id
-    rep = Graph(search.cert[0], tuple([ends for ends, _ in keyed]))
-    return rep, EdgePermutation(tuple(mapping))
+    return _Search(g).form()
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -244,27 +276,50 @@ def automorphism_edge_group(g: Graph, cap: int = 500000) -> EdgeGroup:
     """
     if not g.is_connected:
         raise GraphError("automorphism_edge_group needs a connected graph")
-    classes: dict[tuple[int, int], list[int]] = {}
-    for e in g.edge_ids:
-        u, v = g.endpoints(e)
-        classes.setdefault((u, v) if u <= v else (v, u), []).append(e)
-    ident = tuple(range(1, g.ne + 1))
-    gens: set[tuple[int, ...]] = set()
-    for s in _Search(g).gens:
-        mapping = [0] * g.ne
-        for (u, v), ids in classes.items():
-            a, b = s[u], s[v]
-            for e, f in zip(ids, classes[(a, b) if a <= b else (b, a)]):
-                mapping[e - 1] = f
-        gens.add(tuple(mapping))
-    for ids in classes.values():
-        for a, b in zip(ids, ids[1:]):
-            m = list(ident)
-            m[a - 1], m[b - 1] = b, a
-            gens.add(tuple(m))
-    gens.discard(ident)
+    gens = {tuple(m) for m in _Search(g).edge_maps()}
+    gens.discard(tuple(range(1, g.ne + 1)))
     perms = tuple(EdgePermutation(m) for m in sorted(gens))
     return EdgeGroup(perms, any(p.parity == -1 for p in perms), cap)
+
+
+def edge_orbits(maps: list[list[int]], perm: EdgePermutation
+                ) -> list[list[int]]:
+    """Orbits of the edge ids under the group the edge permutations ``maps``
+    generate, renamed by ``perm``, each ascending, ordered by least id."""
+    parent = list(range(len(perm.mapping) + 1))
+    for m in maps:
+        for e, f in enumerate(m, 1):
+            parent[_root(parent, e)] = _root(parent, f)
+    orbits: dict[int, list[int]] = {}
+    for e in range(1, len(parent)):
+        orbits.setdefault(_root(parent, e), []).append(perm(e))
+    return sorted(sorted(orbit) for orbit in orbits.values())
+
+
+# ``symmetry`` of each graph asked for or recorded, by (weights, edges).
+# ``graphs.enumerate_gc_graphs`` records every class it returns from the
+# search that labelled it.
+_SYMMETRY: dict[tuple, tuple[tuple[int, int], ...] | None] = {}
+
+
+def symmetry(g: Graph) -> tuple[tuple[int, int], ...] | None:
+    """None if an automorphism of g permutes its edges oddly; else one
+    (least edge id, orbit size) per edge orbit of Aut(g), by least id.
+    Memoised by graph."""
+    if (g.weights, g.edges) not in _SYMMETRY:
+        _record(g, _Search(g), EdgePermutation(tuple(g.edge_ids)))
+    return _SYMMETRY[(g.weights, g.edges)]
+
+
+def _record(rep: Graph, search: _Search, perm: EdgePermutation) -> None:
+    """Memoise ``symmetry(rep)`` from ``search``, run on a graph that
+    ``perm`` maps onto ``rep``, unless it is known."""
+    key = (rep.weights, rep.edges)
+    if key not in _SYMMETRY:
+        maps = search.edge_maps()
+        odd = any(EdgePermutation(tuple(m)).parity == -1 for m in maps)
+        _SYMMETRY[key] = None if odd else tuple(
+            (orbit[0], len(orbit)) for orbit in edge_orbits(maps, perm))
 
 
 def _closure_order(gens: tuple[EdgePermutation, ...], cap: int) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .graphs import EdgePermutation, Graph, enumerate_gc_graphs
-from .canonical import canonical_form, automorphism_edge_group
+from .canonical import canonical_form, symmetry
 from .polynomials import echelon
 
 _MOD_PRIME = 2**31 - 1
@@ -54,22 +54,14 @@ class OrientedClass:
         return self.key() < other.key()
 
 
-_PARITY_CACHE: dict[tuple, bool] = {}
-
-
 def _reduce(g: Graph) -> tuple[Graph, EdgePermutation] | None:
     """Canonical form of a generator, or None for a zero class (parallel
-    edges, or an odd automorphism; parities are cached by class)."""
+    edges, or an odd automorphism)."""
     _check_generator(g)
     if g.has_parallel_edges():
         return None
     rep, perm = canonical_form(g)
-    key = (rep.weights, rep.edges)
-    odd = _PARITY_CACHE.get(key)
-    if odd is None:
-        odd = automorphism_edge_group(rep).has_odd
-        _PARITY_CACHE[key] = odd
-    return None if odd else (rep, perm)
+    return None if symmetry(rep) is None else (rep, perm)
 
 
 def is_zero_class(g: Graph) -> bool:
@@ -121,11 +113,6 @@ class ChainVector:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def bigrade(self) -> tuple[int, int] | None:
-        for c in self.coeffs:
-            return (c.loops, c.edges)
-        return None
-
     def __add__(self, other: "ChainVector") -> "ChainVector":
         out = dict(self.coeffs)
         for cls, c in other.coeffs.items():
@@ -150,10 +137,15 @@ class ChainVector:
 
 
 def differential_of_class(oc: OrientedClass) -> ChainVector:
-    """Alternating sum of one-edge contractions, reduced to the basis."""
+    """Alternating sum of one-edge contractions, reduced to the basis.
+
+    An even automorphism carries the signed term of one edge onto that of
+    its image, so when every automorphism is even each edge orbit adds its
+    size times the term of its least edge.
+    """
     g = oc.graph
-    out = ChainVector()
-    for i in g.edge_ids:
+    coeffs: dict[OrientedClass, int] = {}
+    for i, size in symmetry(g) or [(i, 1) for i in g.edge_ids]:
         contracted = g.contract_edge(i, mode="zero")
         if contracted is None or contracted.has_self_edge():
             continue
@@ -161,9 +153,8 @@ def differential_of_class(oc: OrientedClass) -> ChainVector:
         if red is None:
             continue
         cls, sign = red
-        term = ChainVector({cls: Fraction((-1) ** i * sign)})
-        out = out + term
-    return out
+        coeffs[cls] = coeffs.get(cls, 0) + (-1) ** i * sign * size
+    return ChainVector(coeffs)
 
 
 def differential(c: ChainVector) -> ChainVector:
@@ -177,14 +168,10 @@ def gc_basis(loops: int, edges: int) -> list[OrientedClass]:
     """Non-zero classes at the bigrade, in deterministic order.
 
     Parallel edges always give zero classes, so the enumeration is run over
-    simple graphs only.
+    simple graphs only; it records the symmetry of every class it returns.
     """
-    out = []
-    for g in enumerate_gc_graphs(loops, edges):
-        if not is_zero_class(g):
-            out.append(OrientedClass(g))
-    out.sort()
-    return out
+    return sorted(OrientedClass(g) for g in enumerate_gc_graphs(loops, edges)
+                  if symmetry(g) is not None)
 
 
 def differential_matrix(loops: int, edges: int, *, bases=None

@@ -243,12 +243,6 @@ class EdgePermutation:
                 sign = -sign
         return sign
 
-    def inverse(self) -> "EdgePermutation":
-        inv = [0] * len(self.mapping)
-        for i, m in enumerate(self.mapping):
-            inv[m - 1] = i + 1
-        return EdgePermutation(tuple(inv))
-
     def compose(self, other: "EdgePermutation") -> "EdgePermutation":
         """self after other: (self.compose(other))(e) = self(other(e))."""
         return EdgePermutation(tuple(self(other(e))
@@ -315,7 +309,7 @@ def decompletions(gh: Graph) -> list[Graph]:
     if any(d != 4 for d in gh.degrees()):
         raise GraphError("decompletions needs a 4-regular graph")
     deleted = (gh.delete_vertex(v) for v in range(1, gh.nv + 1))
-    return _classes(h for h in deleted if h.is_connected)
+    return [rep for rep, _ in _classes(h for h in deleted if h.is_connected)]
 
 
 def _graph_key(g: Graph) -> tuple:
@@ -432,7 +426,9 @@ def enumerate_gc_graphs(loops: int, edges: int) -> list[Graph]:
     neighbour degrees are greatest, the one with the largest canonical
     position; the invariant settles many rejections without a search.  With
     S taken only up to the parent's automorphisms, every class is built
-    exactly once.
+    exactly once.  ``canonical.symmetry`` of each representative is
+    recorded, from the search that kept it, in the process-wide memo
+    ``canonical._SYMMETRY``, so ``gc_basis`` searches no class again.
     """
     if loops < 2:
         raise GraphError("graph complex enumeration needs loops >= 2")
@@ -459,7 +455,7 @@ def _augment(nv: int, ne: int, edges: tuple[tuple[int, int], ...],
     edges still to add within reach of the vertices still to add (each has
     degree at most one more than the vertex before it).
     """
-    from .canonical import _Search, _orbit, canonical_form
+    from .canonical import _Search, _orbit, _record
 
     k = len(deg) - 1
     new = k + 1
@@ -521,7 +517,8 @@ def _augment(nv: int, ne: int, edges: tuple[tuple[int, int], ...],
             if left:
                 _augment(nv, ne, child, cdeg, search.gens, out)
             else:
-                rep, _ = canonical_form(g)
+                rep, perm = search.form()
+                _record(rep, search, perm)
                 out[_graph_key(rep)] = rep
 
 
@@ -571,18 +568,18 @@ def enumerate_stable_weighted(genus_: int) -> list[Graph]:
     level = _trivalent_graphs(genus_)
     out: list[Graph] = []
     while level:
-        out += level
-        level = _classes(g.contract_edge(e) for g in level for e in g.edge_ids)
+        out += [g for g, _ in level]
+        level = _classes(g.contract_edge(e) for g, orbits in level
+                         for e in orbits)
     return sorted(out, key=_graph_key)
 
 
-def _trivalent_graphs(genus_: int) -> list[Graph]:
+def _trivalent_graphs(genus_: int) -> list[tuple[Graph, list[int]]]:
     """Connected trivalent weight-0 graphs of genus >= 2 up to isomorphism,
-    as canonical representatives in key order, grown from genus 2 one
-    handle at a time."""
+    as ``_classes`` gives them, grown from genus 2 one handle at a time."""
     level = _classes([banana(3), dumbbell()])
     for _ in range(2, genus_):
-        level = _classes(h for g in level for h in _handles(g))
+        level = _classes(h for g, _ in level for h in _handles(g))
     return level
 
 
@@ -602,13 +599,23 @@ def _handles(g: Graph) -> Iterator[Graph]:
                         + ((u, a), (a, v), (x, b), (b, y), (a, b)))
 
 
-def _classes(graphs: Iterable[Graph]) -> list[Graph]:
+def _classes(graphs: Iterable[Graph]) -> list[tuple[Graph, list[int]]]:
     """Canonical representatives of the isomorphism classes among graphs,
-    in key order."""
-    from .canonical import canonical_form
+    in key order, each with the least edge of every orbit of its
+    automorphism group on edges, read off the search that labelled it.  A
+    graph equal to one already labelled is not searched again."""
+    from .canonical import _Search, edge_orbits
 
-    out: dict[tuple, Graph] = {}
+    out: dict[tuple, tuple[Graph, list[int]]] = {}
+    seen: set[Graph] = set()
     for g in graphs:
-        rep, _ = canonical_form(g)
-        out.setdefault(_graph_key(rep), rep)
+        if g in seen:
+            continue
+        seen.add(g)
+        search = _Search(g)
+        rep, perm = search.form()
+        key = _graph_key(rep)
+        if key not in out:
+            orbits = edge_orbits(search.edge_maps(), perm)
+            out[key] = (rep, [orbit[0] for orbit in orbits])
     return [out[k] for k in sorted(out)]

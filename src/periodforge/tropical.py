@@ -302,17 +302,3 @@ def simplex_sample(rng: np.random.Generator, count: int, n: int,
     logpsitr = logpsitr + sampler.hfull * scale
     lognu = (np.log(xs) * sampler.nu).sum(axis=1)
     return xs, sampler.log_period + sampler.kf * logpsitr - lognu
-
-
-def tropical_sample(g: Graph, k, seed: int, count: int,
-                    nu: Sequence[int] | None = None):
-    """Convenience wrapper: (points on the simplex, importance weights).
-
-    k = 0 with trivial nu falls back to the plain uniform (Dirichlet)
-    sampler; see ``simplex_sample`` for the weights.
-    """
-    uniform = (k == 0 or k is None) and not (nu and any(nu))
-    sampler = None if uniform else TropicalSampler(build_measure(g, nu, k))
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    xs, logw = simplex_sample(rng, count, g.ne, sampler)
-    return xs, np.exp(logw)

@@ -1,9 +1,12 @@
 import random
+from typing import Sequence
 
+import numpy as np
 import pytest
 
 from periodforge.graphs import (Graph, banana, complete, complete_bipartite,
                                 cycle, dumbbell, wheel, zigzag)
+from periodforge.tropical import TropicalSampler, build_measure, simplex_sample
 
 
 def dunce_graph() -> Graph:
@@ -51,3 +54,17 @@ def corpus():
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def tropical_sample(g: Graph, k, seed: int, count: int,
+                    nu: Sequence[int] | None = None):
+    """Convenience wrapper: (points on the simplex, importance weights).
+
+    k = 0 with trivial nu falls back to the plain uniform (Dirichlet)
+    sampler; see ``simplex_sample`` for the weights.
+    """
+    uniform = (k == 0 or k is None) and not (nu and any(nu))
+    sampler = None if uniform else TropicalSampler(build_measure(g, nu, k))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    xs, logw = simplex_sample(rng, count, g.ne, sampler)
+    return xs, np.exp(logw)

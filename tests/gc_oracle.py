@@ -20,7 +20,8 @@ import itertools
 from typing import Iterator, Sequence
 
 from periodforge.canonical import canonical_form
-from periodforge.graphs import Graph, GraphError, banana, _graph_key
+from periodforge.graphs import (Graph, GraphError, banana, _graph_key,
+                                _trivalent_graphs)
 
 
 def _degree_sequences(nv: int, total: int, min_deg: int,
@@ -274,3 +275,20 @@ def gc_multigraphs(loops: int, edges: int,
     if simple_only:
         out = [g for g in out if not g.has_parallel_edges()]
     return out
+
+
+def stable_by_every_contraction(genus: int) -> list[Graph]:
+    """Stable graphs of the genus as the contraction closure of the trivalent
+    ones, contracting every edge of every class rather than one edge per
+    automorphism orbit, in canonical key order."""
+    level = {_graph_key(g): g for g, _ in _trivalent_graphs(genus)}
+    out: dict[tuple, Graph] = {}
+    while level:
+        out.update(level)
+        nxt: dict[tuple, Graph] = {}
+        for g in level.values():
+            for e in g.edge_ids:
+                rep, _ = canonical_form(g.contract_edge(e))
+                nxt.setdefault(_graph_key(rep), rep)
+        level = nxt
+    return [out[k] for k in sorted(out)]

@@ -12,7 +12,7 @@ from periodforge import engine
 from periodforge.forms import FormSpec
 from periodforge.tropical import (DivergentIntegrandError, TropicalSampler,
                                   build_measure, simplex_sample,
-                                  subset_loop_numbers, tropical_sample)
+                                  subset_loop_numbers)
 from periodforge.engine import (Integrand, IntegralEstimate, IntegrationError,
                                 canonical_integrand, integrate,
                                 integrate_canonical,
@@ -21,7 +21,7 @@ from periodforge.engine import (Integrand, IntegralEstimate, IntegrationError,
                                 tolerance)
 from periodforge.graphcomplex import ChainVector
 from periodforge.zeta import zeta, zeta2
-from conftest import dunce_graph
+from conftest import dunce_graph, tropical_sample
 
 
 def test_tropical_period_bubble():

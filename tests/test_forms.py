@@ -12,8 +12,9 @@ from periodforge.polynomials import (Poly, cycle_basis, generic_2x2,
 from periodforge.forms import (BatchedGraphFormEvaluator, FormError,
                                FormEvaluator, FormSpec, RationalForm,
                                _cycle_coefficients, canonical_form_numeric,
-                               canonical_form_symbolic, dense_coefficients,
-                               graph_canonical_form, wedge)
+                               canonical_form_symbolic, graph_canonical_form,
+                               wedge)
+from forms_oracle import dense_coefficients
 
 
 def _display_form(nvars, n, coeff, det):

@@ -4,14 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from periodforge import canonical
 from periodforge.graphs import Graph, banana, wheel, zigzag
 from periodforge.canonical import are_isomorphic, canonical_form
 from periodforge.graphcomplex import (ChainVector, ComplexError,
                                       OrientedClass, differential,
                                       differential_matrix, gc_basis,
                                       homology_dims, homology_report,
-                                      is_zero_class, matrix_rank,
-                                      reduce_to_basis)
+                                      differential_of_class, is_zero_class,
+                                      matrix_rank, reduce_to_basis)
 
 
 def eleven_edge_example() -> Graph:
@@ -208,3 +209,47 @@ def test_w3_spans_kernel_at_3_loops():
     rows = homology_report(3)
     top = [r for r in rows if r["edges"] == 6][0]
     assert top["basis"] == 1 and top["kernel"] == 1 and top["homology"] == 1
+
+
+# _Search runs of gc_basis(5, n) over every n with a cold symmetry memo
+# (178 before enumeration handed its searches on to parity and labels)
+LOOP5_BASIS_SEARCHES = 136
+
+
+def test_gc_basis_searches_each_graph_once(monkeypatch):
+    """A gc_basis call searches no graph twice: enumeration's own search
+    labels each class and gives its parity."""
+    monkeypatch.setattr(canonical, "_SYMMETRY", {})
+    searched: list[Graph] = []
+    init = canonical._Search.__init__
+
+    def counting(self, g):
+        searched.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(canonical._Search, "__init__", counting)
+    total = 0
+    for n in range(5, 13):
+        searched.clear()
+        gc_basis(5, n)
+        assert len(set(searched)) == len(searched), n
+        total += len(searched)
+    assert total <= LOOP5_BASIS_SEARCHES
+
+
+def _differential_by_every_edge(oc):
+    """The alternating sum over every edge, with no orbit reduction."""
+    out = ChainVector()
+    for i in oc.graph.edge_ids:
+        contracted = oc.graph.contract_edge(i, mode="zero")
+        if not contracted.has_self_edge():
+            out = out + ChainVector.from_graph(contracted, (-1) ** i)
+    return out
+
+
+@pytest.mark.parametrize("loops", [4, 5, 6])
+def test_orbit_differential_matches_every_edge(loops):
+    for n in range(loops + 1, 3 * loops - 2):
+        for oc in gc_basis(loops, n):
+            assert differential_of_class(oc) == \
+                _differential_by_every_edge(oc), oc.graph

@@ -10,11 +10,13 @@ from periodforge.graphs import (Graph, GraphError, banana, builtin_graph,
                                 two_vertex_join, wheel, zigzag,
                                 _trivalent_graphs)
 from periodforge.canonical import (_Search, are_isomorphic,
-                                   automorphism_edge_group, canonical_form)
+                                   automorphism_edge_group, canonical_form,
+                                   symmetry)
 from conftest import dunce_graph, random_connected_graph, small_corpus
 from gc_oracle import (_GC_CACHE, _connected_multigraphs, _degree_sequences,
                        _fill_matrices, _matrix_to_graph, _min_weight,
-                       _weightings, gc_multigraphs)
+                       _weightings, gc_multigraphs,
+                       stable_by_every_contraction)
 
 
 def test_loop_numbers():
@@ -154,6 +156,16 @@ def test_canonical_permutation_parity():
     assert p.parity == p2.parity
 
 
+def _inverse(p):
+    """The inverse of an edge permutation."""
+    from periodforge.graphs import EdgePermutation
+
+    inv = [0] * len(p.mapping)
+    for i, m in enumerate(p.mapping):
+        inv[m - 1] = i + 1
+    return EdgePermutation(tuple(inv))
+
+
 def test_edge_permutation_parity_and_compose():
     from periodforge.graphs import EdgePermutation
 
@@ -162,7 +174,7 @@ def test_edge_permutation_parity_and_compose():
     q = EdgePermutation((2, 3, 1))
     assert q.parity == 1
     assert p.compose(p).mapping == (1, 2, 3)
-    assert q.inverse().compose(q).mapping == (1, 2, 3)
+    assert _inverse(q).compose(q).mapping == (1, 2, 3)
 
 
 def test_automorphism_groups():
@@ -180,7 +192,7 @@ def test_automorphism_groups():
         eg = automorphism_edge_group(g)
         assert math.factorial(g.ne) % eg.order == 0
         for p in eg.generators:
-            h = g.reordered_edges([p.inverse()(e) for e in g.edge_ids])
+            h = g.reordered_edges([_inverse(p)(e) for e in g.edge_ids])
             assert are_isomorphic(h, g)
 
 
@@ -289,7 +301,7 @@ def test_trivalent_seed_counts():
 
 def test_trivalent_seeds_are_trivalent_of_their_genus():
     for genus_ in range(2, 6):
-        for g in _trivalent_graphs(genus_):
+        for g, _ in _trivalent_graphs(genus_):
             assert g.is_connected and set(g.degrees()) == {3}, g
             assert not any(g.weights) and g.genus() == genus_, g
 
@@ -495,6 +507,21 @@ def _ref_has_odd(g):
     return False
 
 
+def _ref_edge_orbits(g):
+    """(least id, size) per edge orbit of Aut(g), for g without parallel
+    edges, from every vertex automorphism."""
+    ids = {}
+    for e in g.edge_ids:
+        u, v = g.endpoints(e)
+        ids[(min(u, v), max(u, v))] = e
+    orbits = {e: {e} for e in g.edge_ids}
+    for vp in _ref_vertex_automorphisms(g):
+        for (u, v), e in ids.items():
+            a, b = vp[u], vp[v]
+            orbits[e].add(ids[(min(a, b), max(a, b))])
+    return tuple(sorted({(min(o), len(o)) for o in orbits.values()}))
+
+
 def _vertex_group_order(gens, nv):
     ident = tuple(range(nv + 1))
     seen, frontier = {ident}, [ident]
@@ -548,6 +575,11 @@ def test_search_generators_give_the_whole_group():
             len(_ref_vertex_automorphisms(g)), g
         if g.is_connected:
             assert automorphism_edge_group(g).has_odd == _ref_has_odd(g), g
+        sym = symmetry(g)
+        assert (sym is None) == _ref_has_odd(g), g
+        if sym is not None:
+            assert sum(size for _, size in sym) == g.ne, g
+            assert sym == _ref_edge_orbits(g), g
 
 
 def test_k9_parity_needs_no_group_enumeration():
@@ -571,3 +603,11 @@ def test_stable_weighted_genus4_count():
 
 def test_stable_weighted_genus5_count():
     assert len(enumerate_stable_weighted(5)) == 4555
+
+
+def test_stable_orbit_contractions_match_every_contraction_genus5():
+    """Contracting one edge per automorphism orbit reaches every class that
+    contracting every edge reaches."""
+    graphs = enumerate_stable_weighted(5)
+    assert len(graphs) == 4555
+    assert graphs == stable_by_every_contraction(5)

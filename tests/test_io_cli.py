@@ -60,6 +60,12 @@ def test_evaluate_target():
         evaluate_target("zeta(3); 1")
 
 
+def test_evaluate_target_rejects_non_real_values():
+    for bad in ("1/0", "(-1)^0.5", "zeta(1)"):
+        with pytest.raises(ValueError):
+            evaluate_target(bad)
+
+
 @pytest.fixture
 def files(tmp_path):
     g = tmp_path / "sunrise.g"
@@ -123,6 +129,24 @@ def test_cli_rejects_non_integer_zeta_argument(files, capsys):
                  "--target", "6*zeta(2.5)"])
     assert code == 2
     assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["residue", "canonical"])
+@pytest.mark.parametrize("target, message", [("1/0", "division by zero"),
+                                             ("gamma(3)", "unsupported")],
+                         ids=["division-by-zero", "unknown-function"])
+def test_cli_rejects_bad_target_before_sampling(files, capsys, monkeypatch,
+                                                command, target, message):
+    import periodforge.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli, "integrate", lambda *a, **k: ran.append(a))
+    form = ["--form", "5"] if command == "canonical" else []
+    code = main([command, files["w3"], *form, "--samples", "2000",
+                 "--target", target])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert ran == []
 
 
 def test_cli_rejects_non_positive_matrix_dimension(tmp_path, capsys):
