@@ -147,15 +147,8 @@ def _target(args) -> float | None:
 
 
 def _finish_integral(args, t0, g, est, target, extra):
-    payload = {
-        "graph": {"vertices": g.nv, "edges": g.ne},
-        "samples": est.samples,
-        "seed": est.seed,
-        "sampler": est.sampler,
-        "mean": est.mean,
-        "stderr": est.stderr,
-    }
-    payload.update(extra)
+    payload = {"graph": {"vertices": g.nv, "edges": g.ne},
+               **est.to_json(), **extra}
     lines = [f"mean   = {est.mean:.10g}",
              f"stderr = {est.stderr:.4g}",
              f"samples = {est.samples}   seed = {est.seed}"]
@@ -292,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--loops", type=int, required=True)
     sp.add_argument("--allow-big", action="store_true",
                     help="lift the loop bound past 6 (loop 7 takes about "
-                         "2 s; loop 8 took 22 min when last measured)")
+                         "2 s, loop 8 about 3.5 min)")
 
     sp = add("stable", _cmd_stable, help="stable weighted graphs of a genus")
     sp.add_argument("--genus", type=int, required=True)

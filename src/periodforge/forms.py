@@ -1,11 +1,12 @@
 """Bi-invariant forms tr((X^-1 dX)^n), their wedges and graph pullbacks.
 
-Symbolic computations run over the polynomial ring (adjugate matrices, so
-no rational functions appear before the final reduction by powers of the
-determinant).  Numeric evaluation decomposes each coefficient matrix
-dX/dx_v into rank-one terms a b^T; a trace of a product of such terms is a
-cycle product of scalars b^T X^-1 a, which turns coefficient extraction
-into a subset dynamic programme over the variables.
+Each coefficient matrix dX/dx_v is decomposed into rank-one terms a b^T; a
+trace of a product of such terms is a cycle product of scalars b^T M a,
+which turns coefficient extraction into one subset dynamic programme over
+the variables.  Numeric evaluation takes M = X^-1 at a point; symbolic
+computations take the adjugate, so they run over the polynomial ring and no
+rational function appears before the final reduction by powers of the
+determinant.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .graphs import MAX_SUBSET_EDGES, Graph
 from .polynomials import (CycleBasis, LinearFormMatrix, Poly, cycle_basis,
-                          det_poly_general, echelon, laplacian)
+                          det_poly_general, echelon, laplacian, pivot)
 
 
 class FormError(ValueError):
@@ -196,17 +197,6 @@ class RationalForm:
             raise FormError("form degree does not match the chart dimension")
         return self.evaluate_coefficient(s, point)
 
-    def to_json(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "degree": self.degree,
-            "det_power": self.k,
-            "terms": [[sorted(s), [[list(k), str(c)] for k, c in
-                                   sorted(p.coeffs.items())]]
-                      for s, p in sorted(self.numer.items(),
-                                         key=lambda t: sorted(t[0]))],
-        }
-
     def to_text(self) -> str:
         if self.is_zero():
             return "0"
@@ -255,67 +245,25 @@ def _coefficient_matrices(x: LinearFormMatrix) -> dict[int, list[list[Fraction]]
     return out
 
 
-def _wedge_mat_mul(a, b, m, nvars):
-    """Product of matrices with form-valued entries {key: Poly}."""
-    out = [[dict() for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for k in range(m):
-            aik = a[i][k]
-            if not aik:
-                continue
-            for j in range(m):
-                bkj = b[k][j]
-                if not bkj:
-                    continue
-                dest = out[i][j]
-                for s1, p1 in aik.items():
-                    for s2, p2 in bkj.items():
-                        if s1 & s2:
-                            continue
-                        key = s1 | s2
-                        term = (p1 * p2).scale(_merge_sign(s1, s2))
-                        if key in dest:
-                            dest[key] = dest[key] + term
-                        else:
-                            dest[key] = term
-    for i in range(m):
-        for j in range(m):
-            out[i][j] = {s: p for s, p in out[i][j].items() if not p.is_zero()}
-    return out
-
-
 def canonical_form_symbolic(x: LinearFormMatrix, n: int) -> RationalForm:
     """tr((X^-1 dX)^n), exactly, reduced to lowest det power.
 
-    Internally computes tr((adj(X) dX)^n) / det^n so every intermediate is
-    polynomial.
+    ``_cycle_coefficients`` runs on the Gram b_i^T adj(X) a_j of polynomials
+    over the rank-one atoms of dX, which gives the numerator of
+    tr((adj(X) dX)^n) / det^n with every intermediate polynomial.  Even
+    powers are the zero form.
     """
     if n < 1:
         raise FormError("form degree must be positive")
     det = det_poly_general(x)
     if det.is_zero():
         raise FormError("matrix determinant is identically zero")
-    m = x.size
-    adj = _adjugate(x)
-    coeffs = _coefficient_matrices(x)
-    # M = adj(X) dX, entries are 1-forms with polynomial coefficients
-    base = [[dict() for _ in range(m)] for _ in range(m)]
-    for v, av in coeffs.items():
-        for i in range(m):
-            for j in range(m):
-                p = Poly.zero(x.nvars)
-                for k in range(m):
-                    if av[k][j]:
-                        p = p + adj[i][k].scale(av[k][j])
-                if not p.is_zero():
-                    base[i][j][frozenset({v})] = p
-    acc = base
-    for _ in range(n - 1):
-        acc = _wedge_mat_mul(acc, base, m, x.nvars)
-    tr: dict[frozenset, Poly] = {}
-    for i in range(m):
-        for s, p in acc[i][i].items():
-            tr[s] = tr.get(s, Poly.zero(x.nvars)) + p
+    tr = {}
+    if n % 2:
+        ev = FormEvaluator(x, chart=0)
+        out = _cycle_coefficients(n, ev._object_gram(_adjugate(x)),
+                                  ev.variables, ev.atoms_of)
+        tr = {s: c[0] for s, c in out.items()}
     return RationalForm(x.nvars, n, n, tr, det)
 
 
@@ -368,25 +316,27 @@ def _rank_one_terms(mat: Sequence[Sequence[Fraction]]):
 
 
 def _invert_exact(mat: Sequence[Sequence[Fraction]]):
-    """Exact inverse: ``echelon`` on [A | I], pivoting in A's columns only."""
+    """Exact inverse: ``echelon`` on [A | I], pivoting in A's columns only,
+    then back substitution by ``pivot`` over the pivots in reverse."""
     m = len(mat)
     rows = [{j: Fraction(v) for j, v in enumerate(r) if v}
             | {m + i: Fraction(1)} for i, r in enumerate(mat)]
     pivots = echelon(rows, limit=m)
     if len(pivots) < m:
         raise FormError("matrix is singular at the evaluation point")
+    for r, c, _ in reversed(pivots):
+        pivot(rows, r, c)
     inv = [None] * m
     for r, c, _ in pivots:
         inv[c] = [rows[r].get(m + j, Fraction(0)) for j in range(m)]
     return inv
 
 
-def _exact_gram(xp, bs, as_):
-    """[[b^T X^-1 a for a in as_] for b in bs] over Fraction vectors, with
-    X^-1 the exact inverse of the constant matrix ``xp``."""
-    xinv = _invert_exact(xp)
-    ms = range(len(xp))
-    tmp = [[sum(b[r] * xinv[r][c] for r in ms) for c in ms] for b in bs]
+def _exact_gram(mat, bs, as_):
+    """[[b^T mat a for a in as_] for b in bs] over Fraction vectors, with
+    ``mat`` the exact inverse at a point or the polynomial adjugate."""
+    ms = range(len(mat))
+    tmp = [[sum(b[r] * mat[r][c] for r in ms) for c in ms] for b in bs]
     return [[sum(t[c] * a[c] for c in ms) for a in as_] for t in tmp]
 
 
@@ -495,16 +445,27 @@ class FormEvaluator:
         import numpy as np
 
         xp = self.x.evaluate({e: point[e - 1] for e in range(1, self.nvars + 1)})
+        if exact:
+            return self._object_gram(_invert_exact(xp))
+
+        def arr(rows):
+            return np.array([[float(c) for c in r] for r in rows]
+                            ).reshape(-1, self.m)
         bs = [b for _, _, b in self.atoms]
         as_ = [a for _, a, _ in self.atoms]
-        if exact:
-            g = np.array(_exact_gram(xp, bs, as_), dtype=object)
-        else:
-            def arr(rows):
-                return np.array([[float(c) for c in r] for r in rows]
-                                ).reshape(-1, self.m)
-            g = arr(bs) @ np.linalg.inv(arr(xp)) @ arr(as_).T
+        g = arr(bs) @ np.linalg.inv(arr(xp)) @ arr(as_).T
         return g.reshape(len(bs), len(bs), 1)
+
+    def _object_gram(self, mat):
+        """(atom, atom, 1) object array b_i^T mat a_j over the rank-one
+        atoms (v, a, b): Fractions when ``mat`` is the exact inverse at a
+        point, polynomials when it is the adjugate."""
+        import numpy as np
+
+        na = len(self.atoms)
+        return np.array(_exact_gram(mat, [b for _, _, b in self.atoms],
+                                    [a for _, a, _ in self.atoms]),
+                        dtype=object).reshape(na, na, 1)
 
     # -- coefficients of tr((X^-1 dX)^n) ------------------------------------
 
@@ -659,7 +620,7 @@ class BatchedGraphFormEvaluator:
         hs = range(self.inc.h)
         lam = [[sum(p * r[i] * r[j] for p, r in zip(pt, q)) for j in hs]
                for i in hs]
-        return np.array(_exact_gram(lam, q, q), dtype=float)
+        return np.array(_exact_gram(_invert_exact(lam), q, q), dtype=float)
 
     def evaluate(self, xs):
         """(B,) array: coefficient of the ascending top chart wedge.

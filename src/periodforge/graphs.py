@@ -360,14 +360,6 @@ def banana(n: int) -> Graph:
     return Graph((0, 0), tuple((1, 2) for _ in range(n)))
 
 
-def sunrise() -> Graph:
-    return banana(3)
-
-
-def bubble() -> Graph:
-    return banana(2)
-
-
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete needs n >= 1")

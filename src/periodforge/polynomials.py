@@ -67,15 +67,6 @@ class MultilinearPoly:
             out[k] = out.get(k, 0) + c
         return MultilinearPoly(out)
 
-    def __sub__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) - c
-        return MultilinearPoly(out)
-
-    def scale(self, c: int) -> "MultilinearPoly":
-        return MultilinearPoly({k: c * v for k, v in self.coeffs.items()})
-
     def times_var(self, e: int) -> "MultilinearPoly":
         out = {}
         for k, c in self.coeffs.items():
@@ -193,11 +184,15 @@ class Poly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other: "Poly | int | Fraction") -> "Poly":
+        if not isinstance(other, Poly):
+            other = Poly.const(self.nvars, other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
         return Poly(self.nvars, out)
+
+    __radd__ = __add__
 
     def __sub__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
@@ -208,13 +203,17 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, {k: -c for k, c in self.coeffs.items()})
 
-    def __mul__(self, other: "Poly") -> "Poly":
+    def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
+        if not isinstance(other, Poly):
+            return self.scale(other)
         out: dict[tuple, Fraction] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = tuple(a + b for a, b in zip(k1, k2))
                 out[k] = out.get(k, 0) + c1 * c2
         return Poly(self.nvars, out)
+
+    __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         c = _num(c)
@@ -307,26 +306,12 @@ class LinearForm:
         self.const = Fraction(const)
         self.coeffs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c}
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LinearForm(out, self.const + other.const)
-
-    def scale(self, c) -> "LinearForm":
-        c = Fraction(c)
-        return LinearForm({e: c * v for e, v in self.coeffs.items()},
-                          c * self.const)
-
     def __eq__(self, other):
         return (isinstance(other, LinearForm) and self.const == other.const
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.const, frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs and self.const == 0
 
     def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
         return self.const + sum((c * Fraction(point[e])
@@ -602,12 +587,15 @@ def pivot(rows: list[dict], r: int, c: int, p: int | None = None) -> None:
 
 def echelon(rows: list[dict], p: int | None = None,
             limit: int | None = None) -> list[tuple[int, int, object]]:
-    """Bring sparse rows to reduced row echelon form, in place.
+    """Bring sparse rows to row echelon form, in place.
 
-    Each step pivots on the sparsest remaining row, at its smallest column
-    below ``limit`` (all columns when None).  Returns ``(row, column, value
-    before scaling)`` per pivot: their count is the rank, and the product
-    of the values times the sign of the map row -> column is the
+    Each step pivots on the sparsest remaining row, at the one of its
+    columns below ``limit`` (all columns when None) that occurs in the
+    fewest remaining rows, and clears that column from the remaining rows
+    only: a row pivoted earlier keeps its entries in later pivot columns
+    (``forms._invert_exact`` reduces further).  Returns ``(row, column,
+    value before scaling)`` per pivot: their count is the rank, and the
+    product of the values times the sign of the map row -> column is the
     determinant of a square matrix of full rank.
     """
     def live(i):
@@ -620,10 +608,11 @@ def echelon(rows: list[dict], p: int | None = None,
         if not rest:
             return pivots
         r = min(rest, key=lambda i: len(rows[i]))
-        c = min(live(r))
-        pivots.append((r, c, rows[r][c]))
-        pivot(rows, r, c, p)
         rest.remove(r)
+        others = [rows[i] for i in rest]
+        c = min(live(r), key=lambda j: (sum(1 for o in others if j in o), j))
+        pivots.append((r, c, rows[r][c]))
+        pivot([rows[r]] + others, 0, c, p)
 
 
 # ---------------------------------------------------------------------------

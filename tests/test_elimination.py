@@ -93,6 +93,21 @@ def test_echelon_determinant_matches_leibniz(rational):
     assert 0 < singular < 60
 
 
+def test_echelon_clears_only_the_rows_not_yet_pivoted():
+    """Row echelon form, not reduced: the row pivoted first keeps its entry
+    in the column pivoted second."""
+    rows = [{0: Fraction(1), 1: Fraction(1)},
+            {0: Fraction(1), 1: Fraction(2), 2: Fraction(1)}]
+    (r0, c0, _), (r1, c1, _) = echelon(rows)
+    assert (r0, c0, r1, c1) == (0, 0, 1, 1)
+    assert rows[r0].get(c1) == 1
+
+
+def test_echelon_pivots_on_the_column_in_fewest_rows():
+    rows = [{0: 3, 1: 1}, {0: 1, 2: 1, 3: 1}]
+    assert echelon(rows, _P)[0] == (0, 1, 1)
+
+
 def test_leading_minors_match_leibniz():
     rng = random.Random(5)
     for _ in range(40):

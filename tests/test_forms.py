@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from periodforge.graphs import banana, wheel
+from periodforge.graphs import Graph, banana, wheel
 from periodforge.polynomials import (Poly, cycle_basis, generic_2x2,
                                      generic_matrix, generic_symmetric,
                                      graph_polynomial, laplacian)
@@ -98,9 +98,17 @@ def test_omega5_sign_adjudicated_by_brute_force():
 
 
 def test_even_vanishing():
-    for n in (2, 4, 6):
-        assert canonical_form_symbolic(generic_2x2(), n).is_zero()
-        assert canonical_form_symbolic(generic_symmetric(3), n).is_zero()
+    """The symbolic path returns the zero form for even n without
+    computing it; the dense oracle's exterior-algebra products check that
+    the rule holds."""
+    cases = [(generic_2x2(), [Fraction(k, 3) for k in (4, 5, 1, 2)]),
+             (generic_symmetric(3), [Fraction(k, 7) for k in (9, 12, 5, 3,
+                                                               2, 4)])]
+    for x, pt in cases:
+        assert dense_coefficients(x, 1, pt)
+        for n in (2, 4, 6):
+            assert canonical_form_symbolic(x, n).is_zero()
+            assert dense_coefficients(x, n, pt) == {}
 
 
 def test_omega3_symmetric_vanishes():
@@ -173,6 +181,9 @@ def test_graph_form_degree_overflow():
     # sunrise has 3 edges; a 5-form on 3 variables is identically zero
     f = graph_canonical_form(banana(3), FormSpec((5,)))
     assert f.is_zero()
+    # a tree has the empty Laplacian, so no differentials at all
+    tree = Graph((0, 0), ((1, 2),))
+    assert graph_canonical_form(tree, FormSpec((5,))).is_zero()
 
 
 def test_numeric_matches_symbolic_exact():
@@ -187,6 +198,24 @@ def test_numeric_matches_symbolic_exact():
         sym = f.chart_top_coefficient(pt, chart=6)
         num = canonical_form_numeric(lam, FormSpec((5,)), pt, exact=True)
         assert sym == num
+
+
+def test_symbolic_matches_dense_oracle():
+    """Every coefficient of the symbolic form, at exact points, against the
+    exterior-algebra products, which share no code with the subset DP."""
+    cases = [
+        (generic_2x2(), 3, [Fraction(k, 3) for k in (4, 5, 1, 2)]),
+        (generic_matrix(3), 5, [Fraction(k, 3) for k in (5, 1, 2, 7, 4, -1,
+                                                         3, 2, 8)]),
+        (laplacian(wheel(3)), 5, [Fraction(k, 5) for k in (7, 3, 11, 4, 6,
+                                                           5)]),
+    ]
+    for x, n, pt in cases:
+        f = canonical_form_symbolic(x, n)
+        dense = dense_coefficients(x, n, pt)
+        keys = set(f.numer) | set(dense)
+        assert dense and {s: f.evaluate_coefficient(s, pt) for s in keys} \
+            == {s: dense.get(s, 0) for s in keys}
 
 
 def test_numeric_matches_dense_oracle():

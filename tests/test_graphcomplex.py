@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -196,6 +197,21 @@ def test_loop_seven_homology():
                      13: 10, 14: 75, 15: 170, 16: 186, 17: 109, 18: 29}
     assert {r["degree"]: r["homology"] for r in rows if r["homology"]} == \
         {0: 1}
+
+
+@pytest.mark.skipif(os.environ.get("PERIODFORGE_STRETCH") != "1",
+                    reason="set PERIODFORGE_STRETCH=1 to run loop 8 (minutes)")
+def test_loop_eight_homology():
+    """Loop 8 at 14-21 edges: homology in degree 0, the class [sigma_3,
+    sigma_5], and in degree 3."""
+    rows = homology_report(8, max_loops=8)
+    by_edges = {r["edges"]: r for r in rows if r["edges"] >= 14}
+    assert [by_edges[n]["basis"] for n in range(14, 22)] == \
+        [16, 179, 879, 2328, 3491, 2926, 1261, 214]
+    assert [by_edges[n]["rank"] for n in range(15, 22)] == \
+        [16, 163, 715, 1613, 1878, 1047, 214]
+    assert {r["degree"]: r["homology"] for r in rows if r["homology"]} == \
+        {0: 1, 3: 1}
 
 
 def test_homology_loop_bound():

@@ -54,3 +54,38 @@ def test_every_import_is_used():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def _references(tree: ast.Module):
+    """(name, top-level definition it sits in) for every name a module
+    reads, every attribute it looks up and every name it imports."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+            elif isinstance(node, ast.ImportFrom):
+                for a in node.names:
+                    yield a.name, owner
+
+
+def test_every_top_level_definition_is_referenced():
+    """Each top-level function and class of the package is used from the
+    package, the tests or the benchmark, other than by its own body."""
+    package = Path(periodforge.__file__).resolve().parent
+    root = Path(__file__).resolve().parents[1]
+    users: dict[str, set] = {}
+    defs = []
+    for folder in (package, root / "tests", root / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for name, owner in _references(tree):
+                users.setdefault(name, set()).add((path, owner))
+            if folder == package:
+                defs += [(path, node.lineno, node.name) for node in tree.body
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [f"{path.name}:{line} {name}" for path, line, name in defs
+              if not users.get(name, set()) - {(path, name)}]
+    assert not unused, unused

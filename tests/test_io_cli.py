@@ -92,6 +92,17 @@ def test_cli_psi_json_roundtrip(files, capsys):
     assert payload["manifest"]["command"] == "psi"
 
 
+def test_cli_laplacian(files, capsys):
+    assert main(["laplacian", files["sunrise"]]) == 0
+    assert capsys.readouterr().out.splitlines() == ["[x1 + x2, x1]",
+                                                    "[x1, x1 + x3]"]
+    assert main(["laplacian", files["sunrise"], "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["laplacian"] == [["x1 + x2", "x1"], ["x1", "x1 + x3"]]
+    assert payload["size"] == 2
+    assert payload["manifest"]["command"] == "laplacian"
+
+
 def test_cli_divergences(files, capsys):
     assert main(["divergences", files["sunrise"]]) == 0
     out = capsys.readouterr().out

@@ -142,6 +142,23 @@ def test_det_1x1():
     assert det_poly(m) == ml({1}, {2})
 
 
+def test_det_poly_general_swaps_rows_on_a_zero_pivot():
+    """det [[0, x1], [x2, x3]] = -x1 x2, and a zero on the diagonal only
+    after the first Bareiss step: det [[x1, 0, 0], [0, 0, x2], [0, x3, 0]]
+    = -x1 x2 x3."""
+    from periodforge.polynomials import LinearFormMatrix
+
+    def mat(rows, nvars):
+        return LinearFormMatrix(tuple(tuple(LinearForm({v: 1} if v else {})
+                                            for v in row) for row in rows),
+                                nvars)
+
+    assert det_poly_general(mat(((0, 1), (2, 3)), 3)) == \
+        Poly(3, {(1, 1, 0): -1})
+    assert det_poly_general(mat(((1, 0, 0), (0, 0, 2), (0, 3, 0)), 3)) == \
+        Poly(3, {(1, 1, 1): -1})
+
+
 def test_matrix_tree_on_corpus(corpus):
     for g in corpus:
         assert det_poly(laplacian(g)) == graph_polynomial(g), g
