@@ -155,21 +155,43 @@ class _Evaluator:
             self.form = BatchedGraphFormEvaluator(g, ig.form_spec, self.chart)
         self.inc = self.form.inc if self.form else CycleIncidence(g)
 
-    def values(self, xs):
-        """Integrand f with I = integral of f * Omega, at simplex points.
+    def values(self, xs, logw):
+        """Weights f * exp(logw) at simplex points, where I = integral of
+        f * Omega and ``logw`` is the sampler's log importance weight.
 
         f is homogeneous of degree -|E|; the chart route evaluates at
         x/x_chart and compensates by x_chart^-|E|, so different charts give
-        the same value along different floating-point paths.
+        the same value along different floating-point paths.  For N/Psi^k
+        the weight is formed in log space, log|N| - k log Psi - |E| log
+        x_chart + logw, and exponentiated once.  log Psi comes from the
+        incidence's guarded LDL^T; a row it flags takes the exact Psi at
+        its point, unless the point itself is not finite.
         """
         ig = self.ig
         if ig.form_spec is not None:
-            return self.form.integrand_values(xs)
+            return self.form.integrand_values(xs) * np.exp(logw)
         xc = xs[:, self.chart - 1]
         ys = xs / xc[:, None]
-        psi = np.linalg.det(self.inc.laplacians(ys))
+        logpsi, _, bad = self.inc.factor(ys)
+        for i in np.flatnonzero(bad):
+            if np.isfinite(ys[i]).all():
+                logpsi[i] = _log_rational(self.inc.psi_exact(ys[i]))
         num = ig.numerator.evaluate_floats(ys)
-        return num / psi ** ig.psi_power * xc ** (-ig.graph.ne)
+        # a non-finite weight is reported by _run_shard, not warned about
+        with np.errstate(all="ignore"):
+            logf = np.log(np.abs(num))
+            logf -= ig.psi_power * logpsi
+            logf -= ig.graph.ne * np.log(xc)
+            logf += logw
+            return np.copysign(np.exp(logf, out=logf), num)
+
+
+def _log_rational(r: Fraction) -> float:
+    """Natural log of a non-negative rational, -inf at 0, with no float
+    overflow on the way."""
+    if not r:
+        return -math.inf
+    return math.log(r.numerator) - math.log(r.denominator)
 
 
 def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None, seed: int,
@@ -177,8 +199,7 @@ def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None, seed: int,
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,))))
     xs, logw = simplex_sample(rng, count, ev.ig.graph.ne, sampler)
-    vals = ev.values(xs)
-    w = vals * np.exp(logw)
+    w = ev.values(xs, logw)
     bad = ~np.isfinite(w)
     if bad.any():
         raise NonFinitePointError(xs[int(np.argmax(bad))])

@@ -12,6 +12,7 @@ determinant.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -542,9 +543,108 @@ class CycleIncidence:
         return (q[:, None, :, None] * q[None, :, None, :]).reshape(
             ne * ne, h * h)
 
-    def laplacians(self, xs):
-        """(B, h, h) Laplacians at the rows of ``xs`` (B, ne)."""
-        return (xs @ self.lap).reshape(xs.shape[0], self.h, self.h)
+    # samples per block of `factor`: the (h, h, block) working array stays
+    # in cache through the factorisation's passes
+    _BLOCK = 8192
+
+    def factor(self, xs, inverse: bool = False):
+        """(log Psi, Lambda^-1 or None, flagged) at the rows of ``xs`` (B, ne).
+
+        The Laplacians are built along the sample axis, ``lap.T @ xs.T`` in
+        (h, h, B) layout, block by block, scaled by their diagonal, S_ij =
+        Lambda_ij / (d_i d_j) with d_i = sqrt(Lambda_ii), and factored in
+        place as S = L D L^T, one vector operation over the samples per row
+        step; log Psi = sum_j log D_j + sum_i log Lambda_ii.  With
+        ``inverse``, L^-1 is formed in place, then S^-1 = L^-T D^-1 L^-1, and
+        the (h, h, B) Lambda^-1_ij = S^-1_ij / (d_i d_j) is returned.  A row
+        is flagged when one of its pivots D_j is not positive and finite, or
+        its inverse is not finite; its other outputs are meaningless and the
+        caller redoes it exactly.  Every array written is allocated here, so
+        threads may share the instance, and no floating-point warning is
+        raised.
+        """
+        import numpy as np
+
+        h, B = self.h, xs.shape[0]
+        logpsi = np.empty(B)
+        bad = np.empty(B, dtype=bool)
+        inv = np.empty((h, h, B)) if inverse else None
+        with np.errstate(all="ignore"):
+            for lo in range(0, B, self._BLOCK):
+                blk = slice(lo, lo + self._BLOCK)
+                logpsi[blk], bad[blk] = self._factor_block(
+                    xs[blk], None if inv is None else inv[:, :, blk])
+        return logpsi, inv, bad
+
+    def _factor_block(self, xs, inv):
+        """``factor`` on one block; writes Lambda^-1 into ``inv`` unless
+        it is None."""
+        import numpy as np
+
+        h, B = self.h, xs.shape[0]
+        diagonal = (range(h), range(h))
+        a = (self.lap.T @ xs.T).reshape(h, h, B)
+        lam_ii = a[diagonal]
+        d = np.sqrt(lam_ii)
+        # only the lower triangle is read from here on
+        for i in range(h):
+            a[i, :i + 1] /= d[:i + 1]
+            a[i, :i + 1] /= d[i]
+        # L below the diagonal, D on it
+        for j in range(h - 1):
+            col = a[j + 1:, j]
+            ell = col / a[j, j]
+            for i in range(j + 1, h):
+                a[i, j + 1:i + 1] -= a[i, j] * ell[:i - j]
+            col[...] = ell
+        piv = a[diagonal]
+        logpsi = np.log(piv).sum(axis=0) + np.log(lam_ii).sum(axis=0)
+        # finite exactly when every pivot and diagonal entry is positive
+        # and finite
+        bad = ~np.isfinite(logpsi)
+        if inv is None:
+            return logpsi, bad
+        # M = L^-1 below the diagonal: M_ij = -(L_ij + sum_{j<k<i} L_ik
+        # M_kj), ascending j, so L_ik (k > j) is still unread
+        for i in range(1, h):
+            for j in range(i):
+                if j + 1 < i:
+                    a[i, j] += (a[i, j + 1:i] * a[j + 1:i, j]).sum(axis=0)
+                np.negative(a[i, j], out=a[i, j])
+        # S^-1_ij = sum_{k >= j} M_ki M_kj / D_k (i <= j, M_kk = 1) by
+        # columns; row j of M is last read for column j, so column j of
+        # S^-1 is mirrored into it
+        rpiv = 1.0 / piv
+        for j in range(h):
+            w = a[j + 1:, j] * rpiv[j + 1:]
+            s = (a[j + 1:, :j + 1] * w[:, None]).sum(axis=0)
+            s[:j] += a[j, :j] * rpiv[j]
+            s[j] += rpiv[j]
+            a[:j + 1, j] = s
+            a[j, :j] = s[:j]
+        np.divide(a, d[:, None], out=inv)
+        inv /= d[None, :]
+        bad |= ~np.isfinite(inv).all(axis=(0, 1))
+        return logpsi, bad
+
+    def exact_laplacian(self, x):
+        """The Laplacian at the float row ``x`` in rational arithmetic."""
+        pt = [Fraction(float(c)) for c in x]
+        q = [[int(c) for c in row] for row in self.q.tolist()]
+        hs = range(self.h)
+        return [[sum(p * r[i] * r[j] for p, r in zip(pt, q)) for j in hs]
+                for i in hs]
+
+    def psi_exact(self, x):
+        """Psi at the float row ``x``, exactly: the product of the pivots of
+        ``echelon`` on the rational Laplacian, whose determinant is never
+        negative, so the pivot order's sign is dropped; 0 when singular."""
+        rows = [{j: v for j, v in enumerate(r) if v}
+                for r in self.exact_laplacian(x)]
+        pivots = echelon(rows)
+        if len(pivots) < self.h:
+            return Fraction(0)
+        return abs(math.prod(v for _, _, v in pivots))
 
 
 class BatchedGraphFormEvaluator:
@@ -553,8 +653,9 @@ class BatchedGraphFormEvaluator:
     The Laplacian's coefficient matrices are the rank-one cycle outer
     products q_e q_e^T, so one Gram tensor per batch feeds the scalar
     evaluator's subset DP ``_cycle_coefficients``, with one atom per edge
-    and numpy arrays over the sample axis.  The diagonally preconditioned
-    Laplacians are inverted in one batched call and one product with
+    and numpy arrays over the sample axis.  ``CycleIncidence.factor`` gives
+    Lambda^-1 in (h, h, sample) layout from one guarded LDL^T of the
+    diagonally scaled Laplacians, and one product with
     ``CycleIncidence.pair`` writes the Gram straight into the (edge, edge,
     sample) layout the DP reads.  The DP accumulates in place, keeping the
     per-element order of the floating-point operations of the plain
@@ -584,29 +685,18 @@ class BatchedGraphFormEvaluator:
     def _gram(self, xs):
         """(edge, edge, sample) Gram tensor q_e^T Lambda^-1 q_f.
 
-        Lambda is inverted scaled by its diagonal, d_i = sqrt(Lambda_ii),
-        and Lambda^-1_ij = S^-1_ij / (d_i d_j).  Rows whose inverse is not
-        finite (extreme corner samples) are redone in rational arithmetic.
+        Lambda^-1 comes from ``CycleIncidence.factor`` in (h, h, B) layout,
+        so ``pair @ inv.reshape(h*h, B)`` is the Gram in the DP's layout.
+        Rows the factorisation flags (extreme corner samples) are redone in
+        rational arithmetic; their columns are zeroed first, so the product
+        meets no NaN.
         """
         import numpy as np
 
-        lam = self.inc.laplacians(xs)
-        d = np.sqrt(np.einsum("bii->bi", lam))
-        scaled = lam / d[:, :, None] / d[:, None, :]
-        try:
-            inv = np.linalg.inv(scaled)
-        except np.linalg.LinAlgError:
-            inv = np.full_like(scaled, np.nan)
-            for i in range(xs.shape[0]):
-                try:
-                    inv[i] = np.linalg.inv(scaled[i])
-                except np.linalg.LinAlgError:
-                    pass  # left NaN, so the row is redone exactly
-        inv /= d[:, :, None]
-        inv /= d[:, None, :]
-        bad = ~np.isfinite(inv).all(axis=(1, 2))
+        _, inv, bad = self.inc.factor(xs, inverse=True)
         B, ne = xs.shape
-        gt = (self.inc.pair @ inv.reshape(B, -1).T).reshape(ne, ne, B)
+        inv[:, :, bad] = 0.0
+        gt = (self.inc.pair @ inv.reshape(-1, B)).reshape(ne, ne, B)
         for i in np.flatnonzero(bad):
             gt[:, :, i] = self._gram_exact(xs[i])
         return gt
@@ -616,10 +706,7 @@ class BatchedGraphFormEvaluator:
         import numpy as np
 
         q = [[Fraction(c) for c in row] for row in self.inc.q.tolist()]
-        pt = [Fraction(float(c)) for c in x]
-        hs = range(self.inc.h)
-        lam = [[sum(p * r[i] * r[j] for p, r in zip(pt, q)) for j in hs]
-               for i in hs]
+        lam = self.inc.exact_laplacian(x)
         return np.array(_exact_gram(_invert_exact(lam), q, q), dtype=float)
 
     def evaluate(self, xs):

@@ -300,5 +300,7 @@ def simplex_sample(rng: np.random.Generator, count: int, n: int,
     # psi_tr is homogeneous of degree h: shift its log to the simplex scale
     scale = -np.log(total[:, 0])
     logpsitr = logpsitr + sampler.hfull * scale
-    lognu = (np.log(xs) * sampler.nu).sum(axis=1)
-    return xs, sampler.log_period + sampler.kf * logpsitr - lognu
+    logw = sampler.log_period + sampler.kf * logpsitr
+    if sampler.nu.any():
+        logw = logw - (np.log(xs) * sampler.nu).sum(axis=1)
+    return xs, logw

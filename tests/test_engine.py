@@ -263,6 +263,18 @@ def test_simplex_sample_matches_inline_weights():
     assert np.array_equal(logw, ref)
 
 
+def test_simplex_sample_zero_nu_weight_is_tropical_term():
+    """With nu = 0 the log weight is log_period + kf * logpsitr, bit for
+    bit: no x^nu term is formed."""
+    s = TropicalSampler(build_measure(wheel(3), k=2))
+    _, logw = simplex_sample(np.random.default_rng(4), 2000, 6, s)
+    logxs, logpsitr = s.sample(np.random.default_rng(4), 2000)
+    total = np.exp(logxs).sum(axis=1, keepdims=True)
+    logpsitr = logpsitr + wheel(3).loop_number() * -np.log(total[:, 0])
+    ref = s.log_period + s.kf * logpsitr
+    assert logw.tobytes() == ref.tobytes()
+
+
 def test_subset_tables_capped():
     big = Graph((0, 0), ((1, 2),) * 17)
     with pytest.raises(GraphError, match="capped at 16 edges"):
@@ -411,8 +423,8 @@ def test_shard_variance_merge_is_stable(monkeypatch):
     class Ev:
         ig = residue_integrand(banana(2))
 
-        def values(self, xs):
-            return xs
+        def values(self, xs, logw):
+            return xs * np.exp(logw)
 
     parts = [engine._run_shard(Ev(), None, 0, i, w.size)
              for i, w in enumerate(shards)]
@@ -423,6 +435,56 @@ def test_shard_variance_merge_is_stable(monkeypatch):
     assert m2 / n == pytest.approx(np.var(allw), rel=1e-9)
     naive = math.fsum((w * w).sum() for w in shards) / n - mean * mean
     assert abs(naive - np.var(allw)) > np.var(allw)
+
+
+def test_residue_exact_psi_row(monkeypatch):
+    """A residue corner row that the float LDL^T flags takes the exact Psi
+    once, and its weight is the exact one, rounded; a row whose exact Psi
+    is zero still aborts the shard."""
+    ev = engine._Evaluator(residue_integrand(wheel(3)))
+    calls = []
+    exact = ev.inc.psi_exact
+    monkeypatch.setattr(ev.inc, "psi_exact",
+                        lambda y: calls.append(y) or exact(y))
+    xs = np.array([[0.2, 0.3, 0.1, 0.15, 0.15, 0.1],
+                   [1, 1, 1, 1e-20, 1e-20, 1e-20]])
+    xs /= xs.sum(axis=1, keepdims=True)
+    assert ev.inc.factor(xs / xs[:, 5:])[2].tolist() == [False, True]
+    w = ev.values(xs, np.zeros(2))
+    assert len(calls) == 1
+    assert np.isfinite(w).all()
+    xc = Fraction(xs[1, 5])
+    ys = {e: Fraction(float(y)) for e, y in enumerate(xs[1] / xs[1, 5], 1)}
+    psi = graph_polynomial(wheel(3)).evaluate(ys)
+    assert w[1] == pytest.approx(float(1 / (psi ** 2 * xc ** 6)), rel=1e-12)
+
+    # the triangle of edges 1, 2, 4 at zero: every spanning-tree
+    # complement meets it, so Psi = 0 exactly
+    zero = np.array([[0.0, 0.0, 0.25, 0.0, 0.25, 0.5]])
+    monkeypatch.setattr(engine, "simplex_sample",
+                        lambda rng, count, n, s: (zero, np.zeros(1)))
+    calls.clear()
+    with pytest.raises(engine.NonFinitePointError):
+        engine._run_shard(ev, None, 0, 0, 1)
+    assert len(calls) == 1
+
+
+def test_corner_rows_raise_no_warning():
+    """The corner row of the exact-Gram test, through the form word and
+    the residue, under warnings as errors."""
+    import warnings
+
+    from periodforge.forms import BatchedGraphFormEvaluator
+
+    xs = np.array([[0.2, 0.3, 0.1, 0.15, 0.15, 0.1],
+                   [1, 1, 1, 1e-300, 1e-300, 1e-300]])
+    form = BatchedGraphFormEvaluator(wheel(3), FormSpec((5,)))
+    residue = engine._Evaluator(residue_integrand(wheel(3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(form.evaluate(xs)).all()
+        residue.values(xs, np.zeros(2))
+        residue.values(xs / xs.sum(axis=1, keepdims=True), np.zeros(2))
 
 
 def test_nonfinite_abort_reports_point():

@@ -9,9 +9,10 @@ from periodforge.graphs import Graph, banana, wheel
 from periodforge.polynomials import (Poly, cycle_basis, generic_2x2,
                                      generic_matrix, generic_symmetric,
                                      graph_polynomial, laplacian)
-from periodforge.forms import (BatchedGraphFormEvaluator, FormError,
-                               FormEvaluator, FormSpec, RationalForm,
-                               _cycle_coefficients, canonical_form_numeric,
+from periodforge.forms import (BatchedGraphFormEvaluator, CycleIncidence,
+                               FormError, FormEvaluator, FormSpec,
+                               RationalForm, _cycle_coefficients,
+                               canonical_form_numeric,
                                canonical_form_symbolic, graph_canonical_form,
                                wedge)
 from forms_oracle import dense_coefficients
@@ -456,6 +457,36 @@ def test_gram_matches_exact_gram():
             exact = ev._gram_exact(xs[i])
             assert np.allclose(gt[:, :, i], exact, rtol=1e-12,
                                atol=1e-12 * np.abs(exact).max())
+
+
+def test_log_psi_matches_exact_psi():
+    """log Psi from the guarded LDL^T against the spanning-tree Psi at the
+    same (float) points, on Dirichlet rows and on the tropical sampler's
+    most skewed rows, where the Laplacian is worst conditioned."""
+    import math
+
+    from periodforge.graphs import two_vertex_join, zigzag
+    from periodforge.tropical import (TropicalSampler, build_measure,
+                                      simplex_sample)
+
+    rng = np.random.default_rng(29)
+    for g in [wheel(3), zigzag(5), zigzag(8),
+              two_vertex_join(wheel(3), 4, wheel(3), 4)]:
+        inc = CycleIncidence(g)
+        psi = graph_polynomial(g)
+        sampler = TropicalSampler(build_measure(g, k=2))
+        drawn, _ = simplex_sample(rng, 2000, g.ne, sampler)
+        logs = np.log(drawn)
+        skewed = np.argsort(logs.max(axis=1) - logs.min(axis=1))[-5:]
+        xs = np.vstack([rng.dirichlet(np.ones(g.ne), size=20),
+                        drawn[skewed]])
+        logpsi, inv, bad = inc.factor(xs)
+        assert inv is None and not bad.any()
+        for x, got in zip(xs, logpsi):
+            exact = psi.evaluate({e: Fraction(float(c))
+                                  for e, c in enumerate(x, 1)})
+            want = math.log(exact.numerator) - math.log(exact.denominator)
+            assert abs(math.expm1(got - want)) <= 1e-9
 
 
 def test_batched_exact_gram_row():
