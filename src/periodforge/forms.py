@@ -347,62 +347,54 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of) -> dict:
     An anchored subset DP over cyclic products of Gram scalars, with the
     n-fold rotation symmetry factored out.  ``gt`` is b_i^T X^-1 a_j over
     the rank-one atoms (v, a, b) in (atom, atom, sample) layout, float64
-    or an object array of Fractions.  ``atoms_of[v]`` lists the atoms of
-    each of the ascending variables ``vars_``: one per edge of a graph
-    Laplacian, two per off-diagonal variable of a symmetric family.  Paths
-    accumulate in place: the first term for a key is its product (negated
-    when the sign is odd), later terms are added or subtracted, and the
-    closing factor and the rotation count multiply into the path's own
-    array.  Per element this is the same sequence of floating-point
-    operations as forming each signed term and summing the terms in path
-    order, so the result does not depend on the layout, the accumulation
-    being in place, or how the samples are split into batches.
+    or an object array of Fractions or polynomials.  ``atoms_of[v]`` lists
+    the atoms of each of the ascending variables ``vars_``: one per edge
+    of a graph Laplacian, two per off-diagonal variable of a symmetric
+    family.
+
+    For each anchor atom alpha, a depth holds the open paths as mask over
+    the bigger variables -> [(last atom, array), ...], masks and paths in
+    creation order.  ``_extend`` builds the next depth one destination at a
+    time: the paths into (S | w, beta) all come from the single mask S,
+    so the destination's array takes the terms of S's paths one after
+    another while they stay in cache.  A source mask is dropped as soon as
+    its destinations are built, and the last extension is never stored:
+    each of its paths is closed at once, by G[beta, alpha] and the
+    rotation count n, and added into its coefficient.  Per element this is
+    the same sequence of floating-point operations as forming each signed
+    term and summing the terms in path order, so the result does not
+    depend on the layout, on the accumulation being in place, or on how
+    the samples are split into batches.
     """
     import numpy as np
 
-    mul = np.multiply
     B = gt.shape[2]
     tmp = np.empty(B, dtype=gt.dtype)
+    # rows[i][j] is the (B,) view G[i, j], indexed without a numpy call
+    rows = [list(r) for r in gt]
     out: dict[frozenset, np.ndarray] = {}
     for ai, anchor in enumerate(vars_):
         bigger = vars_[ai + 1:]
         if len(bigger) < n - 1:
             continue
-        # (bits above w, bit of w, atom of w) per atom of a bigger variable
-        steps = [(wi + 1, 1 << wi, beta) for wi, w in enumerate(bigger)
-                 for beta in atoms_of[w]]
+        # (bits above w, bit of w, atoms of w) per bigger variable w
+        free = [(wi + 1, 1 << wi, atoms_of[w]) for wi, w in enumerate(bigger)]
         for alpha in atoms_of[anchor]:
-            # paths keyed by (mask over `bigger`, last atom)
-            paths = {(0, alpha): np.ones(B, dtype=gt.dtype)}
-            for _ in range(n - 1):
-                nxt: dict = {}
-                for key in list(paths):
-                    # popped, so each path's array is freed once extended
-                    val = paths.pop(key)
-                    mask, last = key
-                    row = gt[last]
-                    for above, bitw, beta in steps:
-                        if mask & bitw:
-                            continue
-                        odd = (mask >> above).bit_count() & 1
-                        dst = (mask | bitw, beta)
-                        acc = nxt.get(dst)
-                        if acc is None:
-                            acc = mul(val, row[beta])
-                            if odd:
-                                np.negative(acc, out=acc)
-                            nxt[dst] = acc
-                        else:
-                            mul(val, row[beta], out=tmp)
-                            if odd:
-                                acc -= tmp
-                            else:
-                                acc += tmp
-                paths = nxt
-            for (mask, last), val in paths.items():
+            start = np.ones(B, dtype=gt.dtype)
+            if n == 1:
+                closed = [(0, alpha, start)]
+            else:
+                paths = {0: [(alpha, start)]}
+                for _ in range(n - 2):
+                    nxt: dict[int, list] = {}
+                    for mask, beta, val in _extend(paths, free, rows, tmp):
+                        nxt.setdefault(mask, []).append((beta, val))
+                    paths = nxt
+                closed = _extend(paths, free, rows, tmp)
+            for mask, last, val in closed:
                 s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
                                            if mask >> i & 1}
-                mul(val, gt[last, alpha], out=val)
+                np.multiply(val, rows[last][alpha], out=val)
                 val *= n
                 prev = out.get(s)
                 if prev is None:
@@ -410,6 +402,38 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of) -> dict:
                 else:
                     prev += val
     return out
+
+
+def _extend(paths: dict, free, rows, tmp):
+    """The paths one variable longer than ``paths`` (mask -> [(last atom,
+    array), ...]), yielded as (mask, last atom, array) in creation order:
+    source masks in order, then ascending w, then the atoms of w.  The
+    first term of a destination is its product (negated when the sign is
+    odd), later terms are added or subtracted in the order of the source's
+    paths.  Each source mask is popped from ``paths`` once its
+    destinations are built."""
+    import numpy as np
+
+    mul = np.multiply
+    for mask in list(paths):
+        srcs = [(rows[last], val) for last, val in paths.pop(mask)]
+        (row0, val0), more = srcs[0], srcs[1:]
+        for above, bitw, betas in free:
+            if mask & bitw:
+                continue
+            odd = (mask >> above).bit_count() & 1
+            for beta in betas:
+                acc = mul(val0, row0[beta])
+                if odd:
+                    np.negative(acc, out=acc)
+                    for row, val in more:
+                        mul(val, row[beta], out=tmp)
+                        acc -= tmp
+                else:
+                    for row, val in more:
+                        mul(val, row[beta], out=tmp)
+                        acc += tmp
+                yield mask | bitw, beta, acc
 
 
 class FormEvaluator:
@@ -546,6 +570,9 @@ class CycleIncidence:
     # samples per block of `factor`: the (h, h, block) working array stays
     # in cache through the factorisation's passes
     _BLOCK = 8192
+    # smallest trusted scaled pivot, sqrt(eps): below it Psi and Lambda^-1
+    # keep fewer than half their digits
+    _MIN_PIVOT = 2.0 ** -26
 
     def factor(self, xs, inverse: bool = False):
         """(log Psi, Lambda^-1 or None, flagged) at the rows of ``xs`` (B, ne).
@@ -557,9 +584,11 @@ class CycleIncidence:
         step; log Psi = sum_j log D_j + sum_i log Lambda_ii.  With
         ``inverse``, L^-1 is formed in place, then S^-1 = L^-T D^-1 L^-1, and
         the (h, h, B) Lambda^-1_ij = S^-1_ij / (d_i d_j) is returned.  A row
-        is flagged when one of its pivots D_j is not positive and finite, or
-        its inverse is not finite; its other outputs are meaningless and the
-        caller redoes it exactly.  Every array written is allocated here, so
+        is flagged when one of its pivots D_j is below ``_MIN_PIVOT`` or not
+        finite, or its inverse is not finite; its other outputs are not
+        trusted and the caller redoes it exactly.  D_j in (0, 1] is the
+        scaled pivot, so a small one means cancellation has taken about
+        -log2 D_j of its bits.  Every array written is allocated here, so
         threads may share the instance, and no floating-point warning is
         raised.
         """
@@ -602,6 +631,7 @@ class CycleIncidence:
         # finite exactly when every pivot and diagonal entry is positive
         # and finite
         bad = ~np.isfinite(logpsi)
+        bad |= piv.min(axis=0) < self._MIN_PIVOT
         if inv is None:
             return logpsi, bad
         # M = L^-1 below the diagonal: M_ij = -(L_ij + sum_{j<k<i} L_ik

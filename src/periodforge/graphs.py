@@ -571,23 +571,30 @@ def _trivalent_graphs(genus_: int) -> list[tuple[Graph, list[int]]]:
     as ``_classes`` gives them, grown from genus 2 one handle at a time."""
     level = _classes([banana(3), dumbbell()])
     for _ in range(2, genus_):
-        level = _classes(h for g, _ in level for h in _handles(g))
+        level = _classes(h for g, reps in level for h in _handles(g, reps))
     return level
 
 
-def _handles(g: Graph) -> Iterator[Graph]:
-    """The graphs one handle up from g: new points a, b on two edges (or
-    both on one edge) joined by a new edge, or a new self-edge at b hung
-    from a new point a on an edge."""
+def _handles(g: Graph, reps: list[int]) -> Iterator[Graph]:
+    """The graphs one handle up from g, up to isomorphism: new points a, b
+    on edge i and on another edge j (or both on edge i) joined by a new
+    edge, or a new self-edge at b hung from a new point a on edge i.  An
+    automorphism moves any edge to the least edge of its orbit, so i runs
+    over those, ``reps``; a pair of two of them is taken once, from the
+    smaller."""
     a, b = g.nv + 1, g.nv + 2
     weights = g.weights + (0, 0)
-    for i, (u, v) in enumerate(g.edges):
+    firsts = {e - 1 for e in reps}
+    for i in sorted(firsts):
+        u, v = g.edges[i]
         rest = g.edges[:i] + g.edges[i + 1:]
         yield Graph(weights, rest + ((u, a), (a, b), (b, v), (a, b)))
         yield Graph(weights, rest + ((u, a), (a, v), (a, b), (b, b)))
-        for j in range(i, g.ne - 1):
-            x, y = rest[j]
-            yield Graph(weights, rest[:j] + rest[j + 1:]
+        for j, (x, y) in enumerate(g.edges):
+            if j == i or (j < i and j in firsts):
+                continue
+            others = tuple(e for k, e in enumerate(g.edges) if k not in (i, j))
+            yield Graph(weights, others
                         + ((u, a), (a, v), (x, b), (b, y), (a, b)))
 
 

@@ -9,6 +9,7 @@ live in :class:`Poly`.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -560,12 +561,15 @@ def laplacian(g: Graph, basis: CycleBasis | None = None) -> LinearFormMatrix:
 # exact elimination on sparse rows
 # ---------------------------------------------------------------------------
 
-def pivot(rows: list[dict], r: int, c: int, p: int | None = None) -> None:
+def pivot(rows: list[dict], r: int, c: int, p: int | None = None,
+          counts: Counter | None = None) -> None:
     """One Gauss-Jordan step on sparse rows ``{column: value}``, in place:
     scale row r to 1 at column c and clear column c from every other row.
 
     Values are non-zero Fractions, or ints in [1, p) when a prime ``p`` is
-    given; zeros are never stored.
+    given; zeros are never stored.  ``counts`` (column -> rows holding it),
+    when given, is kept up to date for the entries the step creates or
+    clears in the other rows.
     """
     row = rows[r]
     inv = pow(row[c], -1, p) if p else 1 / row[c]
@@ -576,13 +580,18 @@ def pivot(rows: list[dict], r: int, c: int, p: int | None = None) -> None:
         if i == r or not f:
             continue
         for j, v in row.items():
-            nv = other.get(j, 0) - f * v
+            old = other.get(j, 0)
+            nv = old - f * v
             if p:
                 nv %= p
             if nv:
                 other[j] = nv
-            else:
-                other.pop(j, None)
+                if counts is not None and not old:
+                    counts[j] += 1
+            elif old:
+                del other[j]
+                if counts is not None:
+                    counts[j] -= 1
 
 
 def echelon(rows: list[dict], p: int | None = None,
@@ -593,26 +602,30 @@ def echelon(rows: list[dict], p: int | None = None,
     columns below ``limit`` (all columns when None) that occurs in the
     fewest remaining rows, and clears that column from the remaining rows
     only: a row pivoted earlier keeps its entries in later pivot columns
-    (``forms._invert_exact`` reduces further).  Returns ``(row, column,
-    value before scaling)`` per pivot: their count is the rank, and the
-    product of the values times the sign of the map row -> column is the
-    determinant of a square matrix of full rank.
+    (``forms._invert_exact`` reduces further).  The rows per column are
+    counted once and kept up to date by ``pivot``.  Returns ``(row,
+    column, value before scaling)`` per pivot: their count is the rank,
+    and the product of the values times the sign of the map row -> column
+    is the determinant of a square matrix of full rank.
     """
     def live(i):
         return [c for c in rows[i] if limit is None or c < limit]
 
+    # rows not yet pivoted, per column; a row's own columns count once
+    # more for every candidate, which leaves the choice unchanged
+    counts = Counter(c for row in rows for c in row)
     pivots = []
     rest = list(range(len(rows)))
     while True:
-        rest = [i for i in rest if live(i)]
+        rest = [i for i in rest if rows[i] and (limit is None or live(i))]
         if not rest:
             return pivots
         r = min(rest, key=lambda i: len(rows[i]))
         rest.remove(r)
-        others = [rows[i] for i in rest]
-        c = min(live(r), key=lambda j: (sum(1 for o in others if j in o), j))
+        c = min(live(r), key=lambda j: (counts[j], j))
         pivots.append((r, c, rows[r][c]))
-        pivot([rows[r]] + others, 0, c, p)
+        counts.subtract(list(rows[r]))
+        pivot([rows[r]] + [rows[i] for i in rest], 0, c, p, counts)
 
 
 # ---------------------------------------------------------------------------

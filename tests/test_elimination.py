@@ -11,7 +11,7 @@ import pytest
 from periodforge.forms import FormError, FormEvaluator, _invert_exact
 from periodforge.graphcomplex import ComplexError, matrix_rank
 from periodforge.graphs import wheel
-from periodforge.polynomials import echelon, laplacian
+from periodforge.polynomials import echelon, laplacian, pivot
 from periodforge.voronoi import QuadraticForm
 
 _P = 7  # small, so ranks mod p often fall below ranks over Q
@@ -106,6 +106,63 @@ def test_echelon_clears_only_the_rows_not_yet_pivoted():
 def test_echelon_pivots_on_the_column_in_fewest_rows():
     rows = [{0: 3, 1: 1}, {0: 1, 2: 1, 3: 1}]
     assert echelon(rows, _P)[0] == (0, 1, 1)
+
+
+def _echelon_by_rescan(rows, p=None, limit=None):
+    """The pivot rule of ``echelon`` with every candidate column counted by
+    a scan of the remaining rows: the oracle for its kept-up-to-date
+    counts."""
+    def live(i):
+        return [c for c in rows[i] if limit is None or c < limit]
+
+    pivots = []
+    rest = list(range(len(rows)))
+    while True:
+        rest = [i for i in rest if live(i)]
+        if not rest:
+            return pivots
+        r = min(rest, key=lambda i: len(rows[i]))
+        rest.remove(r)
+        others = [rows[i] for i in rest]
+        c = min(live(r), key=lambda j: (sum(1 for o in others if j in o), j))
+        pivots.append((r, c, rows[r][c]))
+        pivot([rows[r]] + others, 0, c, p)
+
+
+def _sparse_sum(x, y, p):
+    out = dict(x)
+    for c, v in y.items():
+        t = out.get(c, 0) + v
+        if p:
+            t %= p
+        if t:
+            out[c] = t
+        else:
+            out.pop(c, None)
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 2 ** 31 - 1])
+def test_echelon_pivots_match_rescan_rule(p):
+    """Seeded sparse matrices, some with dependent rows, over Q and mod a
+    large prime, and with a column limit: the same pivots in the same
+    order, and the same rows left behind."""
+    rng = random.Random(31 if p else 37)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
+        density = rng.choice([0.05, 0.1, 0.3])
+        a = [{j: (rng.randint(1, p - 1) if p else
+                  Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                           rng.randint(1, 4)))
+              for j in range(ncols) if rng.random() < density}
+             for _ in range(nrows)]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(nrows), rng.randrange(nrows)
+            a.append(dict(a[i]) if i == j else _sparse_sum(a[i], a[j], p))
+        limit = rng.choice([None, None, max(1, ncols // 2)])
+        got, want = [dict(r) for r in a], [dict(r) for r in a]
+        assert echelon(got, p, limit) == _echelon_by_rescan(want, p, limit)
+        assert got == want
 
 
 def test_leading_minors_match_leibniz():

@@ -469,6 +469,24 @@ def test_residue_exact_psi_row(monkeypatch):
     assert len(calls) == 1
 
 
+def test_residue_weight_at_cancelling_rows():
+    """At the rows (1, 1, 1, t, t, t) of W3 the LDL^T pivots cancel: the
+    float Psi was off by 9e-5, 5% and 147% relative at these t.  Their
+    scaled pivots are below the guard, so the rows take the exact Psi and
+    each weight is the exact one, rounded."""
+    ev = engine._Evaluator(residue_integrand(wheel(3)))
+    psi = graph_polynomial(wheel(3))
+    xs = np.array([[1, 1, 1, t, t, t] for t in (1e-12, 1e-14, 3e-16)])
+    xs /= xs.sum(axis=1, keepdims=True)
+    assert ev.inc.factor(xs / xs[:, 5:])[2].all()
+    w = ev.values(xs, np.zeros(3))
+    for x, got in zip(xs, w):
+        xc = Fraction(x[5])
+        ys = {e: Fraction(float(y)) for e, y in enumerate(x / x[5], 1)}
+        want = 1 / (psi.evaluate(ys) ** 2 * xc ** 6)
+        assert got == pytest.approx(float(want), rel=1e-12)
+
+
 def test_corner_rows_raise_no_warning():
     """The corner row of the exact-Gram test, through the form word and
     the residue, under warnings as errors."""

@@ -245,6 +245,25 @@ def test_numeric_matches_dense_oracle():
         assert f.evaluate_coefficient(s, sym_pt) == val
 
 
+def test_degree_one_matches_dense_oracle():
+    """n = 1 has no extension step: each anchor atom's path closes at
+    once.  The exact point evaluator and the symbolic form against the
+    exterior-algebra oracle."""
+    cases = [
+        (generic_2x2(), [Fraction(k, 3) for k in (4, 5, 1, 2)]),
+        (generic_symmetric(3), [Fraction(k, 7) for k in (9, 12, 5, 3, 2, 4)]),
+        (laplacian(wheel(3)), [Fraction(k, 5) for k in (7, 3, 11, 4, 6, 5)]),
+    ]
+    for x, pt in cases:
+        dense = dense_coefficients(x, 1, pt)
+        mine = FormEvaluator(x, chart=0).coefficients(1, pt, exact=True)
+        assert dense and {s: v for s, v in mine.items() if v} == dense
+        f = canonical_form_symbolic(x, 1)
+        keys = set(f.numer) | set(dense)
+        assert {s: f.evaluate_coefficient(s, pt) for s in keys} \
+            == {s: dense.get(s, 0) for s in keys}
+
+
 def test_projective_invariance_numeric(rng):
     lam = laplacian(wheel(3))
     ev = FormEvaluator(lam, chart=6)
@@ -363,53 +382,61 @@ def test_form_word_computes_for_wrong_loop_order():
     assert np.isfinite(vals).all()
 
 
-def _reference_component_coefficients(chart_vars, n, gram):
-    """The dict subset DP over a (sample, edge, edge) Gram tensor, with a
-    fresh array per term: the oracle for the in-place batched DP."""
+def _reference_component_coefficients(chart_vars, n, gram, atoms_of):
+    """The dict subset DP over a (sample, atom, atom) Gram tensor, with a
+    fresh array per term, paths keyed by (mask, last atom) and extended
+    one source path at a time: the oracle for the in-place
+    destination-major DP."""
     B = gram.shape[0]
     out = {}
     for ai, anchor in enumerate(chart_vars):
         bigger = chart_vars[ai + 1:]
         if len(bigger) < n - 1:
             continue
-        ga = anchor - 1
-        paths = {(0, ga): np.ones(B)}
-        for _ in range(n - 1):
-            nxt = {}
+        for alpha in atoms_of[anchor]:
+            paths = {(0, alpha): np.ones(B)}
+            for _ in range(n - 1):
+                nxt = {}
+                for (mask, last), val in paths.items():
+                    for wi, w in enumerate(bigger):
+                        bitw = 1 << wi
+                        if mask & bitw:
+                            continue
+                        flips = bin(mask >> (wi + 1)).count("1")
+                        for beta in atoms_of[w]:
+                            term = val * gram[:, last, beta]
+                            if flips % 2:
+                                term = -term
+                            key = (mask | bitw, beta)
+                            if key in nxt:
+                                nxt[key] = nxt[key] + term
+                            else:
+                                nxt[key] = term
+                paths = nxt
             for (mask, last), val in paths.items():
-                for wi, w in enumerate(bigger):
-                    bitw = 1 << wi
-                    if mask & bitw:
-                        continue
-                    flips = bin(mask >> (wi + 1)).count("1")
-                    term = val * gram[:, last, w - 1]
-                    if flips % 2:
-                        term = -term
-                    key = (mask | bitw, w - 1)
-                    if key in nxt:
-                        nxt[key] = nxt[key] + term
-                    else:
-                        nxt[key] = term
-            paths = nxt
-        for (mask, last), val in paths.items():
-            s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
-                                       if mask >> i & 1}
-            acc = val * gram[:, last, ga] * n
-            if s in out:
-                out[s] = out[s] + acc
-            else:
-                out[s] = acc
+                s = frozenset({anchor}) | {bigger[i]
+                                           for i in range(len(bigger))
+                                           if mask >> i & 1}
+                acc = val * gram[:, last, alpha] * n
+                if s in out:
+                    out[s] = out[s] + acc
+                else:
+                    out[s] = acc
     return out
 
 
-def _assert_dp_matches_reference(ev, n, xs):
-    gt = ev._gram(xs)
-    ref = _reference_component_coefficients(ev.chart_vars, n,
-                                            gt.transpose(2, 0, 1))
-    got = _cycle_coefficients(n, gt, ev.chart_vars, ev.atoms_of)
+def _assert_gram_dp_matches_reference(variables, atoms_of, n, gt):
+    ref = _reference_component_coefficients(variables, n,
+                                            gt.transpose(2, 0, 1), atoms_of)
+    got = _cycle_coefficients(n, gt, variables, atoms_of)
     assert list(got) == list(ref)
     for s in ref:
         assert np.array_equal(got[s], ref[s]), sorted(s)
+
+
+def _assert_dp_matches_reference(ev, n, xs):
+    _assert_gram_dp_matches_reference(ev.chart_vars, ev.atoms_of, n,
+                                      ev._gram(xs))
 
 
 def test_batched_dp_bit_identical_to_reference():
@@ -428,6 +455,19 @@ def test_batched_dp_bit_identical_to_reference():
     xs = rng.uniform(0.05, 2.0, size=(3, 15))
     _assert_dp_matches_reference(k6, 5, xs)
     _assert_dp_matches_reference(k6, 9, xs)
+
+
+def test_float_dp_with_two_atoms_bit_identical_to_reference():
+    """omega5 on the symmetric family (two atoms per off-diagonal
+    variable) and the general 3x3 family (a != b), in floats at a batch of
+    points: the same coefficients, bit for bit, as the reference."""
+    rng = np.random.default_rng(19)
+    for x in (generic_symmetric(3), generic_matrix(3)):
+        ev = FormEvaluator(x, chart=0)
+        gt = np.concatenate([ev._gram(list(rng.uniform(0.2, 2.0, x.nvars)),
+                                      exact=False) for _ in range(16)],
+                            axis=2)
+        _assert_gram_dp_matches_reference(ev.variables, ev.atoms_of, 5, gt)
 
 
 def test_batched_evaluate_independent_of_dp_block():

@@ -8,7 +8,7 @@ from periodforge.graphs import (Graph, GraphError, banana, builtin_graph,
                                 cycle, decompletions, dumbbell,
                                 enumerate_gc_graphs, enumerate_stable_weighted,
                                 two_vertex_join, wheel, zigzag,
-                                _trivalent_graphs)
+                                _classes, _trivalent_graphs)
 from periodforge.canonical import (_Search, are_isomorphic,
                                    automorphism_edge_group, canonical_form,
                                    symmetry)
@@ -304,6 +304,29 @@ def test_trivalent_seeds_are_trivalent_of_their_genus():
         for g, _ in _trivalent_graphs(genus_):
             assert g.is_connected and set(g.degrees()) == {3}, g
             assert not any(g.weights) and g.genus() == genus_, g
+
+
+def _every_handle(g):
+    """Every handle of g: on each edge, and on each pair of edges."""
+    a, b = g.nv + 1, g.nv + 2
+    weights = g.weights + (0, 0)
+    for i, (u, v) in enumerate(g.edges):
+        rest = g.edges[:i] + g.edges[i + 1:]
+        yield Graph(weights, rest + ((u, a), (a, b), (b, v), (a, b)))
+        yield Graph(weights, rest + ((u, a), (a, v), (a, b), (b, b)))
+        for j in range(i, g.ne - 1):
+            x, y = rest[j]
+            yield Graph(weights, rest[:j] + rest[j + 1:]
+                        + ((u, a), (a, v), (x, b), (b, y), (a, b)))
+
+
+def test_trivalent_handles_over_edge_orbits_match_every_handle():
+    """Handles taken once per edge orbit reach the same classes, with the
+    same representatives and orbits, as handles on every edge and pair."""
+    level = _classes([banana(3), dumbbell()])
+    for genus_ in range(2, 6):
+        assert _trivalent_graphs(genus_) == level
+        level = _classes(h for g, _ in level for h in _every_handle(g))
 
 
 def test_gc_enumeration_counts():
