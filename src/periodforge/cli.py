@@ -3,41 +3,44 @@
 Exit codes: 0 success, 2 validation or usage error, 3 a --target z-test
 failed (|z| > 3).  JSON output embeds a run manifest; re-running the same
 command reproduces it bit for bit apart from the wall-time field.
+
+Each subcommand imports the layers it runs when it runs, so a command pays
+the start-up of those layers alone.  mpmath loads only when a --target is
+evaluated, and numpy only with the engine (residue, canonical) or the
+tropical subset tables (divergences).
 """
 
 from __future__ import annotations
 
-import argparse
-import ast
 import json
 import sys
 import time
 
-import mpmath as mp
-
 from . import __version__
-from .graphs import Graph, GraphError
-from .polynomials import (PolynomialError, divergent_subgraphs,
-                          graph_polynomial, laplacian)
-from .forms import FormError, FormSpec
-from .engine import (IntegrationError, canonical_integrand,
-                     integrate, residue_integrand)
-from .tropical import DivergentIntegrandError
-from .graphcomplex import ComplexError, homology_report
-from .voronoi import (VoronoiError, minimal_vectors, torelli_point,
-                      voronoi_cell)
-from .graphs import enumerate_stable_weighted
-from . import io as pfio
-from .zeta import pi as _pi, zeta as _zeta, zeta2 as _zeta2
 
-_ERRORS = (GraphError, PolynomialError, FormError, ComplexError,
-           VoronoiError, DivergentIntegrandError, IntegrationError,
-           ValueError)
+
+def _usage_errors() -> tuple[type[Exception], ...]:
+    """What main reports as a validation error (exit 2).
+
+    Every layer's error class subclasses ValueError except the engine's
+    IntegrationError, which only a process that imported the engine can
+    raise.
+    """
+    engine = sys.modules.get(f"{__package__}.engine")
+    integration = () if engine is None else (engine.IntegrationError,)
+    return (ValueError, OSError, *integration)
 
 
 def evaluate_target(expr: str) -> float:
     """Evaluate a target expression: rationals, pi, zeta(s), zeta2(a,b),
     + - * / ^ and parentheses, at 30+ digits."""
+    import ast
+    import math
+
+    import mpmath as mp
+
+    from .zeta import pi as _pi, zeta as _zeta, zeta2 as _zeta2
+
     try:
         tree = ast.parse(expr.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
@@ -81,19 +84,24 @@ def evaluate_target(expr: str) -> float:
             value = ev(tree)
         except ZeroDivisionError as exc:
             raise ValueError(f"division by zero in target {expr!r}") from exc
-    if not isinstance(value, mp.mpf) or not mp.isfinite(value):
+    # an mpf past the float range, such as 2^10000, is finite to mpmath
+    if not isinstance(value, mp.mpf) or not math.isfinite(float(value)):
         raise ValueError(f"target {expr!r} is not a finite real number")
     return value
 
 
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str):
+    from .io import parse_graph
+
     with open(path) as fh:
-        return pfio.parse_graph(fh.read())
+        return parse_graph(fh.read())
 
 
 def _load_matrix(path: str):
+    from .io import parse_matrix
+
     with open(path) as fh:
-        return pfio.parse_matrix(fh.read())
+        return parse_matrix(fh.read())
 
 
 def _manifest(args, t0: float) -> dict:
@@ -117,6 +125,8 @@ def _emit(args, t0, payload: dict, text_lines: list[str]) -> None:
 
 
 def _cmd_psi(args, t0):
+    from .polynomials import graph_polynomial
+
     g = _load_graph(args.graph)
     psi = graph_polynomial(g)
     _emit(args, t0, {"psi": psi.to_json()}, [psi.to_text()])
@@ -124,6 +134,8 @@ def _cmd_psi(args, t0):
 
 
 def _cmd_laplacian(args, t0):
+    from .polynomials import laplacian
+
     g = _load_graph(args.graph)
     lam = laplacian(g)
     rows = [[repr(f) for f in row] for row in lam.entries]
@@ -133,6 +145,8 @@ def _cmd_laplacian(args, t0):
 
 
 def _cmd_divergences(args, t0):
+    from .polynomials import divergent_subgraphs
+
     g = _load_graph(args.graph)
     divs = divergent_subgraphs(g)
     lines = [" ".join(map(str, d)) for d in divs] or ["(subdivergence-free)"]
@@ -165,6 +179,8 @@ def _finish_integral(args, t0, g, est, target, extra):
 
 
 def _cmd_residue(args, t0):
+    from .engine import integrate, residue_integrand
+
     target = _target(args)
     g = _load_graph(args.graph)
     ig = residue_integrand(g)
@@ -174,6 +190,9 @@ def _cmd_residue(args, t0):
 
 
 def _cmd_canonical(args, t0):
+    from .engine import canonical_integrand, integrate
+    from .forms import FormSpec
+
     target = _target(args)
     g = _load_graph(args.graph)
     spec = FormSpec(tuple(int(x) for x in args.form.split(",")))
@@ -184,6 +203,8 @@ def _cmd_canonical(args, t0):
 
 
 def _cmd_gc_homology(args, t0):
+    from .graphcomplex import homology_report
+
     rows = homology_report(args.loops, max_loops=max(args.loops, 6)
                            if args.allow_big else 6)
     lines = [f"loops {args.loops}: bigraded report"]
@@ -200,17 +221,22 @@ def _cmd_gc_homology(args, t0):
 
 
 def _cmd_stable(args, t0):
+    from .graphs import enumerate_stable_weighted
+    from .io import write_graph
+
     graphs = enumerate_stable_weighted(args.genus)
     lines = [f"{len(graphs)} stable weighted graphs of genus {args.genus}"]
     for g in graphs:
         lines.append("")
-        lines.append(pfio.write_graph(g).rstrip())
+        lines.append(write_graph(g).rstrip())
     _emit(args, t0, {"count": len(graphs),
-                     "graphs": [pfio.write_graph(g) for g in graphs]}, lines)
+                     "graphs": [write_graph(g) for g in graphs]}, lines)
     return 0
 
 
 def _cmd_minvec(args, t0):
+    from .voronoi import minimal_vectors
+
     q = _load_matrix(args.matrix)
     vecs = minimal_vectors(q)
     lines = [" ".join(map(str, v)) for v in vecs]
@@ -220,6 +246,8 @@ def _cmd_minvec(args, t0):
 
 
 def _cmd_cell(args, t0):
+    from .voronoi import voronoi_cell
+
     q = _load_matrix(args.matrix)
     cell = voronoi_cell(q)
     lines = []
@@ -233,6 +261,8 @@ def _cmd_cell(args, t0):
 def _cmd_torelli(args, t0):
     from fractions import Fraction
 
+    from .voronoi import torelli_point
+
     g = _load_graph(args.graph)
     lengths = [Fraction(x) for x in args.lengths.split(",")]
     q = torelli_point(g, lengths)
@@ -243,6 +273,8 @@ def _cmd_torelli(args, t0):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="periodforge",
         description="graph polynomials, canonical forms, periods and "
@@ -307,10 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, t0)
-    except _ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except _usage_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

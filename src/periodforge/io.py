@@ -12,9 +12,12 @@ followed by g*g rational entries, row major, whitespace separated.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .graphs import Graph, GraphError
-from .voronoi import QuadraticForm, VoronoiError
+
+if TYPE_CHECKING:
+    from .voronoi import QuadraticForm
 
 
 def parse_graph(text: str) -> Graph:
@@ -72,6 +75,9 @@ def write_graph(g: Graph) -> str:
 
 
 def parse_matrix(text: str) -> QuadraticForm:
+    # a graph-only process never loads the lattice code
+    from .voronoi import QuadraticForm, VoronoiError
+
     tokens = []
     for raw in text.splitlines():
         tokens.extend(raw.split("#", 1)[0].split())

@@ -327,6 +327,19 @@ def test_determinism_and_threads():
     assert e4.mean != e1.mean
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_integrate_rejects_non_positive_threads(threads, monkeypatch):
+    """A thread count below one fails before any preprocessing: a divergent
+    integrand reports the thread count, not its divergence."""
+    built = []
+    monkeypatch.setattr(engine, "build_measure",
+                        lambda *a: built.append(a))
+    for g in (wheel(3), dunce_graph()):
+        with pytest.raises(IntegrationError, match="threads must be at least"):
+            integrate(residue_integrand(g), 1000, seed=0, threads=threads)
+    assert built == []
+
+
 def test_chart_independence():
     ig1 = Integrand(wheel(3), numerator=MultilinearPoly.one(), psi_power=2,
                     chart=1)

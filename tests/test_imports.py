@@ -37,6 +37,52 @@ def test_psi_does_not_load_the_labeller():
     assert "periodforge.canonical" not in mods
 
 
+def test_cli_import_loads_no_layer():
+    mods = _fresh_modules("import periodforge.cli\n")
+    for name in ("mpmath", "numpy", "concurrent.futures",
+                 "periodforge.voronoi", "periodforge.zeta"):
+        assert name not in mods, name
+
+
+def test_exact_commands_load_neither_numpy_nor_mpmath(tmp_path):
+    graph = tmp_path / "sunrise.g"
+    graph.write_text("v 1\nv 2\ne 1 1 2\ne 2 1 2\ne 3 1 2\n")
+    for argv in (["gc-homology", "--loops", "3"], ["psi", str(graph)]):
+        mods = _fresh_modules("from periodforge.cli import main\n"
+                              f"assert main({argv!r}) == 0\n")
+        assert "numpy" not in mods, argv
+        assert "mpmath" not in mods, argv
+
+
+def test_evaluate_target_in_a_cold_interpreter():
+    """The benchmark's parent process checks estimates with evaluate_target
+    before it has imported mpmath or the zeta module."""
+    mods = _fresh_modules("from periodforge.cli import evaluate_target\n"
+                          "v = float(evaluate_target('6*zeta(3)'))\n"
+                          "assert abs(v - 7.212341418957566) < 1e-14, v\n")
+    assert "periodforge.zeta" in mods
+
+
+def test_layer_errors_are_value_errors():
+    """The CLI maps ValueError to exit 2 without importing the layers; the
+    engine's IntegrationError is the one error class outside it."""
+    import importlib
+
+    from periodforge.engine import IntegrationError
+
+    package = Path(periodforge.__file__).parent
+    errors = []
+    for path in sorted(package.glob("[!_]*.py")):
+        module = importlib.import_module(f"periodforge.{path.stem}")
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__]
+    assert len(errors) >= 8
+    outside = [e.__name__ for e in errors if not issubclass(e, ValueError)
+               and not issubclass(e, IntegrationError)]
+    assert not outside, outside
+
+
 def test_every_import_is_used():
     """Each name a module imports is read somewhere in that module."""
     unused = []

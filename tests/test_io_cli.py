@@ -8,6 +8,7 @@ from periodforge.io import parse_graph, parse_matrix, write_graph, write_matrix
 from periodforge.voronoi import QuadraticForm
 from periodforge.cli import evaluate_target, main
 from periodforge.zeta import zeta
+from conftest import dunce_graph
 
 
 SUNRISE_FILE = """\
@@ -61,7 +62,7 @@ def test_evaluate_target():
 
 
 def test_evaluate_target_rejects_non_real_values():
-    for bad in ("1/0", "(-1)^0.5", "zeta(1)"):
+    for bad in ("1/0", "(-1)^0.5", "zeta(1)", "2^10000"):
         with pytest.raises(ValueError):
             evaluate_target(bad)
 
@@ -76,7 +77,10 @@ def files(tmp_path):
     w3.write_text(wg(wheel(3)))
     m = tmp_path / "hex.mat"
     m.write_text("2\n2 1\n1 2\n")
-    return {"sunrise": str(g), "w3": str(w3), "hex": str(m)}
+    dunce = tmp_path / "dunce.g"
+    dunce.write_text(wg(dunce_graph()))
+    return {"sunrise": str(g), "w3": str(w3), "hex": str(m),
+            "dunce": str(dunce)}
 
 
 def test_cli_psi(files, capsys):
@@ -144,20 +148,53 @@ def test_cli_rejects_non_integer_zeta_argument(files, capsys):
 
 @pytest.mark.parametrize("command", ["residue", "canonical"])
 @pytest.mark.parametrize("target, message", [("1/0", "division by zero"),
-                                             ("gamma(3)", "unsupported")],
-                         ids=["division-by-zero", "unknown-function"])
+                                             ("gamma(3)", "unsupported"),
+                                             ("2^10000", "not a finite")],
+                         ids=["division-by-zero", "unknown-function",
+                              "past-float-range"])
 def test_cli_rejects_bad_target_before_sampling(files, capsys, monkeypatch,
                                                 command, target, message):
-    import periodforge.cli as cli
-
     ran = []
-    monkeypatch.setattr(cli, "integrate", lambda *a, **k: ran.append(a))
+    # the subcommands import integrate from the engine when they run
+    monkeypatch.setattr("periodforge.engine.integrate",
+                        lambda *a, **k: ran.append(a))
     form = ["--form", "5"] if command == "canonical" else []
     code = main([command, files["w3"], *form, "--samples", "2000",
                  "--target", target])
     assert code == 2
     assert message in capsys.readouterr().err
     assert ran == []
+
+
+@pytest.mark.parametrize("command", ["residue", "canonical"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_rejects_non_positive_threads(files, capsys, command, threads):
+    form = ["--form", "5"] if command == "canonical" else []
+    code = main([command, files["w3"], *form, "--samples", "2000",
+                 "--threads", threads])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"threads must be at least 1, got {threads}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gc-homology", "--loops", "1"],
+    ["residue", "{w3}", "--samples", "1"],
+    ["residue", "{dunce}", "--samples", "2000"],
+    ["minvec", "{bad_matrix}"],
+    ["torelli", "{sunrise}", "--lengths", "1,x,1"],
+    ["torelli", "{sunrise}", "--lengths", "1,1"],
+], ids=["gc-loops", "residue-samples", "residue-divergent",
+        "minvec-malformed", "torelli-unparsable", "torelli-count"])
+def test_cli_maps_layer_errors_to_exit_2(files, tmp_path, capsys, argv):
+    """Each layer's error reaches main as a validation error, although the
+    CLI imports that layer only inside the subcommand."""
+    bad = tmp_path / "bad.mat"
+    bad.write_text("2\n1 2 three 4\n")
+    paths = dict(files, bad_matrix=str(bad))
+    code = main([a.format(**paths) for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_rejects_non_positive_matrix_dimension(tmp_path, capsys):
