@@ -19,18 +19,6 @@ import time
 from . import __version__
 
 
-def _usage_errors() -> tuple[type[Exception], ...]:
-    """What main reports as a validation error (exit 2).
-
-    Every layer's error class subclasses ValueError except the engine's
-    IntegrationError, which only a process that imported the engine can
-    raise.
-    """
-    engine = sys.modules.get(f"{__package__}.engine")
-    integration = () if engine is None else (engine.IntegrationError,)
-    return (ValueError, OSError, *integration)
-
-
 def evaluate_target(expr: str) -> float:
     """Evaluate a target expression: rationals, pi, zeta(s), zeta2(a,b),
     + - * / ^ and parentheses, at 30+ digits."""
@@ -317,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--loops", type=int, required=True)
     sp.add_argument("--allow-big", action="store_true",
                     help="lift the loop bound past 6 (loop 7 takes about "
-                         "2 s, loop 8 about 3.5 min)")
+                         "2 s, loop 8 about 136 s)")
 
     sp = add("stable", _cmd_stable, help="stable weighted graphs of a genus")
     sp.add_argument("--genus", type=int, required=True)
@@ -339,7 +327,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, t0)
-    except _usage_errors() as exc:
+    # every layer's error class subclasses ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

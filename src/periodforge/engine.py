@@ -28,7 +28,7 @@ import numpy as np
 _SHARD = 65536
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ValueError):
     pass
 
 
@@ -55,8 +55,6 @@ class Integrand:
     numerator: MultilinearPoly | None = None
     psi_power: int = 0
     form_spec: FormSpec | None = None
-    chart: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         g = self.graph
@@ -98,20 +96,17 @@ def residue_integrand(g: Graph) -> Integrand:
     if g.ne != 2 * g.loop_number():
         raise GraphError(
             f"non-projective residue: |E| = {g.ne} != 2h = {2 * g.loop_number()}")
-    return Integrand(g, numerator=MultilinearPoly.one(), psi_power=2,
-                     label="residue")
+    return Integrand(g, numerator=MultilinearPoly.one(), psi_power=2)
 
 
-def canonical_integrand(g: Graph, spec: FormSpec,
-                        chart: int | None = None) -> Integrand:
-    return Integrand(g, form_spec=spec, chart=chart,
-                     label="canonical " + "^".join(map(str, spec)))
+def canonical_integrand(g: Graph, spec: FormSpec) -> Integrand:
+    return Integrand(g, form_spec=spec)
 
 
 def monomial_integrand(g: Graph, edge_ids: Sequence[int], psi_power: int,
-                       coeff: int = 1, label: str = "") -> Integrand:
+                       coeff: int = 1) -> Integrand:
     return Integrand(g, numerator=MultilinearPoly.monomial(edge_ids, coeff),
-                     psi_power=psi_power, label=label or "monomial")
+                     psi_power=psi_power)
 
 
 @dataclass(frozen=True)
@@ -152,33 +147,28 @@ class _Evaluator:
     def __init__(self, ig: Integrand):
         self.ig = ig
         g = ig.graph
-        self.chart = g.ne if ig.chart is None else ig.chart
         self.form = None
         if ig.form_spec is not None:
-            self.form = BatchedGraphFormEvaluator(g, ig.form_spec, self.chart)
+            self.form = BatchedGraphFormEvaluator(g, ig.form_spec)
         self.inc = self.form.inc if self.form else CycleIncidence(g)
 
     def values(self, xs, logw):
         """Weights f * exp(logw) at simplex points, where I = integral of
         f * Omega and ``logw`` is the sampler's log importance weight.
 
-        f is homogeneous of degree -|E|; the chart route evaluates at
-        x/x_chart and compensates by x_chart^-|E|, so different charts give
-        the same value along different floating-point paths.  For N/Psi^k
-        the weight is formed in log space, log|N| - k log Psi - |E| log
-        x_chart + logw, and exponentiated once.  log Psi comes from the
-        incidence's guarded LDL^T; a row it flags takes the exact Psi at
-        its point, unless the point itself is not finite.
+        f is homogeneous of degree -|E|; it is evaluated in the chart of
+        the last edge, at y = x/x_|E|, and compensated by x_|E|^-|E|.  For
+        N/Psi^k the weight is formed in log space, log|N| - k log Psi(y) -
+        |E| log x_|E| + logw, and exponentiated once; log Psi comes from
+        the incidence, which repairs the rows its float factorisation
+        cannot trust.
         """
         ig = self.ig
         if ig.form_spec is not None:
             return self.form.integrand_values(xs) * np.exp(logw)
-        xc = xs[:, self.chart - 1]
+        xc = xs[:, -1]
         ys = xs / xc[:, None]
-        logpsi, _, bad = self.inc.factor(ys)
-        for i in np.flatnonzero(bad):
-            if np.isfinite(ys[i]).all():
-                logpsi[i] = _log_rational(self.inc.psi_exact(ys[i]))
+        logpsi = self.inc.log_psi(ys)
         num = ig.numerator.evaluate_floats(ys)
         # a non-finite weight is reported by _run_shard, not warned about
         with np.errstate(all="ignore"):
@@ -187,14 +177,6 @@ class _Evaluator:
             logf -= ig.graph.ne * np.log(xc)
             logf += logw
             return np.copysign(np.exp(logf, out=logf), num)
-
-
-def _log_rational(r: Fraction) -> float:
-    """Natural log of a non-negative rational, -inf at 0, with no float
-    overflow on the way."""
-    if not r:
-        return -math.inf
-    return math.log(r.numerator) - math.log(r.denominator)
 
 
 def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None, seed: int,
@@ -265,8 +247,9 @@ def integrate_residue(g: Graph, samples: int, seed: int, **kw) -> IntegralEstima
 
 
 def integrate_canonical(g: Graph, spec: FormSpec, samples: int, seed: int,
-                        chart: int | None = None, **kw) -> IntegralEstimate:
-    """Canonical integral of the form word, in the chart orientation.
+                        **kw) -> IntegralEstimate:
+    """Canonical integral of the form word, in the orientation of the chart
+    of the last edge.
 
     The sign is a convention (the simplex is oriented so single-graph
     integrals come out positive); compare against positive targets with
@@ -275,7 +258,7 @@ def integrate_canonical(g: Graph, spec: FormSpec, samples: int, seed: int,
     even though canonical integrals are always finite; such cases need a
     hand-picked nu.
     """
-    return integrate(canonical_integrand(g, spec, chart), samples, seed, **kw)
+    return integrate(canonical_integrand(g, spec), samples, seed, **kw)
 
 
 def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,

@@ -539,17 +539,19 @@ def canonical_form_numeric(x: LinearFormMatrix, spec: FormSpec,
 # ---------------------------------------------------------------------------
 
 class CycleIncidence:
-    """Cycle-incidence matrix q (q[e, i]: edge e in basis cycle i) and the
-    kernels that make the Laplacian sum_e x_e q_e q_e^T and the Gram
+    """Cycle-incidence matrix q (q[e, i]: edge e in fundamental cycle i) and
+    the kernels that make the Laplacian sum_e x_e q_e q_e^T and the Gram
     q_e^T Lambda^-1 q_f one matrix product per batch:
     ``lap[e, i*h + j] = q_ei q_ej`` and ``pair[e*ne + f, i*h + j] = q_ei q_fj``.
-    For the fundamental cycle basis every kernel entry is 0 or +-1, so each
-    product with a coordinate is exact."""
+    Every kernel entry is 0 or +-1, so each product with a coordinate is
+    exact.  ``log_psi`` and ``gram`` return trusted values: the rows that
+    the float factorisation flags are redone in rational arithmetic here,
+    so no caller sees a flag."""
 
-    def __init__(self, g: Graph, basis: CycleBasis | None = None):
+    def __init__(self, g: Graph):
         import numpy as np
 
-        b = cycle_basis(g) if basis is None else basis
+        b = cycle_basis(g)
         ne, h = g.ne, b.rank
         q = np.zeros((ne, h))
         for i, vec in enumerate(b.as_dicts()):
@@ -676,57 +678,36 @@ class CycleIncidence:
             return Fraction(0)
         return abs(math.prod(v for _, _, v in pivots))
 
+    def log_psi(self, xs):
+        """(B,) log Psi at the rows of ``xs`` (B, ne).  A row that
+        ``factor`` flags takes the log of its exact Psi (-inf when it is
+        0), unless the row itself is not finite."""
+        import numpy as np
 
-class BatchedGraphFormEvaluator:
-    """Vectorised chart coefficients of a form word on a graph Laplacian.
+        logpsi, _, bad = self.factor(xs)
+        for i in np.flatnonzero(bad):
+            if np.isfinite(xs[i]).all():
+                psi = self.psi_exact(xs[i])
+                # numerator and denominator apart: no float overflow
+                logpsi[i] = (math.log(psi.numerator)
+                             - math.log(psi.denominator)) if psi else -math.inf
+        return logpsi
 
-    The Laplacian's coefficient matrices are the rank-one cycle outer
-    products q_e q_e^T, so one Gram tensor per batch feeds the scalar
-    evaluator's subset DP ``_cycle_coefficients``, with one atom per edge
-    and numpy arrays over the sample axis.  ``CycleIncidence.factor`` gives
-    Lambda^-1 in (h, h, sample) layout from one guarded LDL^T of the
-    diagonally scaled Laplacians, and one product with
-    ``CycleIncidence.pair`` writes the Gram straight into the (edge, edge,
-    sample) layout the DP reads.  The DP accumulates in place, keeping the
-    per-element order of the floating-point operations of the plain
-    term-by-term sum: estimates are bit-identical to that sum over the same
-    Gram, whatever the block size.
-    """
-
-    # samples per block of the subset DP in `evaluate`
-    _DP_BLOCK = 8192
-
-    def __init__(self, g: Graph, spec: FormSpec, chart: int | None = None,
-                 basis: CycleBasis | None = None):
-        self.graph = g
-        self.spec = spec
-        self.chart = g.ne if chart is None else chart
-        if spec.degree != g.ne - 1:
-            raise FormError(
-                f"word degree {spec.degree} needs {spec.degree + 1} edges, "
-                f"graph has {g.ne}")
-        if g.ne > MAX_SUBSET_EDGES:
-            raise FormError("numeric form evaluation capped at "
-                            f"{MAX_SUBSET_EDGES} edges")
-        self.inc = CycleIncidence(g, basis)
-        self.chart_vars = [v for v in range(1, g.ne + 1) if v != self.chart]
-        self.atoms_of = {v: [v - 1] for v in self.chart_vars}
-
-    def _gram(self, xs):
+    def gram(self, xs):
         """(edge, edge, sample) Gram tensor q_e^T Lambda^-1 q_f.
 
-        Lambda^-1 comes from ``CycleIncidence.factor`` in (h, h, B) layout,
-        so ``pair @ inv.reshape(h*h, B)`` is the Gram in the DP's layout.
-        Rows the factorisation flags (extreme corner samples) are redone in
+        Lambda^-1 comes from ``factor`` in (h, h, B) layout, so ``pair @
+        inv.reshape(h*h, B)`` is the Gram in the subset DP's layout.  Rows
+        the factorisation flags (extreme corner samples) are redone in
         rational arithmetic; their columns are zeroed first, so the product
         meets no NaN.
         """
         import numpy as np
 
-        _, inv, bad = self.inc.factor(xs, inverse=True)
+        _, inv, bad = self.factor(xs, inverse=True)
         B, ne = xs.shape
         inv[:, :, bad] = 0.0
-        gt = (self.inc.pair @ inv.reshape(-1, B)).reshape(ne, ne, B)
+        gt = (self.pair @ inv.reshape(-1, B)).reshape(ne, ne, B)
         for i in np.flatnonzero(bad):
             gt[:, :, i] = self._gram_exact(xs[i])
         return gt
@@ -735,9 +716,40 @@ class BatchedGraphFormEvaluator:
         """One row's Gram matrix in rational arithmetic, rounded once."""
         import numpy as np
 
-        q = [[Fraction(c) for c in row] for row in self.inc.q.tolist()]
-        lam = self.inc.exact_laplacian(x)
+        q = [[Fraction(c) for c in row] for row in self.q.tolist()]
+        lam = self.exact_laplacian(x)
         return np.array(_exact_gram(_invert_exact(lam), q, q), dtype=float)
+
+
+class BatchedGraphFormEvaluator:
+    """Vectorised chart coefficients of a form word on a graph Laplacian.
+
+    The chart is the last edge.  The Laplacian's coefficient matrices are
+    the rank-one cycle outer products q_e q_e^T, so one Gram tensor per
+    batch, ``CycleIncidence.gram``, feeds the scalar evaluator's subset DP
+    ``_cycle_coefficients``, with one atom per edge and numpy arrays over
+    the sample axis.  The DP accumulates in place, keeping the per-element
+    order of the floating-point operations of the plain term-by-term sum:
+    estimates are bit-identical to that sum over the same Gram, whatever
+    the block size.
+    """
+
+    # samples per block of the subset DP in `evaluate`
+    _DP_BLOCK = 8192
+
+    def __init__(self, g: Graph, spec: FormSpec):
+        self.graph = g
+        self.spec = spec
+        if spec.degree != g.ne - 1:
+            raise FormError(
+                f"word degree {spec.degree} needs {spec.degree + 1} edges, "
+                f"graph has {g.ne}")
+        if g.ne > MAX_SUBSET_EDGES:
+            raise FormError("numeric form evaluation capped at "
+                            f"{MAX_SUBSET_EDGES} edges")
+        self.inc = CycleIncidence(g)
+        self.chart_vars = list(range(1, g.ne))
+        self.atoms_of = {v: [v - 1] for v in self.chart_vars}
 
     def evaluate(self, xs):
         """(B,) array: coefficient of the ascending top chart wedge.
@@ -749,7 +761,7 @@ class BatchedGraphFormEvaluator:
         """
         import numpy as np
 
-        gt = self._gram(xs)
+        gt = self.inc.gram(xs)
         B = xs.shape[0]
         total = np.empty(B)
         step = self._DP_BLOCK
@@ -768,6 +780,6 @@ class BatchedGraphFormEvaluator:
                            np.zeros(gt.shape[2]))
 
     def integrand_values(self, xs):
-        """f with word = f * Omega: (-1)^chart * top coefficient / x_chart."""
-        sign = (-1) ** self.chart
-        return sign * self.evaluate(xs) / xs[:, self.chart - 1]
+        """f with word = f * Omega: (-1)^|E| * top coefficient / x_|E|."""
+        sign = (-1) ** self.graph.ne
+        return sign * self.evaluate(xs) / xs[:, -1]

@@ -202,7 +202,6 @@ class TropicalSampler:
     """
 
     def __init__(self, measure: TropicalMeasure):
-        self.measure = measure
         n = measure.n
         size = 1 << n
         self.n = n

@@ -180,14 +180,11 @@ class VoronoiCell:
 
 def voronoi_cell(q: QuadraticForm) -> VoronoiCell:
     vecs = {_sign_normalise(v) for v in minimal_vectors(q)}
+    # distinct sign-normalised v give distinct rank-one forms v v^T
     gens = []
     for v in sorted(vecs):
         gens.append(tuple(tuple(a * b for b in v) for a in v))
-    seen = []
-    for g in gens:
-        if g not in seen:
-            seen.append(g)
-    return VoronoiCell(tuple(seen))
+    return VoronoiCell(tuple(gens))
 
 
 # ---------------------------------------------------------------------------

@@ -241,8 +241,8 @@ def test_criterion_10_canonical_wheels():
     est = integrate_residue(wheel(5), 400000, seed=107)
     _mc_check("criterion 10: W5 split, residue bracket = 70 zeta(7)", est,
               float(70 * zeta(7)))
-    est = integrate(monomial_integrand(wheel(5), [1, 2, 3, 4, 5], 3, 12,
-                                       "spoke term"), 400000, seed=108)
+    est = integrate(monomial_integrand(wheel(5), [1, 2, 3, 4, 5], 3, 12),
+                    400000, seed=108)
     _mc_check("criterion 10: W5 split, spoke bracket = 70(zeta(5)-zeta(7))",
               est, float(70 * (zeta(5) - zeta(7))))
 

@@ -340,15 +340,6 @@ def test_integrate_rejects_non_positive_threads(threads, monkeypatch):
     assert built == []
 
 
-def test_chart_independence():
-    ig1 = Integrand(wheel(3), numerator=MultilinearPoly.one(), psi_power=2,
-                    chart=1)
-    e1 = integrate(ig1, 150000, seed=21)
-    e2 = integrate_residue(wheel(3), 150000, seed=22)
-    comb = math.hypot(e1.stderr, e2.stderr)
-    assert abs(e1.mean - e2.mean) <= 3 * comb
-
-
 def test_dirichlet_sampler_on_bubble():
     est = integrate_residue(banana(2), 50000, seed=3, sampler="dirichlet")
     assert abs(est.z(1.0)) <= 3.5

@@ -300,12 +300,15 @@ def test_bi_invariance_numeric(rng):
 
 
 def test_basis_independence_of_graph_form(rng):
+    """The batched evaluator, on the fundamental basis, against the scalar
+    evaluator on integer transforms of that basis, at the same point."""
     spec = FormSpec((5,))
     g = wheel(3)
     b = cycle_basis(g)
     h = b.rank
-    vals = []
     pt = [0.7, 1.3, 0.4, 2.2, 0.9, 1.0]
+    batched = float(BatchedGraphFormEvaluator(g, spec).evaluate(
+        np.array([pt]))[0])
     bases = [b]
     for _ in range(4):
         p = [[1 if i == j else 0 for j in range(h)] for i in range(h)]
@@ -315,9 +318,25 @@ def test_basis_independence_of_graph_form(rng):
                 p[r][j] += rng.choice([-1, 1]) * p[r][i]
         bases.append(b.transformed(p))
     for basis in bases:
-        ev = BatchedGraphFormEvaluator(g, spec, basis=basis)
-        vals.append(float(ev.evaluate(np.array([pt]))[0]))
-    assert max(vals) - min(vals) <= 1e-12 * max(abs(v) for v in vals)
+        scalar = FormEvaluator(laplacian(g, basis)).word_top_coefficient(
+            spec, pt)
+        assert abs(scalar - batched) <= 1e-12 * abs(batched)
+
+
+def test_incidence_kernels_are_unit(rng):
+    """Every entry of the Laplacian and Gram kernels of the fundamental
+    basis is 0 or +-1, so each product with a coordinate is exact."""
+    from conftest import random_connected_graph, small_corpus
+    from periodforge.graphs import complete, two_vertex_join, zigzag
+
+    graphs = small_corpus() + [
+        wheel(5), zigzag(8), complete(6), banana(6),
+        two_vertex_join(wheel(3), 4, wheel(3), 4)]
+    graphs += [random_connected_graph(rng, max_edges=12) for _ in range(40)]
+    for g in graphs:
+        inc = CycleIncidence(g)
+        assert np.isin(inc.lap, (-1.0, 0.0, 1.0)).all(), g
+        assert np.isin(inc.pair, (-1.0, 0.0, 1.0)).all(), g
 
 
 def test_w5_omega9_two_term_display():
@@ -436,7 +455,7 @@ def _assert_gram_dp_matches_reference(variables, atoms_of, n, gt):
 
 def _assert_dp_matches_reference(ev, n, xs):
     _assert_gram_dp_matches_reference(ev.chart_vars, ev.atoms_of, n,
-                                      ev._gram(xs))
+                                      ev.inc.gram(xs))
 
 
 def test_batched_dp_bit_identical_to_reference():
@@ -491,10 +510,10 @@ def test_gram_matches_exact_gram():
                     (complete(6), (5, 9))]:
         ev = BatchedGraphFormEvaluator(g, FormSpec(spec))
         xs = rng.dirichlet(np.ones(g.ne), size=12)
-        gt = ev._gram(xs)
+        gt = ev.inc.gram(xs)
         assert gt.shape == (g.ne, g.ne, 12)
         for i in range(12):
-            exact = ev._gram_exact(xs[i])
+            exact = ev.inc._gram_exact(xs[i])
             assert np.allclose(gt[:, :, i], exact, rtol=1e-12,
                                atol=1e-12 * np.abs(exact).max())
 
@@ -536,8 +555,8 @@ def test_batched_exact_gram_row():
     xs = np.array([[0.2, 0.3, 0.1, 0.15, 0.15, 0.1],
                    [1, 1, 1, 1e-300, 1e-300, 1e-300]])
     calls = []
-    exact = ev._gram_exact
-    ev._gram_exact = lambda x: calls.append(x) or exact(x)
+    exact = ev.inc._gram_exact
+    ev.inc._gram_exact = lambda x: calls.append(x) or exact(x)
     vals = ev.evaluate(xs)
     assert len(calls) == 1
     assert np.isfinite(vals).all()

@@ -64,11 +64,9 @@ def test_evaluate_target_in_a_cold_interpreter():
 
 
 def test_layer_errors_are_value_errors():
-    """The CLI maps ValueError to exit 2 without importing the layers; the
-    engine's IntegrationError is the one error class outside it."""
+    """The CLI maps ValueError to exit 2 without importing the layers, so
+    every error class of every layer, the engine's included, is one."""
     import importlib
-
-    from periodforge.engine import IntegrationError
 
     package = Path(periodforge.__file__).parent
     errors = []
@@ -78,8 +76,7 @@ def test_layer_errors_are_value_errors():
                    if isinstance(obj, type) and issubclass(obj, Exception)
                    and obj.__module__ == module.__name__]
     assert len(errors) >= 8
-    outside = [e.__name__ for e in errors if not issubclass(e, ValueError)
-               and not issubclass(e, IntegrationError)]
+    outside = [e.__name__ for e in errors if not issubclass(e, ValueError)]
     assert not outside, outside
 
 
