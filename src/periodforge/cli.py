@@ -126,7 +126,7 @@ def _cmd_laplacian(args, t0):
 
     g = _load_graph(args.graph)
     lam = laplacian(g)
-    rows = [[repr(f) for f in row] for row in lam.entries]
+    rows = [[f.to_text() for f in row] for row in lam.entries]
     text = ["[" + ", ".join(row) + "]" for row in rows]
     _emit(args, t0, {"laplacian": rows, "size": lam.size}, text)
     return 0
@@ -249,10 +249,15 @@ def _cmd_cell(args, t0):
 def _cmd_torelli(args, t0):
     from fractions import Fraction
 
+    from .graphs import GraphError
     from .voronoi import torelli_point
 
     g = _load_graph(args.graph)
-    lengths = [Fraction(x) for x in args.lengths.split(",")]
+    try:
+        lengths = [Fraction(x) for x in args.lengths.split(",")]
+    except ZeroDivisionError:
+        raise GraphError(
+            f"edge length with a zero denominator in {args.lengths!r}") from None
     q = torelli_point(g, lengths)
     lines = [" ".join(str(x) for x in row) for row in q.matrix]
     _emit(args, t0, {"matrix": [[str(x) for x in row] for row in q.matrix],

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .graphs import MAX_SUBSET_EDGES, Graph
 from .polynomials import (CycleBasis, LinearFormMatrix, Poly, cycle_basis,
-                          det_poly_general, echelon, laplacian, pivot)
+                          det_poly, echelon, laplacian, pivot)
 
 
 class FormError(ValueError):
@@ -204,7 +204,7 @@ class RationalForm:
         lines = []
         for s, p in sorted(self.numer.items(), key=lambda t: sorted(t[0])):
             key = "^".join(f"dx{v}" for v in sorted(s))
-            lines.append(f"({p!r}) {key}")
+            lines.append(f"({p.to_text()}) {key}")
         lines.append(f"all over det^{self.k}")
         return "\n".join(lines)
 
@@ -229,7 +229,7 @@ def _adjugate(x: LinearFormMatrix) -> list[list[Poly]]:
             sub = LinearFormMatrix(
                 tuple(tuple(x.entries[r][c] for c in cols) for r in rows),
                 x.nvars)
-            minor = det_poly_general(sub)
+            minor = det_poly(sub)
             out[i][j] = minor if (i + j) % 2 == 0 else -minor
     return out
 
@@ -240,9 +240,12 @@ def _coefficient_matrices(x: LinearFormMatrix) -> dict[int, list[list[Fraction]]
     out: dict[int, list[list[Fraction]]] = {}
     for i in range(m):
         for j in range(m):
-            for v, c in x.entries[i][j].coeffs.items():
-                mat = out.setdefault(v, [[Fraction(0)] * m for _ in range(m)])
-                mat[i][j] += c
+            for k, c in x.entries[i][j].coeffs.items():
+                if any(k):
+                    v = k.index(1) + 1
+                    mat = out.setdefault(v, [[Fraction(0)] * m
+                                             for _ in range(m)])
+                    mat[i][j] += c
     return out
 
 
@@ -256,7 +259,7 @@ def canonical_form_symbolic(x: LinearFormMatrix, n: int) -> RationalForm:
     """
     if n < 1:
         raise FormError("form degree must be positive")
-    det = det_poly_general(x)
+    det = det_poly(x)
     if det.is_zero():
         raise FormError("matrix determinant is identically zero")
     tr = {}
@@ -266,10 +269,6 @@ def canonical_form_symbolic(x: LinearFormMatrix, n: int) -> RationalForm:
                                   ev.variables, ev.atoms_of)
         tr = {s: c[0] for s, c in out.items()}
     return RationalForm(x.nvars, n, n, tr, det)
-
-
-def wedge(a: RationalForm, b: RationalForm) -> RationalForm:
-    return a.wedge(b)
 
 
 def graph_canonical_form(g: Graph, spec: FormSpec,
@@ -469,7 +468,7 @@ class FormEvaluator:
         (v, a, b): an object array of Fractions when exact."""
         import numpy as np
 
-        xp = self.x.evaluate({e: point[e - 1] for e in range(1, self.nvars + 1)})
+        xp = self.x.evaluate(point)
         if exact:
             return self._object_gram(_invert_exact(xp))
 

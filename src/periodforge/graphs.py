@@ -69,9 +69,6 @@ class Graph:
             raise GraphError(f"unknown edge id {e}")
         return self.edges[e - 1]
 
-    def weight(self, v: int) -> int:
-        return self.weights[v - 1]
-
     def degrees(self) -> tuple[int, ...]:
         d = [0] * self.nv
         for u, w in self.edges:

@@ -86,7 +86,7 @@ def parse_matrix(text: str) -> QuadraticForm:
     try:
         g = int(tokens[0])
         entries = [Fraction(t) for t in tokens[1:]]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise VoronoiError(f"cannot parse matrix file: {exc}") from None
     if g < 1:
         raise VoronoiError(f"matrix dimension must be positive, got {g}")

@@ -1,9 +1,8 @@
 """Graph polynomials, cycle bases and graph Laplacian matrices, all exact.
 
-The spanning-tree polynomial of a graph is multilinear with unit
-coefficients; it is stored as a map from edge-id subsets to integers.
-General sparse polynomials (needed for determinants of symbolic matrices)
-live in :class:`Poly`.
+Every polynomial is a :class:`Poly` over the edge (or matrix) variables:
+the spanning-tree polynomial, the entries of a Laplacian and the
+determinants of symbolic matrices.
 """
 
 from __future__ import annotations
@@ -22,121 +21,7 @@ class PolynomialError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# multilinear polynomials over the edge variables
-# ---------------------------------------------------------------------------
-
-class MultilinearPoly:
-    """Exact integer polynomial, at most degree one in each edge variable.
-
-    Monomials are frozensets of edge ids.  The zero polynomial is the empty
-    map; the constant 1 is {frozenset(): 1}.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[frozenset, int] | None = None):
-        self.coeffs = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if c:
-                    self.coeffs[frozenset(k)] = c
-
-    @classmethod
-    def zero(cls) -> "MultilinearPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "MultilinearPoly":
-        return cls({frozenset(): 1})
-
-    @classmethod
-    def monomial(cls, edge_ids: Iterable[int], coeff: int = 1) -> "MultilinearPoly":
-        return cls({frozenset(edge_ids): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, MultilinearPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return MultilinearPoly(out)
-
-    def times_var(self, e: int) -> "MultilinearPoly":
-        out = {}
-        for k, c in self.coeffs.items():
-            if e in k:
-                raise PolynomialError(f"variable x{e} already present")
-            out[k | {e}] = c
-        return MultilinearPoly(out)
-
-    def relabel(self, mapping: Mapping[int, int]) -> "MultilinearPoly":
-        return MultilinearPoly(
-            {frozenset(mapping[e] for e in k): c for k, c in self.coeffs.items()})
-
-    def restrict_zero(self, e: int) -> "MultilinearPoly":
-        """Set x_e = 0."""
-        return MultilinearPoly({k: c for k, c in self.coeffs.items() if e not in k})
-
-    def degrees(self) -> set[int]:
-        return {len(k) for k in self.coeffs}
-
-    def is_homogeneous(self, degree: int) -> bool:
-        return all(len(k) == degree for k in self.coeffs)
-
-    def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for k, c in self.coeffs.items():
-            term = Fraction(c)
-            for e in k:
-                term *= point[e]
-            total += term
-        return total
-
-    def evaluate_floats(self, xs) -> "object":
-        """Vectorised evaluation; xs has shape (batch, nvars), 1-based ids."""
-        import numpy as np
-
-        out = np.zeros(xs.shape[0])
-        for k, c in self.coeffs.items():
-            term = np.full(xs.shape[0], float(c))
-            for e in k:
-                term = term * xs[:, e - 1]
-            out += term
-        return out
-
-    def terms(self) -> list[tuple[int, tuple[int, ...]]]:
-        """(coefficient, sorted edge ids), monomials in lexicographic order."""
-        items = [(tuple(sorted(k)), c) for k, c in self.coeffs.items()]
-        items.sort()
-        return [(c, k) for k, c in items]
-
-    def to_text(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for c, k in self.terms():
-            factors = [f"x{e}" for e in k]
-            if c != 1 or not factors:
-                factors = [str(c)] + factors
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    def to_json(self) -> list:
-        return [[c, list(k)] for c, k in self.terms()]
-
-    def __repr__(self):
-        return f"MultilinearPoly({self.to_text()})"
-
-
-# ---------------------------------------------------------------------------
-# general sparse polynomials (exponent vectors)
+# sparse exact polynomials (exponent vectors)
 # ---------------------------------------------------------------------------
 
 def _num(c):
@@ -147,7 +32,8 @@ def _num(c):
 
 
 class Poly:
-    """Sparse exact polynomial; coefficients are ints or Fractions."""
+    """Sparse exact polynomial in x1..x_nvars; coefficients are ints or
+    Fractions, keyed by exponent tuples."""
 
     __slots__ = ("nvars", "coeffs")
 
@@ -169,11 +55,20 @@ class Poly:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
+    def monomial(cls, nvars: int, ids: Iterable[int], coeff=1) -> "Poly":
+        """coeff times the product of x_i over the 1-based ``ids``; a
+        repeated id raises the power."""
+        e = [0] * nvars
+        for i in ids:
+            if not 1 <= i <= nvars:
+                raise PolynomialError(f"variable x{i} outside x1..x{nvars}")
+            e[i - 1] += 1
+        return cls(nvars, {tuple(e): coeff})
+
+    @classmethod
     def var(cls, nvars: int, i: int) -> "Poly":
         """x_i with 1-based index."""
-        e = [0] * nvars
-        e[i - 1] = 1
-        return cls(nvars, {tuple(e): 1})
+        return cls.monomial(nvars, (i,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -262,7 +157,12 @@ class Poly:
                 out[tuple(k2)] = out.get(tuple(k2), 0) + c * k[i - 1]
         return Poly(self.nvars, out)
 
+    def degrees(self) -> set[int]:
+        """Total degrees of the terms."""
+        return {sum(k) for k in self.coeffs}
+
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
+        """Exact value at ``point``, where point[i - 1] is x_i."""
         total = Fraction(0)
         for k, c in self.coeffs.items():
             term = Fraction(c)
@@ -272,71 +172,57 @@ class Poly:
             total += term
         return total
 
-    def to_multilinear(self) -> MultilinearPoly:
-        out = {}
+    def evaluate_floats(self, xs) -> "object":
+        """Vectorised evaluation; xs has shape (batch, nvars).  Each term
+        multiplies its variables in ascending order, one factor per power."""
+        import numpy as np
+
+        out = np.zeros(xs.shape[0])
         for k, c in self.coeffs.items():
-            if any(e > 1 for e in k):
-                raise PolynomialError("polynomial is not multilinear")
-            if c != int(c):
-                raise PolynomialError("polynomial is not integral")
-            out[frozenset(i + 1 for i, e in enumerate(k) if e)] = int(c)
-        return MultilinearPoly(out)
+            term = np.full(xs.shape[0], float(c))
+            for i, e in enumerate(k):
+                for _ in range(e):
+                    term = term * xs[:, i]
+            out += term
+        return out
 
-    def __repr__(self):
-        if self.is_zero():
-            return "Poly(0)"
+    def terms(self) -> list[tuple[object, tuple[int, ...]]]:
+        """(coefficient, variable ids with multiplicity), ascending by ids."""
+        return sorted(((c, tuple(i + 1 for i, e in enumerate(k)
+                                 for _ in range(e)))
+                       for k, c in self.coeffs.items()), key=lambda t: t[1])
+
+    def to_text(self) -> str:
+        """Terms ascending by variable ids, as in ``x1 + x2*x4 - 2*x3^2``;
+        the zero polynomial is ``0``."""
         parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            mono = "*".join(f"x{i+1}^{e}" if e > 1 else f"x{i+1}"
-                            for i, e in enumerate(k) if e)
-            parts.append(f"{c}" + ("*" + mono if mono else ""))
-        return "Poly(" + " + ".join(parts) + ")"
-
-
-# ---------------------------------------------------------------------------
-# linear forms and matrices of linear forms
-# ---------------------------------------------------------------------------
-
-class LinearForm:
-    """c0 + sum_e c_e x_e with exact rational coefficients."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None, const=0):
-        self.const = Fraction(const)
-        self.coeffs = {e: Fraction(c) for e, c in (coeffs or {}).items() if c}
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearForm) and self.const == other.const
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.const, frozenset(self.coeffs.items())))
-
-    def evaluate(self, point: Mapping[int, Fraction]) -> Fraction:
-        return self.const + sum((c * Fraction(point[e])
-                                 for e, c in self.coeffs.items()), Fraction(0))
-
-    def to_poly(self, nvars: int) -> Poly:
-        p = Poly.const(nvars, self.const)
-        for e, c in self.coeffs.items():
-            p = p + Poly.var(nvars, e).scale(c)
-        return p
-
-    def __repr__(self):
-        parts = [] if self.const == 0 else [str(self.const)]
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            parts.append(f"x{e}" if c == 1 else f"-x{e}" if c == -1 else f"{c}*x{e}")
+        for c, ids in self.terms():
+            mono = "*".join(f"x{i}^{n}" if n > 1 else f"x{i}"
+                            for i, n in Counter(ids).items())
+            if not mono:
+                parts.append(str(c))
+            elif c in (1, -1):
+                parts.append(mono if c == 1 else "-" + mono)
+            else:
+                parts.append(f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
+    def to_json(self) -> list:
+        return [[c, list(ids)] for c, ids in self.terms()]
+
+    def __repr__(self):
+        return f"Poly({self.to_text()})"
+
+
+# ---------------------------------------------------------------------------
+# matrices of linear forms
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LinearFormMatrix:
     """Square matrix whose entries are degree <= 1 exact polynomials."""
 
-    entries: tuple[tuple[LinearForm, ...], ...]
+    entries: tuple[tuple[Poly, ...], ...]
     nvars: int
     symmetric: bool = False
 
@@ -345,6 +231,11 @@ class LinearFormMatrix:
         for row in self.entries:
             if len(row) != m:
                 raise PolynomialError("matrix is not square")
+            for f in row:
+                if f.nvars != self.nvars or any(d > 1 for d in f.degrees()):
+                    raise PolynomialError(
+                        f"entry {f!r} is not a linear form in "
+                        f"{self.nvars} variables")
         if self.symmetric:
             for i in range(m):
                 for j in range(i):
@@ -355,7 +246,8 @@ class LinearFormMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def evaluate(self, point: Mapping[int, Fraction]) -> list[list[Fraction]]:
+    def evaluate(self, point: Sequence[Fraction]) -> list[list[Fraction]]:
+        """Entries at ``point``, where point[i - 1] is x_i."""
         return [[f.evaluate(point) for f in row] for row in self.entries]
 
     def transpose(self) -> "LinearFormMatrix":
@@ -383,18 +275,17 @@ def generic_matrix(m: int, symmetric: bool = False) -> LinearFormMatrix:
                 idx[(j, i)] = nxt
                 nxt += 1
         nvars = m * (m + 1) // 2
-        rows = tuple(tuple(LinearForm({idx[(i, j)]: 1}) for j in range(m))
+        rows = tuple(tuple(Poly.var(nvars, idx[(i, j)]) for j in range(m))
                      for i in range(m))
         return LinearFormMatrix(rows, nvars, symmetric=True)
-    rows = tuple(tuple(LinearForm({i * m + j + 1: 1}) for j in range(m))
+    rows = tuple(tuple(Poly.var(m * m, i * m + j + 1) for j in range(m))
                  for i in range(m))
     return LinearFormMatrix(rows, m * m, symmetric=False)
 
 
 def generic_2x2() -> LinearFormMatrix:
     """[[x1, x3], [x4, x2]]; the numbering makes the signs tidy."""
-    rows = ((LinearForm({1: 1}), LinearForm({3: 1})),
-            (LinearForm({4: 1}), LinearForm({2: 1})))
+    rows = tuple(tuple(Poly.var(4, v) for v in row) for row in ((1, 3), (4, 2)))
     return LinearFormMatrix(rows, 4, symmetric=False)
 
 
@@ -543,18 +434,11 @@ def laplacian(g: Graph, basis: CycleBasis | None = None) -> LinearFormMatrix:
     validate_cycle_basis(g, basis)
     vecs = basis.as_dicts()
     h = len(vecs)
-    rows = []
-    for i in range(h):
-        row = []
-        for j in range(h):
-            coeffs: dict[int, int] = {}
-            for e, ci in vecs[i].items():
-                cj = vecs[j].get(e, 0)
-                if cj:
-                    coeffs[e] = coeffs.get(e, 0) + ci * cj
-            row.append(LinearForm(coeffs))
-        rows.append(tuple(row))
-    return LinearFormMatrix(tuple(rows), g.ne, symmetric=True)
+    rows = tuple(tuple(sum((Poly.var(g.ne, e).scale(ci * vecs[j][e])
+                            for e, ci in vecs[i].items() if e in vecs[j]),
+                           Poly.zero(g.ne))
+                       for j in range(h)) for i in range(h))
+    return LinearFormMatrix(rows, g.ne, symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +516,10 @@ def echelon(rows: list[dict], p: int | None = None,
 # determinants
 # ---------------------------------------------------------------------------
 
-def det_poly_general(m: LinearFormMatrix) -> Poly:
+def det_poly(m: LinearFormMatrix) -> Poly:
     """Exact determinant by fraction-free Bareiss elimination over Poly."""
     n = m.size
-    a = [[m.entries[i][j].to_poly(m.nvars) for j in range(n)] for i in range(n)]
+    a = [list(row) for row in m.entries]
     if n == 0:
         return Poly.const(m.nvars, 1)
     sign = 1
@@ -657,11 +541,6 @@ def det_poly_general(m: LinearFormMatrix) -> Poly:
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det.scale(sign) if sign < 0 else det
-
-
-def det_poly(m: LinearFormMatrix) -> MultilinearPoly:
-    """Determinant of a Laplacian-type matrix as a multilinear polynomial."""
-    return det_poly_general(m).to_multilinear()
 
 
 # ---------------------------------------------------------------------------
@@ -688,40 +567,38 @@ def spanning_trees(g: Graph) -> list[frozenset]:
     return trees
 
 
-def _edge_rank_map(ids: Sequence[int], removed: int) -> dict[int, int]:
-    """new id -> old id after deleting `removed` and renumbering densely."""
-    kept = [e for e in ids if e != removed]
-    return {k + 1: old for k, old in enumerate(kept)}
-
-
-def graph_polynomial(g: Graph) -> MultilinearPoly:
-    """Sum over spanning trees of the complementary edge monomials.
+def graph_polynomial(g: Graph) -> Poly:
+    """Sum over spanning trees of the complementary edge monomials, over
+    the g.ne edge variables.
 
     Vertex weights are ignored; a disconnected graph gives the zero
     polynomial.
     """
     if not g.is_connected:
-        return MultilinearPoly.zero()
-    all_edges = frozenset(g.edge_ids)
-    return MultilinearPoly({all_edges - t: 1 for t in spanning_trees(g)})
+        return Poly.zero(g.ne)
+    return Poly(g.ne, {tuple(int(e not in t) for e in g.edge_ids): 1
+                       for t in spanning_trees(g)})
 
 
-def contraction_deletion_split(g: Graph, e: int) -> tuple[MultilinearPoly, MultilinearPoly]:
+def contraction_deletion_split(g: Graph, e: int) -> tuple[Poly, Poly]:
     """(psi of g minus e, psi of g contract e), in g's edge variables.
 
     The deletion part is zero when deletion disconnects; the contraction
     part is zero when e is a self-edge.
     """
     u, v = g.endpoints(e)
-    back = _edge_rank_map(list(g.edge_ids), e)
+
+    def psi_without_e(h: Graph) -> Poly:
+        # h numbers g's other edges densely; x_e enters with exponent 0
+        return Poly(g.ne, {k[:e - 1] + (0,) + k[e - 1:]: c
+                           for k, c in graph_polynomial(h).coeffs.items()})
+
     deleted = g.delete_edge(e)
-    psi_del = (graph_polynomial(deleted).relabel(back)
-               if deleted.component_count() == 1 else MultilinearPoly.zero())
+    psi_del = (psi_without_e(deleted) if deleted.component_count() == 1
+               else Poly.zero(g.ne))
     if u == v:
-        return psi_del, MultilinearPoly.zero()
-    contracted = g.contract_edge(e, mode="zero")
-    psi_con = graph_polynomial(contracted).relabel(back)
-    return psi_del, psi_con
+        return psi_del, Poly.zero(g.ne)
+    return psi_del, psi_without_e(g.contract_edge(e, mode="zero"))
 
 
 # ---------------------------------------------------------------------------

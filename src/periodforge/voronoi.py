@@ -145,9 +145,8 @@ def short_vectors(q: QuadraticForm, bound: Fraction) -> list[tuple[int, ...]]:
 
 
 def minimal_vectors(q: QuadraticForm) -> list[tuple[int, ...]]:
-    """All nonzero integer vectors attaining min Q, both signs included."""
-    if not q.is_positive_definite():
-        raise VoronoiError("minimal vectors need a positive definite form")
+    """All nonzero integer vectors attaining min Q, both signs included;
+    ``short_vectors`` raises VoronoiError unless q is positive definite."""
     seed = min(q.matrix[i][i] for i in range(q.dim))
     cands = short_vectors(q, seed)
     best = min(q.value(v) for v in cands)
@@ -205,9 +204,7 @@ def torelli_point(g: Graph, lengths: Sequence[Fraction],
     ls = [Fraction(x) for x in lengths]
     if any(x <= 0 for x in ls):
         raise GraphError("edge lengths must be positive")
-    lam = laplacian(g, basis)
-    point = {e: ls[e - 1] for e in g.edge_ids}
-    return QuadraticForm(lam.evaluate(point))
+    return QuadraticForm(laplacian(g, basis).evaluate(ls))
 
 
 # ---------------------------------------------------------------------------

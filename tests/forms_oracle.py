@@ -20,8 +20,7 @@ def dense_coefficients(x: LinearFormMatrix, n: int, point,
     X^-1 dX are expanded as 1-forms and multiplied with wedge bookkeeping.
     """
     m = x.size
-    pt = {e: Fraction(point[e - 1]) for e in range(1, x.nvars + 1)}
-    xp = x.evaluate(pt)
+    xp = x.evaluate([Fraction(p) for p in point])
     xinv = _invert_exact(xp)
     coeffs = _coefficient_matrices(x)
     base = [[dict() for _ in range(m)] for _ in range(m)]

@@ -217,7 +217,7 @@ def test_exact_form_evaluation_at_singular_point_raises():
     for pt in ([Fraction(0)] * g.ne,
                [Fraction(0) if e in _triangle(g) else Fraction(e)
                 for e in g.edge_ids]):
-        assert _leibniz(lam.evaluate(dict(zip(g.edge_ids, pt)))) == 0
+        assert _leibniz(lam.evaluate(pt)) == 0
         with pytest.raises(FormError):
             FormEvaluator(lam).coefficients(5, pt, exact=True)
 

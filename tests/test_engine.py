@@ -7,7 +7,7 @@ import pytest
 
 from periodforge.graphs import (Graph, GraphError, _root, banana, complete,
                                 cycle, wheel, zigzag)
-from periodforge.polynomials import MultilinearPoly, graph_polynomial
+from periodforge.polynomials import Poly, graph_polynomial
 from periodforge import engine
 from periodforge.forms import FormSpec
 from periodforge.tropical import (DivergentIntegrandError, TropicalSampler,
@@ -287,7 +287,12 @@ def test_integrand_validation():
     with pytest.raises(GraphError):
         residue_integrand(banana(3))  # |E| = 3 != 2h = 4
     with pytest.raises(GraphError):
-        Integrand(wheel(3), numerator=MultilinearPoly.one(), psi_power=3)
+        Integrand(wheel(3), numerator=Poly.const(6, 1), psi_power=3)
+    with pytest.raises(GraphError, match="edge variables"):
+        Integrand(wheel(3), numerator=Poly.const(5, 1), psi_power=2)
+    for edges in ([0, 1], [1, 7]):
+        with pytest.raises(GraphError, match="must lie in 1..6"):
+            monomial_integrand(wheel(3), edges, 3)
     with pytest.raises(GraphError):
         canonical_integrand(wheel(3), FormSpec((9,)))
     ig = residue_integrand(dunce_graph())  # constructed fine, diverges later
@@ -337,6 +342,20 @@ def test_integrate_rejects_non_positive_threads(threads, monkeypatch):
     for g in (wheel(3), dunce_graph()):
         with pytest.raises(IntegrationError, match="threads must be at least"):
             integrate(residue_integrand(g), 1000, seed=0, threads=threads)
+    assert built == []
+
+
+@pytest.mark.parametrize("shard_size", [0, -5])
+def test_integrate_rejects_non_positive_shard_size(shard_size, monkeypatch):
+    """A shard size below one fails before any preprocessing, as a thread
+    count below one does, instead of dividing by zero."""
+    built = []
+    monkeypatch.setattr(engine, "build_measure",
+                        lambda *a: built.append(a))
+    with pytest.raises(IntegrationError,
+                       match=f"shard_size must be at least 1, got {shard_size}"):
+        integrate(residue_integrand(wheel(3)), 1000, seed=0,
+                  shard_size=shard_size)
     assert built == []
 
 
@@ -458,7 +477,7 @@ def test_residue_exact_psi_row(monkeypatch):
     assert len(calls) == 1
     assert np.isfinite(w).all()
     xc = Fraction(xs[1, 5])
-    ys = {e: Fraction(float(y)) for e, y in enumerate(xs[1] / xs[1, 5], 1)}
+    ys = [Fraction(float(y)) for y in xs[1] / xs[1, 5]]
     psi = graph_polynomial(wheel(3)).evaluate(ys)
     assert w[1] == pytest.approx(float(1 / (psi ** 2 * xc ** 6)), rel=1e-12)
 
@@ -486,7 +505,7 @@ def test_residue_weight_at_cancelling_rows():
     w = ev.values(xs, np.zeros(3))
     for x, got in zip(xs, w):
         xc = Fraction(x[5])
-        ys = {e: Fraction(float(y)) for e, y in enumerate(x / x[5], 1)}
+        ys = [Fraction(float(y)) for y in x / x[5]]
         want = 1 / (psi.evaluate(ys) ** 2 * xc ** 6)
         assert got == pytest.approx(float(want), rel=1e-12)
 

@@ -13,8 +13,7 @@ from periodforge.forms import (BatchedGraphFormEvaluator, CycleIncidence,
                                FormError, FormEvaluator, FormSpec,
                                RationalForm, _cycle_coefficients,
                                canonical_form_numeric,
-                               canonical_form_symbolic, graph_canonical_form,
-                               wedge)
+                               canonical_form_symbolic, graph_canonical_form)
 from forms_oracle import dense_coefficients
 
 
@@ -67,7 +66,7 @@ def test_omega5_sign_adjudicated_by_brute_force():
     pt = [Fraction(k, 7) for k in (9, 12, 5, 3, 2, 4)]
     from periodforge.forms import _coefficient_matrices, _invert_exact
 
-    xp = x.evaluate({e: pt[e - 1] for e in range(1, 7)})
+    xp = x.evaluate(pt)
     xinv = _invert_exact(xp)
     mats = _coefficient_matrices(x)
 
@@ -150,18 +149,18 @@ def test_closedness_symbolic():
 def test_wedge_algebra():
     x = generic_symmetric(3)
     f = canonical_form_symbolic(x, 5)
-    assert wedge(f, f).is_zero()  # odd degree
+    assert f.wedge(f).is_zero()  # odd degree
     g3 = canonical_form_symbolic(generic_2x2(), 3)
-    sq = wedge(g3, g3)
+    sq = g3.wedge(g3)
     assert sq.is_zero()
     # degree additivity on a non-trivial wedge
     one_form = RationalForm(6, 1, 0,
                             {frozenset({1}): Poly.const(6, 1)}, f.det,
                             reduce=False)
-    w = wedge(f, one_form)
+    w = f.wedge(one_form)
     assert w.degree == 6
     with pytest.raises(FormError):
-        wedge(f, canonical_form_symbolic(generic_2x2(), 3))
+        f.wedge(canonical_form_symbolic(generic_2x2(), 3))
 
 
 def test_graph_canonical_form_w3():
@@ -542,8 +541,7 @@ def test_log_psi_matches_exact_psi():
         logpsi, inv, bad = inc.factor(xs)
         assert inv is None and not bad.any()
         for x, got in zip(xs, logpsi):
-            exact = psi.evaluate({e: Fraction(float(c))
-                                  for e, c in enumerate(x, 1)})
+            exact = psi.evaluate([Fraction(float(c)) for c in x])
             want = math.log(exact.numerator) - math.log(exact.denominator)
             assert abs(math.expm1(got - want)) <= 1e-9
 

@@ -100,23 +100,48 @@ def test_every_import_is_used():
 
 
 def _references(tree: ast.Module):
-    """(name, top-level definition it sits in) for every name a module
-    reads, every attribute it looks up and every name it imports."""
+    """(name, owner) for every name a module reads, every attribute it
+    looks up and every name it imports.  The owner is the top-level
+    definition the reference sits in, as a 1-tuple, or (class, method)
+    inside a method of a top-level class."""
     for top in tree.body:
-        owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                yield node.id, owner
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, owner
-            elif isinstance(node, ast.ImportFrom):
-                for a in node.names:
-                    yield a.name, owner
+        parts = [((getattr(top, "name", None),), top)]
+        if isinstance(top, ast.ClassDef):
+            parts = [((top.name,), node) for node in
+                     top.bases + top.keywords + top.decorator_list]
+            parts += [((top.name, node.name), node)
+                      if isinstance(node, ast.FunctionDef)
+                      else ((top.name,), node) for node in top.body]
+        for owner, part in parts:
+            for node in ast.walk(part):
+                if isinstance(node, ast.Name):
+                    yield node.id, owner
+                elif isinstance(node, ast.Attribute):
+                    yield node.attr, owner
+                elif isinstance(node, ast.ImportFrom):
+                    for a in node.names:
+                        yield a.name, owner
+
+
+def _definitions(tree: ast.Module):
+    """(line, name, owner) for each top-level function and class, and each
+    method of a top-level class that is not a dunder."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield top.lineno, top.name, (top.name,)
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef) and not (
+                        node.name.startswith("__")
+                        and node.name.endswith("__")):
+                    yield node.lineno, node.name, (top.name, node.name)
 
 
 def test_every_top_level_definition_is_referenced():
-    """Each top-level function and class of the package is used from the
-    package, the tests or the benchmark, other than by its own body."""
+    """Each top-level function and class of the package, and each method of
+    its classes other than the dunders, is used from the package, the tests
+    or the benchmark, other than by its own body.  Methods count by name:
+    any attribute lookup of that name is a use."""
     package = Path(periodforge.__file__).resolve().parent
     root = Path(__file__).resolve().parents[1]
     users: dict[str, set] = {}
@@ -127,8 +152,9 @@ def test_every_top_level_definition_is_referenced():
             for name, owner in _references(tree):
                 users.setdefault(name, set()).add((path, owner))
             if folder == package:
-                defs += [(path, node.lineno, node.name) for node in tree.body
-                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    unused = [f"{path.name}:{line} {name}" for path, line, name in defs
-              if not users.get(name, set()) - {(path, name)}]
+                defs += [(path, *d) for d in _definitions(tree)]
+    unused = [f"{path.name}:{line} {'.'.join(owner)}"
+              for path, line, name, owner in defs
+              if not any(p != path or o[:len(owner)] != owner
+                         for p, o in users.get(name, ()))]
     assert not unused, unused

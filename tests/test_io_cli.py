@@ -182,16 +182,22 @@ def test_cli_rejects_non_positive_threads(files, capsys, command, threads):
     ["residue", "{w3}", "--samples", "1"],
     ["residue", "{dunce}", "--samples", "2000"],
     ["minvec", "{bad_matrix}"],
+    ["minvec", "{zero_denominator}"],
+    ["cell", "{zero_denominator}"],
     ["torelli", "{sunrise}", "--lengths", "1,x,1"],
     ["torelli", "{sunrise}", "--lengths", "1,1"],
+    ["torelli", "{sunrise}", "--lengths", "1/0,1,1"],
 ], ids=["gc-loops", "residue-samples", "residue-divergent",
-        "minvec-malformed", "torelli-unparsable", "torelli-count"])
+        "minvec-malformed", "minvec-zero-denominator", "cell-zero-denominator",
+        "torelli-unparsable", "torelli-count", "torelli-zero-denominator"])
 def test_cli_maps_layer_errors_to_exit_2(files, tmp_path, capsys, argv):
     """Each layer's error reaches main as a validation error, although the
     CLI imports that layer only inside the subcommand."""
     bad = tmp_path / "bad.mat"
     bad.write_text("2\n1 2 three 4\n")
-    paths = dict(files, bad_matrix=str(bad))
+    zero_den = tmp_path / "zero_den.mat"
+    zero_den.write_text("2\n2 1\n1 1/0\n")
+    paths = dict(files, bad_matrix=str(bad), zero_denominator=str(zero_den))
     code = main([a.format(**paths) for a in argv])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -276,3 +282,58 @@ def test_rational_form_text_dump():
     text = f.to_text()
     assert "over det^2" in text
     assert text.count("dx") == 12  # four 3-component wedge keys
+
+
+# A self-edge (5) and a pair of parallel edges (1, 2).
+LOOPY_FILE = "v 1\nv 2\nv 3\ne 1 1 2\ne 2 1 2\ne 3 2 3\ne 4 3 1\ne 5 3 3\n"
+
+K4_PSI = [[1, [1, 2, 4]], [1, [1, 2, 5]], [1, [1, 2, 6]], [1, [1, 3, 4]],
+          [1, [1, 3, 5]], [1, [1, 3, 6]], [1, [1, 4, 6]], [1, [1, 5, 6]],
+          [1, [2, 3, 4]], [1, [2, 3, 5]], [1, [2, 3, 6]], [1, [2, 4, 5]],
+          [1, [2, 5, 6]], [1, [3, 4, 5]], [1, [3, 4, 6]], [1, [4, 5, 6]]]
+
+GOLDEN = {
+    ("psi", "k4"): (
+        "x1*x2*x4 + x1*x2*x5 + x1*x2*x6 + x1*x3*x4 + x1*x3*x5 + x1*x3*x6"
+        " + x1*x4*x6 + x1*x5*x6 + x2*x3*x4 + x2*x3*x5 + x2*x3*x6"
+        " + x2*x4*x5 + x2*x5*x6 + x3*x4*x5 + x3*x4*x6 + x4*x5*x6\n",
+        {"psi": K4_PSI}),
+    ("laplacian", "k4"): (
+        "[x1 + x2 + x4, x1, -x2]\n"
+        "[x1, x1 + x3 + x5, x3]\n"
+        "[-x2, x3, x2 + x3 + x6]\n",
+        {"laplacian": [["x1 + x2 + x4", "x1", "-x2"],
+                       ["x1", "x1 + x3 + x5", "x3"],
+                       ["-x2", "x3", "x2 + x3 + x6"]], "size": 3}),
+    ("psi", "loopy"): (
+        "x1*x2*x5 + x1*x3*x5 + x1*x4*x5 + x2*x3*x5 + x2*x4*x5\n",
+        {"psi": [[1, [1, 2, 5]], [1, [1, 3, 5]], [1, [1, 4, 5]],
+                 [1, [2, 3, 5]], [1, [2, 4, 5]]]}),
+    ("laplacian", "loopy"): (
+        "[x1 + x2, x1, 0]\n"
+        "[x1, x1 + x3 + x4, 0]\n"
+        "[0, 0, x5]\n",
+        {"laplacian": [["x1 + x2", "x1", "0"], ["x1", "x1 + x3 + x4", "0"],
+                       ["0", "0", "x5"]], "size": 3}),
+}
+
+
+@pytest.mark.parametrize("command, graph", sorted(GOLDEN))
+def test_cli_psi_laplacian_golden_output(tmp_path, capsys, command, graph):
+    """psi and laplacian print the same bytes as text and as JSON (the
+    wall time aside) as the reference output pinned here."""
+    from periodforge import __version__
+    from periodforge.graphs import complete
+
+    path = tmp_path / f"{graph}.g"
+    path.write_text(write_graph(complete(4)) if graph == "k4" else LOOPY_FILE)
+    text, payload = GOLDEN[command, graph]
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().out == text
+    assert main([command, str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    manifest = {"arguments": {"graph": str(path), "json": True},
+                "command": command, "version": __version__,
+                "wall_time_s": json.loads(out)["manifest"]["wall_time_s"]}
+    assert out == json.dumps({**payload, "manifest": manifest}, indent=2,
+                             sort_keys=True) + "\n"

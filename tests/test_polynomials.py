@@ -6,53 +6,61 @@ import pytest
 from periodforge.graphs import (Graph, _root, banana, complete,
                                 complete_bipartite, cycle, dumbbell, wheel,
                                 zigzag)
-from periodforge.polynomials import (CycleBasis, LinearForm, MultilinearPoly,
-                                     Poly, PolynomialError,
+from periodforge.polynomials import (CycleBasis, LinearFormMatrix, Poly,
+                                     PolynomialError,
                                      contraction_deletion_split, cycle_basis,
-                                     det_poly, det_poly_general,
-                                     divergent_subgraphs, generic_2x2,
+                                     det_poly, divergent_subgraphs,
+                                     generic_2x2, generic_symmetric,
                                      graph_polynomial, laplacian, explicit_basis,
                                      spanning_trees, validate_cycle_basis)
 from conftest import dunce_graph, labelled_w3, random_connected_graph
 
 
-def ml(*monomials):
-    return MultilinearPoly({frozenset(m): 1 for m in monomials})
+def ml(nvars, *monomials):
+    """Sum of the unit monomials over the given edge-id sets."""
+    return sum((Poly.monomial(nvars, m) for m in monomials), Poly.zero(nvars))
+
+
+def lin(nvars, coeffs):
+    """The linear form sum c x_e over {e: c}."""
+    return sum((Poly.var(nvars, e).scale(c) for e, c in coeffs.items()),
+               Poly.zero(nvars))
 
 
 def test_psi_sunrise():
-    assert graph_polynomial(banana(3)) == ml({1, 2}, {1, 3}, {2, 3})
+    assert graph_polynomial(banana(3)) == ml(3, {1, 2}, {1, 3}, {2, 3})
 
 
 def test_psi_dunce():
     got = graph_polynomial(dunce_graph())
-    assert got == ml({3, 4}, {2, 4}, {1, 4}, {2, 3}, {1, 3})
+    assert got == ml(4, {3, 4}, {2, 4}, {1, 4}, {2, 3}, {1, 3})
 
 
 def test_psi_ngon():
     for n in range(1, 11):
-        assert graph_polynomial(cycle(n)) == ml(*({i} for i in range(1, n + 1)))
+        assert graph_polynomial(cycle(n)) == \
+            ml(n, *({i} for i in range(1, n + 1)))
 
 
 def test_psi_w3():
     p = graph_polynomial(wheel(3))
     assert len(p.coeffs) == 16
     assert all(c == 1 for c in p.coeffs.values())
-    assert p.is_homogeneous(3)
+    assert p.degrees() == {3}
 
 
 def test_psi_zero_cases():
     disconnected = Graph((0, 0, 0, 0), ((1, 2), (3, 4)))
     assert graph_polynomial(disconnected).is_zero()
     tree = Graph((0, 0), ((1, 2),))
-    assert graph_polynomial(tree) == MultilinearPoly.one()
+    assert graph_polynomial(tree) == Poly.const(1, 1)
 
 
 def test_homogeneity(corpus):
     for g in corpus:
         p = graph_polynomial(g)
         if not p.is_zero():
-            assert p.is_homogeneous(g.loop_number()), g
+            assert p.degrees() == {g.loop_number()}, g
 
 
 def test_psi_term_counts_match_closed_forms():
@@ -97,19 +105,17 @@ def test_sunrise_laplacian_display():
     g = banana(3)
     b = explicit_basis([{1: 1, 2: -1}, {2: 1, 3: -1}], 3)
     lam = laplacian(g, b)
-    assert lam.entries[0][0] == LinearForm({1: 1, 2: 1})
-    assert lam.entries[0][1] == LinearForm({2: -1})
-    assert lam.entries[1][1] == LinearForm({2: 1, 3: 1})
+    assert lam.entries[0][0] == lin(3, {1: 1, 2: 1})
+    assert lam.entries[0][1] == lin(3, {2: -1})
+    assert lam.entries[1][1] == lin(3, {2: 1, 3: 1})
     # the (2,2) entry is x2 + x3: with x1 + x3 there the determinant would
     # not reproduce the graph polynomial
     assert det_poly(lam) == graph_polynomial(g)
-    wrong = ((LinearForm({1: 1, 2: 1}), LinearForm({2: -1})),
-             (LinearForm({2: -1}), LinearForm({1: 1, 3: 1})))
-    from periodforge.polynomials import LinearFormMatrix
-
+    wrong = ((lin(3, {1: 1, 2: 1}), lin(3, {2: -1})),
+             (lin(3, {2: -1}), lin(3, {1: 1, 3: 1})))
     bad = LinearFormMatrix(wrong, 3, symmetric=True)
     psi_as_poly = Poly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
-    assert det_poly_general(bad) != psi_as_poly
+    assert det_poly(bad) != psi_as_poly
 
 
 def test_w3_laplacian_display():
@@ -118,12 +124,12 @@ def test_w3_laplacian_display():
                      {1: -1, 3: 1, 5: 1},
                      {2: 1, 3: -1, 4: -1}], 6)
     lam = laplacian(g, b)
-    assert lam.entries[0][0] == LinearForm({1: 1, 2: 1, 6: 1})
-    assert lam.entries[1][1] == LinearForm({1: 1, 3: 1, 5: 1})
-    assert lam.entries[2][2] == LinearForm({2: 1, 3: 1, 4: 1})
-    assert lam.entries[0][1] == LinearForm({1: -1})
-    assert lam.entries[0][2] == LinearForm({2: -1})
-    assert lam.entries[1][2] == LinearForm({3: -1})
+    assert lam.entries[0][0] == lin(6, {1: 1, 2: 1, 6: 1})
+    assert lam.entries[1][1] == lin(6, {1: 1, 3: 1, 5: 1})
+    assert lam.entries[2][2] == lin(6, {2: 1, 3: 1, 4: 1})
+    assert lam.entries[0][1] == lin(6, {1: -1})
+    assert lam.entries[0][2] == lin(6, {2: -1})
+    assert lam.entries[1][2] == lin(6, {3: -1})
     d = det_poly(lam)
     assert d == graph_polynomial(g)
     assert len(d.coeffs) == 16
@@ -132,30 +138,30 @@ def test_w3_laplacian_display():
 def test_bubble_laplacian():
     lam = laplacian(banana(2))
     assert lam.size == 1
-    assert det_poly(lam) == ml({1}, {2})
+    assert det_poly(lam) == ml(2, {1}, {2})
 
 
 def test_det_1x1():
-    from periodforge.polynomials import LinearFormMatrix
-
-    m = LinearFormMatrix(((LinearForm({1: 1, 2: 1}),),), 2)
-    assert det_poly(m) == ml({1}, {2})
+    m = LinearFormMatrix(((lin(2, {1: 1, 2: 1}),),), 2)
+    assert det_poly(m) == ml(2, {1}, {2})
+    with pytest.raises(PolynomialError):
+        LinearFormMatrix(((Poly.monomial(2, (1, 2)),),), 2)  # degree 2
+    with pytest.raises(PolynomialError):
+        LinearFormMatrix(((Poly.var(3, 1),),), 2)  # wrong variable count
 
 
 def test_det_poly_general_swaps_rows_on_a_zero_pivot():
     """det [[0, x1], [x2, x3]] = -x1 x2, and a zero on the diagonal only
     after the first Bareiss step: det [[x1, 0, 0], [0, 0, x2], [0, x3, 0]]
     = -x1 x2 x3."""
-    from periodforge.polynomials import LinearFormMatrix
-
     def mat(rows, nvars):
-        return LinearFormMatrix(tuple(tuple(LinearForm({v: 1} if v else {})
+        return LinearFormMatrix(tuple(tuple(lin(nvars, {v: 1} if v else {})
                                             for v in row) for row in rows),
                                 nvars)
 
-    assert det_poly_general(mat(((0, 1), (2, 3)), 3)) == \
+    assert det_poly(mat(((0, 1), (2, 3)), 3)) == \
         Poly(3, {(1, 1, 0): -1})
-    assert det_poly_general(mat(((1, 0, 0), (0, 0, 2), (0, 3, 0)), 3)) == \
+    assert det_poly(mat(((1, 0, 0), (0, 0, 2), (0, 3, 0)), 3)) == \
         Poly(3, {(1, 1, 1): -1})
 
 
@@ -198,8 +204,8 @@ def test_laplacian_congruence(rng):
             p[r][j] += p[r][i]
     lam = laplacian(g, b)
     lam2 = laplacian(g, b.transformed(p))
-    point = {e: Fraction(rng.randint(1, 30), rng.randint(1, 7))
-             for e in g.edge_ids}
+    point = [Fraction(rng.randint(1, 30), rng.randint(1, 7))
+             for _ in g.edge_ids]
     a = lam.evaluate(point)
     a2 = lam2.evaluate(point)
     ptap = [[sum(p[k][i] * a[k][l] * p[l][j] for k in range(h)
@@ -210,8 +216,8 @@ def test_laplacian_congruence(rng):
 def test_contraction_deletion_split_examples():
     g = banana(3)
     d, c = contraction_deletion_split(g, 2)
-    assert d == ml({1}, {3})
-    assert c == ml({1, 3})
+    assert d == ml(3, {1}, {3})
+    assert c == ml(3, {1, 3})
     # bridge deletion disconnects: first component zero
     bridge = Graph((0, 0, 0), ((1, 2), (2, 3), (2, 3)))
     d, c = contraction_deletion_split(bridge, 1)
@@ -230,16 +236,17 @@ def test_contraction_deletion_identity(corpus, rng):
         psi = graph_polynomial(g)
         for e in g.edge_ids:
             d, c = contraction_deletion_split(g, e)
-            assert d.times_var(e) + c == psi, (g, e)
-            assert psi.restrict_zero(e) == c, (g, e)
+            assert d * Poly.var(g.ne, e) + c == psi, (g, e)
+            # psi is linear in x_e
+            assert psi.derivative(e) == d, (g, e)
 
 
 def test_positivity(rng):
     for g in (wheel(3), banana(4), zigzag(4)):
         psi = graph_polynomial(g)
         for _ in range(20):
-            point = {e: Fraction(rng.randint(1, 50), rng.randint(1, 9))
-                     for e in g.edge_ids}
+            point = [Fraction(rng.randint(1, 50), rng.randint(1, 9))
+                     for _ in g.edge_ids]
             assert psi.evaluate(point) > 0
 
 
@@ -296,21 +303,40 @@ def test_poly_division_and_derivative():
     assert d == Poly(3, {(0, 0, 1): 2})
 
 
+def test_poly_evaluate_floats():
+    import numpy as np
+
+    xs = np.array([[0.3, 1.7, 0.9], [2.5, 0.1, 1e-3]])
+    p = Poly(3, {(2, 0, 1): 3, (0, 1, 0): Fraction(-1, 2), (0, 0, 0): 5})
+    for x, got in zip(xs, p.evaluate_floats(xs)):
+        want = p.evaluate([Fraction(c) for c in x])
+        assert got == pytest.approx(float(want), rel=1e-14)
+    # a term multiplies its variables in ascending order, one factor per power
+    mono = Poly.monomial(3, [3, 1, 1], 12)
+    assert mono.evaluate_floats(xs).tolist() == \
+        [12.0 * x[0] * x[0] * x[2] for x in xs.tolist()]
+    # an index outside x1..x3 would otherwise wrap round to another variable
+    for bad in (0, 4):
+        with pytest.raises(PolynomialError):
+            Poly.var(3, bad)
+
+
 def test_multilinear_output_formats():
     p = graph_polynomial(banana(3))
     assert p.to_text() == "x1*x2 + x1*x3 + x2*x3"
     assert p.to_json() == [[1, [1, 2]], [1, [1, 3]], [1, [2, 3]]]
-    assert MultilinearPoly.zero().to_text() == "0"
-    two = MultilinearPoly({frozenset({1}): 2})
-    assert two.to_text() == "2*x1"
+    assert Poly.zero(1).to_text() == "0"
+    assert Poly.monomial(1, [1], 2).to_text() == "2*x1"
+    q = Poly(3, {(0, 0, 0): Fraction(1, 2), (0, 2, 1): -3, (1, 0, 0): -1})
+    assert q.to_text() == "1/2 - x1 - 3*x2^2*x3"
+    assert repr(q) == "Poly(1/2 - x1 - 3*x2^2*x3)"
+    assert q.terms() == [(Fraction(1, 2), ()), (-1, (1,)), (-3, (2, 2, 3))]
+    assert q.degrees() == {0, 1, 3}
 
 
 def test_generic_det_not_multilinear():
     x = generic_2x2()
-    det = det_poly_general(x)
+    det = det_poly(x)
     # x1 x2 - x3 x4
     assert det == Poly(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1})
-    with pytest.raises(PolynomialError):
-        from periodforge.polynomials import generic_symmetric
-
-        det_poly(generic_symmetric(2))  # contains x3^2
+    assert det_poly(generic_symmetric(2)).to_text() == "x1*x2 - x3^2"
