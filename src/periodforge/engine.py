@@ -26,6 +26,10 @@ from .tropical import TropicalSampler, build_measure, simplex_sample
 import numpy as np
 
 _SHARD = 65536
+# samples per evaluation block: it bounds the Laplacians, Gram tensor and
+# DP path arrays alive at once, which a shard never holds for all its
+# samples
+_BLOCK = 8192
 
 
 class IntegrationError(ValueError):
@@ -184,7 +188,10 @@ def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None, seed: int,
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,))))
     xs, logw = simplex_sample(rng, count, ev.ig.graph.ne, sampler)
-    w = ev.values(xs, logw)
+    w = np.empty(count)
+    for lo in range(0, count, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        w[blk] = ev.values(xs[blk], logw[blk])
     bad = ~np.isfinite(w)
     if bad.any():
         raise NonFinitePointError(xs[int(np.argmax(bad))])

@@ -62,7 +62,7 @@ def _merge_sign(s1: frozenset, s2: frozenset) -> int:
     return -1 if inv % 2 else 1
 
 
-def _word_splits(comps, per, rest: frozenset, idx: int = 0):
+def _wedge_splits(comps, per, rest: frozenset, idx: int = 0):
     """Ordered splits of ``rest`` into the parts of a wedge word.
 
     Yields (parts, product of their coefficients), skipping every split
@@ -80,13 +80,13 @@ def _word_splits(comps, per, rest: frozenset, idx: int = 0):
         c1 = per[n].get(s)
         if c1 is None:
             continue
-        for tail, cval in _word_splits(comps, per, rest - s, idx + 1):
+        for tail, cval in _wedge_splits(comps, per, rest - s, idx + 1):
             yield (s,) + tail, c1 * cval
 
 
-def _word_total(comps, per, allvars: frozenset, total):
+def _wedge_total(comps, per, allvars: frozenset, total):
     """``total`` plus the signed products over the splits of ``allvars``."""
-    for parts, val in _word_splits(comps, per, allvars):
+    for parts, val in _wedge_splits(comps, per, allvars):
         sign = 1
         placed: list[int] = []
         for s in parts:
@@ -516,7 +516,7 @@ class FormEvaluator:
                    if c}
                for n in set(comps)}
         zero = Fraction(0) if exact else 0.0
-        return _word_total(comps, per, allvars, zero)
+        return _wedge_total(comps, per, allvars, zero)
 
 
 def canonical_form_numeric(x: LinearFormMatrix, spec: FormSpec,
@@ -568,9 +568,6 @@ class CycleIncidence:
         return (q[:, None, :, None] * q[None, :, None, :]).reshape(
             ne * ne, h * h)
 
-    # samples per block of `factor`: the (h, h, block) working array stays
-    # in cache through the factorisation's passes
-    _BLOCK = 8192
     # smallest trusted scaled pivot, sqrt(eps): below it Psi and Lambda^-1
     # keep fewer than half their digits
     _MIN_PIVOT = 2.0 ** -26
@@ -579,84 +576,68 @@ class CycleIncidence:
         """(log Psi, Lambda^-1 or None, flagged) at the rows of ``xs`` (B, ne).
 
         The Laplacians are built along the sample axis, ``lap.T @ xs.T`` in
-        (h, h, B) layout, block by block, scaled by their diagonal, S_ij =
-        Lambda_ij / (d_i d_j) with d_i = sqrt(Lambda_ii), and factored in
-        place as S = L D L^T, one vector operation over the samples per row
-        step; log Psi = sum_j log D_j + sum_i log Lambda_ii.  With
-        ``inverse``, L^-1 is formed in place, then S^-1 = L^-T D^-1 L^-1, and
-        the (h, h, B) Lambda^-1_ij = S^-1_ij / (d_i d_j) is returned.  A row
-        is flagged when one of its pivots D_j is below ``_MIN_PIVOT`` or not
-        finite, or its inverse is not finite; its other outputs are not
-        trusted and the caller redoes it exactly.  D_j in (0, 1] is the
-        scaled pivot, so a small one means cancellation has taken about
-        -log2 D_j of its bits.  Every array written is allocated here, so
-        threads may share the instance, and no floating-point warning is
-        raised.
+        (h, h, B) layout, scaled by their diagonal, S_ij = Lambda_ij /
+        (d_i d_j) with d_i = sqrt(Lambda_ii), and factored in place as S =
+        L D L^T, one vector operation over the samples per row step; log Psi
+        = sum_j log D_j + sum_i log Lambda_ii.  With ``inverse``, L^-1 is
+        formed in place, then S^-1 = L^-T D^-1 L^-1, and the (h, h, B)
+        Lambda^-1_ij = S^-1_ij / (d_i d_j) is returned.  A row is flagged
+        when one of its pivots D_j is below ``_MIN_PIVOT`` or not finite, or
+        its inverse is not finite; its other outputs are not trusted and the
+        caller redoes it exactly.  D_j in (0, 1] is the scaled pivot, so a
+        small one means cancellation has taken about -log2 D_j of its bits.
+        Every array written is allocated here, so threads may share the
+        instance, and no floating-point warning is raised.
         """
         import numpy as np
 
         h, B = self.h, xs.shape[0]
-        logpsi = np.empty(B)
-        bad = np.empty(B, dtype=bool)
-        inv = np.empty((h, h, B)) if inverse else None
-        with np.errstate(all="ignore"):
-            for lo in range(0, B, self._BLOCK):
-                blk = slice(lo, lo + self._BLOCK)
-                logpsi[blk], bad[blk] = self._factor_block(
-                    xs[blk], None if inv is None else inv[:, :, blk])
-        return logpsi, inv, bad
-
-    def _factor_block(self, xs, inv):
-        """``factor`` on one block; writes Lambda^-1 into ``inv`` unless
-        it is None."""
-        import numpy as np
-
-        h, B = self.h, xs.shape[0]
         diagonal = (range(h), range(h))
-        a = (self.lap.T @ xs.T).reshape(h, h, B)
-        lam_ii = a[diagonal]
-        d = np.sqrt(lam_ii)
-        # only the lower triangle is read from here on
-        for i in range(h):
-            a[i, :i + 1] /= d[:i + 1]
-            a[i, :i + 1] /= d[i]
-        # L below the diagonal, D on it
-        for j in range(h - 1):
-            col = a[j + 1:, j]
-            ell = col / a[j, j]
-            for i in range(j + 1, h):
-                a[i, j + 1:i + 1] -= a[i, j] * ell[:i - j]
-            col[...] = ell
-        piv = a[diagonal]
-        logpsi = np.log(piv).sum(axis=0) + np.log(lam_ii).sum(axis=0)
-        # finite exactly when every pivot and diagonal entry is positive
-        # and finite
-        bad = ~np.isfinite(logpsi)
-        bad |= piv.min(axis=0) < self._MIN_PIVOT
-        if inv is None:
-            return logpsi, bad
-        # M = L^-1 below the diagonal: M_ij = -(L_ij + sum_{j<k<i} L_ik
-        # M_kj), ascending j, so L_ik (k > j) is still unread
-        for i in range(1, h):
-            for j in range(i):
-                if j + 1 < i:
-                    a[i, j] += (a[i, j + 1:i] * a[j + 1:i, j]).sum(axis=0)
-                np.negative(a[i, j], out=a[i, j])
-        # S^-1_ij = sum_{k >= j} M_ki M_kj / D_k (i <= j, M_kk = 1) by
-        # columns; row j of M is last read for column j, so column j of
-        # S^-1 is mirrored into it
-        rpiv = 1.0 / piv
-        for j in range(h):
-            w = a[j + 1:, j] * rpiv[j + 1:]
-            s = (a[j + 1:, :j + 1] * w[:, None]).sum(axis=0)
-            s[:j] += a[j, :j] * rpiv[j]
-            s[j] += rpiv[j]
-            a[:j + 1, j] = s
-            a[j, :j] = s[:j]
-        np.divide(a, d[:, None], out=inv)
-        inv /= d[None, :]
-        bad |= ~np.isfinite(inv).all(axis=(0, 1))
-        return logpsi, bad
+        with np.errstate(all="ignore"):
+            a = (self.lap.T @ xs.T).reshape(h, h, B)
+            lam_ii = a[diagonal]
+            d = np.sqrt(lam_ii)
+            # only the lower triangle is read from here on
+            for i in range(h):
+                a[i, :i + 1] /= d[:i + 1]
+                a[i, :i + 1] /= d[i]
+            # L below the diagonal, D on it
+            for j in range(h - 1):
+                col = a[j + 1:, j]
+                ell = col / a[j, j]
+                for i in range(j + 1, h):
+                    a[i, j + 1:i + 1] -= a[i, j] * ell[:i - j]
+                col[...] = ell
+            piv = a[diagonal]
+            logpsi = np.log(piv).sum(axis=0) + np.log(lam_ii).sum(axis=0)
+            # finite exactly when every pivot and diagonal entry is positive
+            # and finite
+            bad = ~np.isfinite(logpsi)
+            bad |= piv.min(axis=0) < self._MIN_PIVOT
+            if not inverse:
+                return logpsi, None, bad
+            # M = L^-1 below the diagonal: M_ij = -(L_ij + sum_{j<k<i} L_ik
+            # M_kj), ascending j, so L_ik (k > j) is still unread
+            for i in range(1, h):
+                for j in range(i):
+                    if j + 1 < i:
+                        a[i, j] += (a[i, j + 1:i] * a[j + 1:i, j]).sum(axis=0)
+                    np.negative(a[i, j], out=a[i, j])
+            # S^-1_ij = sum_{k >= j} M_ki M_kj / D_k (i <= j, M_kk = 1) by
+            # columns; row j of M is last read for column j, so column j of
+            # S^-1 is mirrored into it
+            rpiv = 1.0 / piv
+            for j in range(h):
+                w = a[j + 1:, j] * rpiv[j + 1:]
+                s = (a[j + 1:, :j + 1] * w[:, None]).sum(axis=0)
+                s[:j] += a[j, :j] * rpiv[j]
+                s[j] += rpiv[j]
+                a[:j + 1, j] = s
+                a[j, :j] = s[:j]
+            a /= d[:, None]
+            a /= d[None, :]
+            bad |= ~np.isfinite(a).all(axis=(0, 1))
+        return logpsi, a, bad
 
     def exact_laplacian(self, x):
         """The Laplacian at the float row ``x`` in rational arithmetic."""
@@ -699,7 +680,8 @@ class CycleIncidence:
         inv.reshape(h*h, B)`` is the Gram in the subset DP's layout.  Rows
         the factorisation flags (extreme corner samples) are redone in
         rational arithmetic; their columns are zeroed first, so the product
-        meets no NaN.
+        meets no NaN.  A flagged row with a non-finite coordinate has no
+        exact Gram: it gets NaN, which its caller reports.
         """
         import numpy as np
 
@@ -708,7 +690,8 @@ class CycleIncidence:
         inv[:, :, bad] = 0.0
         gt = (self.pair @ inv.reshape(-1, B)).reshape(ne, ne, B)
         for i in np.flatnonzero(bad):
-            gt[:, :, i] = self._gram_exact(xs[i])
+            gt[:, :, i] = (self._gram_exact(xs[i]) if np.isfinite(xs[i]).all()
+                           else np.nan)
         return gt
 
     def _gram_exact(self, x):
@@ -729,12 +712,10 @@ class BatchedGraphFormEvaluator:
     ``_cycle_coefficients``, with one atom per edge and numpy arrays over
     the sample axis.  The DP accumulates in place, keeping the per-element
     order of the floating-point operations of the plain term-by-term sum:
-    estimates are bit-identical to that sum over the same Gram, whatever
-    the block size.
+    estimates are bit-identical to that sum over the same Gram.  The
+    engine passes one block of samples at a time, which bounds the Gram
+    tensor and the DP's path arrays.
     """
-
-    # samples per block of the subset DP in `evaluate`
-    _DP_BLOCK = 8192
 
     def __init__(self, g: Graph, spec: FormSpec):
         self.graph = g
@@ -754,29 +735,15 @@ class BatchedGraphFormEvaluator:
         """(B,) array: coefficient of the ascending top chart wedge.
 
         ``xs`` holds full edge coordinate rows (chart column included).
-        The Gram tensor is computed for the whole batch, then the DP runs
-        on blocks of at most ``_DP_BLOCK`` samples, whose path arrays stay
-        small enough to be reused from the allocator and the caches.
         """
         import numpy as np
 
         gt = self.inc.gram(xs)
-        B = xs.shape[0]
-        total = np.empty(B)
-        step = self._DP_BLOCK
-        for lo in range(0, B, step):
-            total[lo:lo + step] = self._word(gt[:, :, lo:lo + step])
-        return total
-
-    def _word(self, gt):
-        """Top chart coefficient of the word on one block of samples."""
-        import numpy as np
-
         comps = list(self.spec.components)
         per = {n: _cycle_coefficients(n, gt, self.chart_vars, self.atoms_of)
                for n in set(comps)}
-        return _word_total(comps, per, frozenset(self.chart_vars),
-                           np.zeros(gt.shape[2]))
+        return _wedge_total(comps, per, frozenset(self.chart_vars),
+                            np.zeros(xs.shape[0]))
 
     def integrand_values(self, xs):
         """f with word = f * Omega: (-1)^|E| * top coefficient / x_|E|."""

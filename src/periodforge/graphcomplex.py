@@ -146,8 +146,11 @@ def differential_of_class(oc: OrientedClass) -> ChainVector:
     g = oc.graph
     coeffs: dict[OrientedClass, int] = {}
     for i, size in symmetry(g) or [(i, 1) for i in g.edge_ids]:
-        contracted = g.contract_edge(i, mode="zero")
-        if contracted is None or contracted.has_self_edge():
+        u, v = g.endpoints(i)
+        if u == v:  # a self-edge contracts to the zero graph
+            continue
+        contracted = g.contract_edge(i)
+        if contracted.has_self_edge():
             continue
         red = reduce_to_basis(contracted)
         if red is None:

@@ -138,21 +138,16 @@ class Graph:
         self.endpoints(e)
         return Graph(self.weights, self.edges[: e - 1] + self.edges[e:])
 
-    def contract_edge(self, e: int, mode: str = "weighted") -> "Graph | None":
+    def contract_edge(self, e: int) -> "Graph":
         """Contract edge e.
 
-        A non-self edge merges its endpoints (weights add).  For a self-edge
-        the two conventions diverge: ``mode="weighted"`` removes the edge and
-        increments the base vertex weight, ``mode="zero"`` returns None (the
-        distinguished zero graph of the polynomial/complex calculus).
+        A non-self edge merges its endpoints (weights add); a self-edge is
+        removed and its vertex's weight goes up by one, so the genus is
+        kept.
         """
-        if mode not in ("weighted", "zero"):
-            raise GraphError(f"unknown contraction mode {mode!r}")
         u, v = self.endpoints(e)
         rest = self.edges[: e - 1] + self.edges[e:]
         if u == v:
-            if mode == "zero":
-                return None
             weights = list(self.weights)
             weights[u - 1] += 1
             return Graph(tuple(weights), rest)

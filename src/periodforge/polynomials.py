@@ -598,7 +598,7 @@ def contraction_deletion_split(g: Graph, e: int) -> tuple[Poly, Poly]:
                else Poly.zero(g.ne))
     if u == v:
         return psi_del, Poly.zero(g.ne)
-    return psi_del, psi_without_e(g.contract_edge(e, mode="zero"))
+    return psi_del, psi_without_e(g.contract_edge(e))
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,55 @@ def test_form_word_determinism_and_threads():
     assert (e1.mean, e1.stderr) == (e2.mean, e2.stderr)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block, samples, shard_size", [
+    (7, 600, 250), (10 ** 6, 20000, 12000)], ids=["block7", "block1e6"])
+def test_estimates_independent_of_block_size(block, samples, shard_size,
+                                             threads, monkeypatch):
+    """The engine evaluates each shard in blocks of ``engine._BLOCK``
+    samples; a form word and a residue give bit-identical estimates with
+    many small blocks, with one block per shard, and with the default
+    (which splits the 12,000-sample shard in two)."""
+    def estimates():
+        kw = {"threads": threads, "shard_size": shard_size}
+        w5 = integrate_canonical(wheel(5), FormSpec((9,)), samples, seed=6,
+                                 **kw)
+        z5 = integrate_residue(zigzag(5), samples, seed=6, **kw)
+        return [(e.mean, e.stderr) for e in (w5, z5)]
+
+    default = estimates()
+    monkeypatch.setattr(engine, "_BLOCK", block)
+    assert estimates() == default
+
+
+def test_form_shard_peak_memory():
+    """One 65,536-sample W3 omega5 shard is evaluated block by block, so
+    the shard never holds the Gram tensor or Lambda^-1 of all its samples:
+    about 11 MB traced peak, against about 27 MB for the whole shard."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        integrate_canonical(wheel(3), FormSpec((5,)), 65536, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18e6, peak
+
+
+def test_non_finite_sample_aborts_form_integral(monkeypatch):
+    """A sampled form-word row with an infinite coordinate gets a NaN
+    Gram, so the shard reports the point instead of failing inside the
+    exact repair."""
+    xs = np.full((4, 6), 1 / 6)
+    xs[2, 3] = np.inf
+    monkeypatch.setattr(engine, "simplex_sample",
+                        lambda rng, count, n, s: (xs, np.zeros(4)))
+    with pytest.raises(engine.NonFinitePointError) as info:
+        integrate_canonical(wheel(3), FormSpec((5,)), 4, seed=0)
+    assert info.value.point[3] == np.inf
+
+
 def test_integrate_chain_class_streams_and_sampler(monkeypatch):
     """Per-class seeds come from SeedSequence spawn keys, so (seed 0,
     class 1) no longer shares a stream with (seed 7919, class 0); the

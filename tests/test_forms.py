@@ -488,12 +488,18 @@ def test_float_dp_with_two_atoms_bit_identical_to_reference():
         _assert_gram_dp_matches_reference(ev.variables, ev.atoms_of, 5, gt)
 
 
-def test_batched_evaluate_independent_of_dp_block():
-    ev = BatchedGraphFormEvaluator(wheel(5), FormSpec((9,)))
-    xs = np.random.default_rng(5).dirichlet(np.ones(10), size=50)
-    whole = ev.evaluate(xs)
-    ev._DP_BLOCK = 7
-    assert np.array_equal(ev.evaluate(xs), whole)
+def test_non_finite_row_gets_nan_gram():
+    """A flagged row with an infinite or NaN coordinate has no exact Gram:
+    its value is NaN, not a rational repair or a 0, and the other rows of
+    the batch are unaffected."""
+    ev = BatchedGraphFormEvaluator(wheel(3), FormSpec((5,)))
+    good = [0.2, 0.3, 0.1, 0.15, 0.15, 0.1]
+    for bad in (np.inf, np.nan):
+        xs = np.array([good, [1, 1, 1, bad, 1, 1.0], good])
+        values = ev.evaluate(xs)
+        assert np.isnan(values[1])
+        assert np.isfinite(values[[0, 2]]).all()
+        assert values[0] == values[2] == ev.evaluate(xs[:1])[0]
 
 
 def test_gram_matches_exact_gram():

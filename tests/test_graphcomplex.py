@@ -257,7 +257,7 @@ def _differential_by_every_edge(oc):
     """The alternating sum over every edge, with no orbit reduction."""
     out = ChainVector()
     for i in oc.graph.edge_ids:
-        contracted = oc.graph.contract_edge(i, mode="zero")
+        contracted = oc.graph.contract_edge(i)
         if not contracted.has_self_edge():
             out = out + ChainVector.from_graph(contracted, (-1) ** i)
     return out

@@ -38,7 +38,7 @@ def test_genus():
 def test_genus_preserved_by_weighted_contraction(corpus):
     for g in corpus:
         for e in g.edge_ids:
-            h = g.contract_edge(e, mode="weighted")
+            h = g.contract_edge(e)
             assert h.genus() == g.genus(), (g, e)
 
 
@@ -56,10 +56,9 @@ def test_contraction_modes():
     s = banana(3)
     r = s.contract_edge(2)
     assert r.nv == 1 and r.ne == 2 and r.has_self_edge()
-    # self-edge, weighted mode bumps the weight
+    # a self-edge is removed and bumps its vertex's weight
     g = Graph((3,), ((1, 1),))
     assert g.contract_edge(1).weights == (4,)
-    assert g.contract_edge(1, mode="zero") is None
     with pytest.raises(GraphError):
         s.contract_edge(9)
 

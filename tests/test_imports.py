@@ -63,6 +63,18 @@ def test_evaluate_target_in_a_cold_interpreter():
     assert "periodforge.zeta" in mods
 
 
+def test_benchmark_span_targets_resolve():
+    """The traced benchmark pass wraps public names of the layers by
+    string; a renamed or removed one fails here, not only in that pass."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    _fresh_modules(f"import sys\nsys.path.insert(0, {str(bench)!r})\n"
+                   "import periodforge.cli\n"
+                   "from periodforge import engine, graphcomplex, graphs\n"
+                   "from periodforge.forms import FormSpec\n"
+                   "from spans import SpanRecorder\n"
+                   "SpanRecorder().install()\n")
+
+
 def test_layer_errors_are_value_errors():
     """The CLI maps ValueError to exit 2 without importing the layers, so
     every error class of every layer, the engine's included, is one."""
