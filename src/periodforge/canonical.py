@@ -24,8 +24,8 @@ permutation returned is the same as without pruning.  Exact and
 deterministic; meant for desk scale (up to ~20 edges), not for large graphs.
 
 One search serves every use of a class: ``_Search.form`` gives the label
-and the edge permutation, and ``_Search.edge_maps`` the automorphism group
-on edges, whence the parity and the edge orbits of ``symmetry``.
+and the edge permutation, and ``_Search.symmetry`` the parity and the edge
+orbits of the automorphism group, read off ``_Search.edge_maps``.
 """
 
 from __future__ import annotations
@@ -135,6 +135,22 @@ class _Search:
                 m[a - 1], m[b - 1] = b, a
                 maps.append(m)
         return maps
+
+    def symmetry(self, perm: EdgePermutation
+                 ) -> tuple[bool, tuple[tuple[int, int], ...]]:
+        """Whether an automorphism permutes the edges oddly, and (least edge
+        id, orbit size) per edge orbit of the automorphism group, the ids
+        renamed by ``perm``, ordered by least id."""
+        maps = self.edge_maps()
+        odd = any(EdgePermutation(tuple(m)).parity == -1 for m in maps)
+        parent = list(range(len(self.edges) + 1))
+        for m in maps:
+            for e, f in enumerate(m, 1):
+                parent[_root(parent, e)] = _root(parent, f)
+        orbits: dict[int, list[int]] = {}
+        for e in range(1, len(parent)):
+            orbits.setdefault(_root(parent, e), []).append(perm(e))
+        return odd, tuple(sorted((min(o), len(o)) for o in orbits.values()))
 
     def _leaf(self, colors: list[int], prefix: list[int]) -> int:
         """Keep a leaf below the best, record the automorphism onto an equal
@@ -282,44 +298,11 @@ def automorphism_edge_group(g: Graph, cap: int = 500000) -> EdgeGroup:
     return EdgeGroup(perms, any(p.parity == -1 for p in perms), cap)
 
 
-def edge_orbits(maps: list[list[int]], perm: EdgePermutation
-                ) -> list[list[int]]:
-    """Orbits of the edge ids under the group the edge permutations ``maps``
-    generate, renamed by ``perm``, each ascending, ordered by least id."""
-    parent = list(range(len(perm.mapping) + 1))
-    for m in maps:
-        for e, f in enumerate(m, 1):
-            parent[_root(parent, e)] = _root(parent, f)
-    orbits: dict[int, list[int]] = {}
-    for e in range(1, len(parent)):
-        orbits.setdefault(_root(parent, e), []).append(perm(e))
-    return sorted(sorted(orbit) for orbit in orbits.values())
-
-
-# ``symmetry`` of each graph asked for or recorded, by (weights, edges).
-# ``graphs.enumerate_gc_graphs`` records every class it returns from the
-# search that labelled it.
-_SYMMETRY: dict[tuple, tuple[tuple[int, int], ...] | None] = {}
-
-
 def symmetry(g: Graph) -> tuple[tuple[int, int], ...] | None:
     """None if an automorphism of g permutes its edges oddly; else one
-    (least edge id, orbit size) per edge orbit of Aut(g), by least id.
-    Memoised by graph."""
-    if (g.weights, g.edges) not in _SYMMETRY:
-        _record(g, _Search(g), EdgePermutation(tuple(g.edge_ids)))
-    return _SYMMETRY[(g.weights, g.edges)]
-
-
-def _record(rep: Graph, search: _Search, perm: EdgePermutation) -> None:
-    """Memoise ``symmetry(rep)`` from ``search``, run on a graph that
-    ``perm`` maps onto ``rep``, unless it is known."""
-    key = (rep.weights, rep.edges)
-    if key not in _SYMMETRY:
-        maps = search.edge_maps()
-        odd = any(EdgePermutation(tuple(m)).parity == -1 for m in maps)
-        _SYMMETRY[key] = None if odd else tuple(
-            (orbit[0], len(orbit)) for orbit in edge_orbits(maps, perm))
+    (least edge id, orbit size) per edge orbit of Aut(g), by least id."""
+    odd, orbits = _Search(g).symmetry(EdgePermutation(tuple(g.edge_ids)))
+    return None if odd else orbits
 
 
 def _closure_order(gens: tuple[EdgePermutation, ...], cap: int) -> int:

@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--loops", type=int, required=True)
     sp.add_argument("--allow-big", action="store_true",
                     help="lift the loop bound past 6 (loop 7 takes about "
-                         "2 s, loop 8 about 136 s)")
+                         "3 s, loop 8 about 82 s)")
 
     sp = add("stable", _cmd_stable, help="stable weighted graphs of a genus")
     sp.add_argument("--genus", type=int, required=True)

@@ -83,12 +83,10 @@ class Integrand:
 
     def sampler_parameters(self) -> tuple[tuple[int, ...], Fraction]:
         """(nu, k) of the matched tropical density."""
-        g = self.graph
-        if self.form_spec is not None:
-            return (0,) * g.ne, Fraction(g.ne, g.loop_number())
-        if len(self.numerator.coeffs) == 1:
+        if self.form_spec is None and len(self.numerator.coeffs) == 1:
             (nu,) = self.numerator.coeffs
             return nu, Fraction(self.psi_power)
+        g = self.graph
         return (0,) * g.ne, Fraction(g.ne, g.loop_number())
 
 

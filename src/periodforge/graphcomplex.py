@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .graphs import EdgePermutation, Graph, enumerate_gc_graphs
-from .canonical import canonical_form, symmetry
+from .graphs import (EdgePermutation, Graph, _check_band, _contractions,
+                     _record_class, gc_levels)
+from .canonical import _Search, symmetry
 from .polynomials import echelon
 
 _MOD_PRIME = 2**31 - 1
@@ -60,8 +61,8 @@ def _reduce(g: Graph) -> tuple[Graph, EdgePermutation] | None:
     _check_generator(g)
     if g.has_parallel_edges():
         return None
-    rep, perm = canonical_form(g)
-    return None if symmetry(rep) is None else (rep, perm)
+    (rep, odd, _), perm = _record_class(_Search(g), {})
+    return None if odd else (rep, perm)
 
 
 def is_zero_class(g: Graph) -> bool:
@@ -137,26 +138,16 @@ class ChainVector:
 
 
 def differential_of_class(oc: OrientedClass) -> ChainVector:
-    """Alternating sum of one-edge contractions, reduced to the basis.
-
-    An even automorphism carries the signed term of one edge onto that of
-    its image, so when every automorphism is even each edge orbit adds its
-    size times the term of its least edge.
-    """
+    """Alternating sum of one-edge contractions, reduced to the basis: the
+    ``graphs._contractions`` of one edge per automorphism orbit when every
+    automorphism is even, else of every edge."""
     g = oc.graph
     coeffs: dict[OrientedClass, int] = {}
-    for i, size in symmetry(g) or [(i, 1) for i in g.edge_ids]:
-        u, v = g.endpoints(i)
-        if u == v:  # a self-edge contracts to the zero graph
-            continue
-        contracted = g.contract_edge(i)
-        if contracted.has_self_edge():
-            continue
-        red = reduce_to_basis(contracted)
-        if red is None:
-            continue
-        cls, sign = red
-        coeffs[cls] = coeffs.get(cls, 0) + (-1) ** i * sign * size
+    orbits = symmetry(g) or [(i, 1) for i in g.edge_ids]
+    for (rep, odd, _), x in _contractions(g, orbits, {}):
+        if not odd:
+            cls = OrientedClass(rep)
+            coeffs[cls] = coeffs.get(cls, 0) + x
     return ChainVector(coeffs)
 
 
@@ -167,40 +158,45 @@ def differential(c: ChainVector) -> ChainVector:
     return out
 
 
+def _complex(loops: int, stop: int
+             ) -> Iterator[tuple[list[OrientedClass], dict[tuple[int, int], int]]]:
+    """Per level of ``graphs.gc_levels``, from the top down to ``stop``
+    edges: the non-zero classes in gc_basis order, and the sparse matrix of
+    d from the level above into them (empty at the top)."""
+    cols: list[int] = []          # positions of the basis of the level above
+    for level, images in gc_levels(loops, stop):
+        rows = {i: r for r, i in enumerate(
+            i for i, (_, odd, _) in enumerate(level) if not odd)}
+        mat: dict[tuple[int, int], int] = {}
+        for j, i in enumerate(cols):
+            for t, x in images[i]:
+                if t in rows:
+                    mat[rows[t], j] = mat.get((rows[t], j), 0) + x
+        yield ([OrientedClass(level[i][0]) for i in rows],
+               {k: v for k, v in mat.items() if v})
+        cols = list(rows)
+
+
 def gc_basis(loops: int, edges: int) -> list[OrientedClass]:
-    """Non-zero classes at the bigrade, in deterministic order.
-
-    Parallel edges always give zero classes, so the enumeration is run over
-    simple graphs only; it records the symmetry of every class it returns.
-    """
-    return sorted(OrientedClass(g) for g in enumerate_gc_graphs(loops, edges)
-                  if symmetry(g) is not None)
+    """Non-zero classes at the bigrade, in key order (parallel edges give
+    zero classes, so only the simple graphs of ``graphs.gc_levels``)."""
+    for basis, _ in _complex(loops, edges):
+        pass
+    return basis
 
 
-def differential_matrix(loops: int, edges: int, *, bases=None
-                        ) -> dict[tuple[int, int], int]:
+def differential_matrix(loops: int, edges: int) -> dict[tuple[int, int], int]:
     """Sparse matrix of d from bigrade (loops, edges) to (loops, edges-1).
 
     Keys are (row, col) with rows indexed by the target basis and columns by
-    the source basis, both in gc_basis order.  ``bases`` passes the source
-    and target ``gc_basis`` lists when the caller already has them.
+    the source basis, both in gc_basis order.
     """
-    src, dst = bases or (gc_basis(loops, edges), gc_basis(loops, edges - 1)
-                         if edges - 1 >= loops else [])
-    index = {oc: i for i, oc in enumerate(dst)}
+    _check_band(loops, edges)
     mat: dict[tuple[int, int], int] = {}
-    for j, oc in enumerate(src):
-        img = differential_of_class(oc)
-        for cls, c in img.coeffs.items():
-            i = index.get(cls)
-            if i is None:
-                raise ComplexError("differential left the enumerated basis")
-            if c.denominator != 1:
-                raise ComplexError(
-                    f"coefficient {c} of {cls.graph!r} in the differential "
-                    f"of {oc.graph!r} is not an integer")
-            mat[(i, j)] = mat.get((i, j), 0) + c.numerator
-    return {k: v for k, v in mat.items() if v}
+    if edges > loops:
+        for _, mat in _complex(loops, edges - 1):
+            pass
+    return mat
 
 
 def matrix_rank(mat: Mapping[tuple[int, int], int], nrows: int, ncols: int) -> int:
@@ -240,16 +236,14 @@ def homology_report(loops: int, max_loops: int = 6) -> list[dict]:
     if loops < 2:
         raise ComplexError("homology starts at 2 loops")
     top = 3 * loops - 3
-    bases = {n: gc_basis(loops, n) for n in range(loops, top + 1)}
-    sizes = {n: len(b) for n, b in bases.items()}
-    ranks = {top + 1: 0}
-    for n in range(loops, top + 1):
-        if sizes[n] == 0 or n - 1 < loops or sizes[n - 1] == 0:
-            ranks[n] = 0
-        else:
-            mat = differential_matrix(loops, n,
-                                      bases=(bases[n], bases[n - 1]))
-            ranks[n] = matrix_rank(mat, sizes[n - 1], sizes[n])
+    sizes: dict[int, int] = {}
+    ranks = dict.fromkeys(range(loops, top + 2), 0)
+    # one pass down from the top; each map is ranked once its target exists
+    for n, (basis, mat) in zip(range(top, loops - 1, -1),
+                               _complex(loops, loops)):
+        sizes[n] = len(basis)
+        if n < top and sizes[n] and sizes[n + 1]:
+            ranks[n + 1] = matrix_rank(mat, sizes[n], sizes[n + 1])
     out = []
     for n in range(loops, top + 1):
         kernel = sizes[n] - ranks[n]

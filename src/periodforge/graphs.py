@@ -301,7 +301,7 @@ def decompletions(gh: Graph) -> list[Graph]:
     if any(d != 4 for d in gh.degrees()):
         raise GraphError("decompletions needs a 4-regular graph")
     deleted = (gh.delete_vertex(v) for v in range(1, gh.nv + 1))
-    return [rep for rep, _ in _classes(h for h in deleted if h.is_connected)]
+    return [g for g, _, _ in _classes(h for h in deleted if h.is_connected)]
 
 
 def _graph_key(g: Graph) -> tuple:
@@ -397,59 +397,98 @@ def builtin_graph(name: str, *sizes: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 def enumerate_gc_graphs(loops: int, edges: int) -> list[Graph]:
-    """Connected simple graphs with the given loop number and edge count and
-    minimum degree 3, up to isomorphism, as canonical representatives in
-    key order.  These are the graph-complex generators that parallel edges
-    do not already make zero.
+    """Connected simple graphs of the bigrade with minimum degree 3 up to
+    isomorphism, as canonical representatives in key order (``gc_levels``):
+    the graph-complex generators that parallel edges do not make zero."""
+    for level, _ in gc_levels(loops, edges):
+        pass
+    return [rep for rep, _, _ in level]
 
-    Built one vertex at a time by canonical augmentation (McKay,
-    *Isomorph-free exhaustive generation*, J. Algorithms 26, 1998): vertex
-    k+1 joins a set S of the vertices 1..k, and the child is kept iff the
-    new vertex lies in the automorphism orbit of its canonical deletion
-    vertex.  That is, among the minimum-degree vertices whose sorted
-    neighbour degrees are greatest, the one with the largest canonical
-    position; the invariant settles many rejections without a search.  With
-    S taken only up to the parent's automorphisms, every class is built
-    exactly once.  ``canonical.symmetry`` of each representative is
-    recorded, from the search that kept it, in the process-wide memo
-    ``canonical._SYMMETRY``, so ``gc_basis`` searches no class again.
-    """
+
+def _check_band(loops: int, edges: int) -> None:
     if loops < 2:
         raise GraphError("graph complex enumeration needs loops >= 2")
     if not loops <= edges <= 3 * loops - 3:
         raise GraphError(
             f"edge count {edges} outside feasible band [{loops}, {3 * loops - 3}]")
-    nv = edges - loops + 1
-    out: dict[tuple, Graph] = {}
-    _augment(nv, edges, (), [0, 0], [], out)
-    return [out[k] for k in sorted(out)]
 
 
-def _augment(nv: int, ne: int, edges: tuple[tuple[int, int], ...],
-             deg: list[int], gens: list[list[int]],
-             out: dict[tuple, Graph]) -> None:
-    """Add the canonical children of the graph on vertices 1..k with these
-    edges and degrees (``deg[0]`` unused) to ``out``, recursing until nv
-    vertices; ``gens`` generate its automorphism group.
+def gc_levels(loops: int, stop: int
+              ) -> Iterator[tuple[list[tuple], list[list[tuple[int, int]]]]]:
+    """The classes of ``enumerate_gc_graphs`` at the loop order as
+    ``_record_class`` files them, zero classes included, in key order, level
+    by level from the cubic top (3*loops - 3 edges) down to ``stop`` edges;
+    with each, the (position, entry) pairs of the ``_contractions`` of every
+    class of the level above.  Every simple graph of minimum degree 3 below
+    the top is a contraction of one with an edge more (split a vertex of
+    degree >= 4 into two that keep two or more neighbours each, joined by a
+    new edge), so one edge per orbit of every class reaches the level below."""
+    _check_band(loops, stop)
+    found: dict[tuple, tuple] = {}
+    _augment(2 * loops - 2, (), [0, 0], [], found)     # the cubic top
+    images: list[list] = []
+    for edges in range(3 * loops - 3, stop - 1, -1):
+        level = [found[k] for k in sorted(found)]
+        # an image holds the class filed in ``found``, so identity finds it
+        at = {id(cls): i for i, cls in enumerate(level)}
+        yield level, [[(at[id(cls)], x) for cls, x in img] for img in images]
+        if edges > stop:
+            found = {}
+            images = [_contractions(rep, orbits, found)
+                      for rep, _, orbits in level]
 
-    A child survives only if it can still be completed and kept: no degree
-    above 2*ne - 3*(nv - 1), every degree at least 3 minus the vertices
-    still to add, degree deficits plus 3 per vertex still to add within
-    twice the edges still to add, the new vertex of least degree, and the
-    edges still to add within reach of the vertices still to add (each has
-    degree at most one more than the vertex before it).
+
+def _record_class(search, found: dict) -> tuple[tuple, EdgePermutation]:
+    """The class (representative, odd, orbits) of the graph ``search`` ran
+    on, as filed in ``found`` by key (see ``_Search.symmetry``), and the
+    edge permutation onto its representative."""
+    rep, perm = search.form()
+    key = _graph_key(rep)
+    cls = found.get(key)
+    if cls is None:
+        cls = found[key] = (rep, *search.symmetry(perm))
+    return cls, perm
+
+
+def _contractions(g: Graph, orbits: Iterable[tuple[int, int]],
+                  found: dict[tuple, tuple]) -> list[tuple[tuple, int]]:
+    """(class filed in ``found``, entry of d) per contraction without
+    parallel edges of an edge e of g taken from (e, orbit size) pairs; the
+    entry is (-1)^e * parity of the permutation onto the class * size, as
+    an even automorphism carries an edge's signed term onto its image's."""
+    from .canonical import _Search
+
+    out = []
+    for e, size in orbits:
+        h = g.contract_edge(e)
+        if not h.has_parallel_edges():
+            cls, perm = _record_class(_Search(h), found)
+            out.append((cls, (-1) ** e * perm.parity * size))
+    return out
+
+
+def _augment(nv: int, edges: tuple[tuple[int, int], ...], deg: list[int],
+             gens: list[list[int]], found: dict[tuple, tuple]) -> None:
+    """File in ``found`` the connected cubic graphs on nv vertices grown
+    from the graph on 1..k with these edges and degrees (``deg[0]``
+    unused), whose automorphism group ``gens`` generate, by canonical
+    augmentation (McKay, *Isomorph-free exhaustive generation*, J.
+    Algorithms 26, 1998): vertex k+1 joins a set S of 1..k taken up to
+    those automorphisms, and the child is kept iff the new vertex is in the
+    orbit of its canonical deletion vertex, the last in canonical order of
+    the least-degree vertices with the greatest sorted neighbour degrees
+    (an invariant that settles many rejections without a search).  A child
+    whose degrees can no longer all reach 3 is dropped unsearched.
     """
-    from .canonical import _Search, _orbit, _record
+    from .canonical import _Search, _orbit
 
     k = len(deg) - 1
     new = k + 1
     left = nv - new                       # vertices still to add after this
-    room = ne - len(edges)                # edges still to add, S included
+    room = 3 * nv // 2 - len(edges)       # edges still to add, S included
     need = 3 - left                       # least degree of the child
-    cap = 2 * ne - 3 * (nv - 1)           # greatest degree of the result
-    deficit = sum(max(0, 3 - d) for d in deg[1:])
     least = min(deg[1:])
-    hi = min(room, k, cap, least + 1)
+    hi = min(room, k, 3, least + 1)
     lo = room if left == 0 else max(0, need)
     seen: set[tuple[int, ...]] = set()
     for s in range(lo, hi + 1):
@@ -459,18 +498,15 @@ def _augment(nv: int, ne: int, edges: tuple[tuple[int, int], ...],
         if least < floor - 1:
             continue
         # the i-th vertex still to add has degree at most s + i
-        if room - s > sum(min(new + i - 1, s + i, cap)
+        if room - s > sum(min(new + i - 1, s + i, 3)
                           for i in range(1, left + 1)):
             continue
         must = [u for u in range(1, new) if deg[u] < floor]
-        free = [u for u in range(1, new) if deg[u] >= floor and deg[u] < cap]
+        free = [u for u in range(1, new) if floor <= deg[u] < 3]
         if len(must) > s:
             continue
         for extra in itertools.combinations(free, s - len(must)):
             nbrs = tuple(sorted(must + list(extra)))
-            gain = sum(1 for u in nbrs if deg[u] < 3)
-            if deficit - gain + max(0, 3 - s) + 3 * left > 2 * (room - s):
-                continue
             if gens:
                 if nbrs in seen:
                     continue
@@ -499,11 +535,9 @@ def _augment(nv: int, ne: int, edges: tuple[tuple[int, int], ...],
             if last != new and new not in _orbit([last], search.gens):
                 continue
             if left:
-                _augment(nv, ne, child, cdeg, search.gens, out)
+                _augment(nv, child, cdeg, search.gens, found)
             else:
-                rep, perm = search.form()
-                _record(rep, search, perm)
-                out[_graph_key(rep)] = rep
+                _record_class(search, found)
 
 
 def _set_orbit(nbrs: tuple[int, ...],
@@ -519,8 +553,6 @@ def _set_orbit(nbrs: tuple[int, ...],
                 orbit.add(img)
                 stack.append(img)
     return orbit
-
-
 
 
 def enumerate_stable_weighted(genus_: int) -> list[Graph]:
@@ -552,31 +584,32 @@ def enumerate_stable_weighted(genus_: int) -> list[Graph]:
     level = _trivalent_graphs(genus_)
     out: list[Graph] = []
     while level:
-        out += [g for g, _ in level]
-        level = _classes(g.contract_edge(e) for g, orbits in level
-                         for e in orbits)
+        out += [g for g, _, _ in level]
+        level = _classes(g.contract_edge(e) for g, _, orbits in level
+                         for e, _ in orbits)
     return sorted(out, key=_graph_key)
 
 
-def _trivalent_graphs(genus_: int) -> list[tuple[Graph, list[int]]]:
+def _trivalent_graphs(genus_: int) -> list[tuple]:
     """Connected trivalent weight-0 graphs of genus >= 2 up to isomorphism,
     as ``_classes`` gives them, grown from genus 2 one handle at a time."""
     level = _classes([banana(3), dumbbell()])
     for _ in range(2, genus_):
-        level = _classes(h for g, reps in level for h in _handles(g, reps))
+        level = _classes(h for g, _, orbits in level
+                         for h in _handles(g, orbits))
     return level
 
 
-def _handles(g: Graph, reps: list[int]) -> Iterator[Graph]:
+def _handles(g: Graph, orbits: Iterable[tuple[int, int]]) -> Iterator[Graph]:
     """The graphs one handle up from g, up to isomorphism: new points a, b
     on edge i and on another edge j (or both on edge i) joined by a new
     edge, or a new self-edge at b hung from a new point a on edge i.  An
     automorphism moves any edge to the least edge of its orbit, so i runs
-    over those, ``reps``; a pair of two of them is taken once, from the
-    smaller."""
+    over those, the least ids of ``orbits``; a pair of two of them is
+    taken once, from the smaller."""
     a, b = g.nv + 1, g.nv + 2
     weights = g.weights + (0, 0)
-    firsts = {e - 1 for e in reps}
+    firsts = {e - 1 for e, _ in orbits}
     for i in sorted(firsts):
         u, v = g.edges[i]
         rest = g.edges[:i] + g.edges[i + 1:]
@@ -590,23 +623,15 @@ def _handles(g: Graph, reps: list[int]) -> Iterator[Graph]:
                         + ((u, a), (a, v), (x, b), (b, y), (a, b)))
 
 
-def _classes(graphs: Iterable[Graph]) -> list[tuple[Graph, list[int]]]:
-    """Canonical representatives of the isomorphism classes among graphs,
-    in key order, each with the least edge of every orbit of its
-    automorphism group on edges, read off the search that labelled it.  A
-    graph equal to one already labelled is not searched again."""
-    from .canonical import _Search, edge_orbits
+def _classes(graphs: Iterable[Graph]) -> list[tuple]:
+    """The classes of the graphs, as ``_record_class`` files them, in key
+    order.  A graph equal to one already labelled is not searched again."""
+    from .canonical import _Search
 
-    out: dict[tuple, tuple[Graph, list[int]]] = {}
+    found: dict[tuple, tuple] = {}
     seen: set[Graph] = set()
     for g in graphs:
-        if g in seen:
-            continue
-        seen.add(g)
-        search = _Search(g)
-        rep, perm = search.form()
-        key = _graph_key(rep)
-        if key not in out:
-            orbits = edge_orbits(search.edge_maps(), perm)
-            out[key] = (rep, [orbit[0] for orbit in orbits])
-    return [out[k] for k in sorted(out)]
+        if g not in seen:
+            seen.add(g)
+            _record_class(_Search(g), found)
+    return [found[k] for k in sorted(found)]

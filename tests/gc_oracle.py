@@ -281,7 +281,7 @@ def stable_by_every_contraction(genus: int) -> list[Graph]:
     """Stable graphs of the genus as the contraction closure of the trivalent
     ones, contracting every edge of every class rather than one edge per
     automorphism orbit, in canonical key order."""
-    level = {_graph_key(g): g for g, _ in _trivalent_graphs(genus)}
+    level = {_graph_key(g): g for g, _, _ in _trivalent_graphs(genus)}
     out: dict[tuple, Graph] = {}
     while level:
         out.update(level)

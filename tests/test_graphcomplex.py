@@ -134,16 +134,23 @@ def test_differential_matrix_shapes():
     # (6,15) -> (6,14) has the rank that gives H3 = 1 downstream
 
 
-def test_differential_matrix_rejects_non_integer_coefficient(monkeypatch):
-    """A fractional coefficient in d is an error naming the classes, also
-    under ``python -O``, where an ``assert`` would vanish."""
-    import periodforge.graphcomplex as gcx
-
-    target = gc_basis(5, 10)[0]
-    monkeypatch.setattr(gcx, "differential_of_class",
-                        lambda oc: ChainVector({target: Fraction(1, 2)}))
-    with pytest.raises(ComplexError, match=r"coefficient 1/2 of Graph"):
-        differential_matrix(5, 11)
+def test_differential_matrix_matches_every_edge_differential():
+    """At every bigrade of loops 3-6 the matrix of d equals the one that the
+    sum over every edge gives (each contraction reduced on its own through
+    ``ChainVector.from_graph``), rows and columns in gc_basis order.  Every
+    image lies in the target basis and every entry is an integer."""
+    for loops in (3, 4, 5, 6):
+        top = 3 * loops - 3
+        bases = {n: gc_basis(loops, n) for n in range(loops, top + 1)}
+        for n in range(loops + 1, top + 1):
+            row = {oc: i for i, oc in enumerate(bases[n - 1])}
+            expect = {}
+            for j, oc in enumerate(bases[n]):
+                for cls, c in _differential_by_every_edge(oc).coeffs.items():
+                    assert c.denominator == 1, (oc.graph, cls.graph)
+                    expect[row[cls], j] = c.numerator
+            assert differential_matrix(loops, n) == expect, (loops, n)
+        assert differential_matrix(loops, loops) == {}
 
 
 def test_d_squared_zero_matrices():
@@ -227,15 +234,17 @@ def test_w3_spans_kernel_at_3_loops():
     assert top["basis"] == 1 and top["kernel"] == 1 and top["homology"] == 1
 
 
-# _Search runs of gc_basis(5, n) over every n with a cold symmetry memo
-# (178 before enumeration handed its searches on to parity and labels)
-LOOP5_BASIS_SEARCHES = 136
+# _Search runs of one homology_report (138 and 1,336 while every bigrade
+# grew its own augmentation tree and the differential searched every
+# contraction again)
+LOOP5_REPORT_SEARCHES = 92
+LOOP6_REPORT_SEARCHES = 788
 
 
-def test_gc_basis_searches_each_graph_once(monkeypatch):
-    """A gc_basis call searches no graph twice: enumeration's own search
-    labels each class and gives its parity."""
-    monkeypatch.setattr(canonical, "_SYMMETRY", {})
+def test_homology_report_searches_each_graph_once(monkeypatch):
+    """One pass down from the cubic top: the search that labels a
+    contraction also gives its entry in d, so loop 5 searches no graph
+    twice and the counts stay those of the pass."""
     searched: list[Graph] = []
     init = canonical._Search.__init__
 
@@ -244,13 +253,12 @@ def test_gc_basis_searches_each_graph_once(monkeypatch):
         init(self, g)
 
     monkeypatch.setattr(canonical._Search, "__init__", counting)
-    total = 0
-    for n in range(5, 13):
-        searched.clear()
-        gc_basis(5, n)
-        assert len(set(searched)) == len(searched), n
-        total += len(searched)
-    assert total <= LOOP5_BASIS_SEARCHES
+    homology_report(5)
+    assert len(set(searched)) == len(searched)
+    assert len(searched) <= LOOP5_REPORT_SEARCHES
+    searched.clear()
+    homology_report(6)
+    assert len(searched) <= LOOP6_REPORT_SEARCHES
 
 
 def _differential_by_every_edge(oc):

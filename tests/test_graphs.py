@@ -300,7 +300,7 @@ def test_trivalent_seed_counts():
 
 def test_trivalent_seeds_are_trivalent_of_their_genus():
     for genus_ in range(2, 6):
-        for g, _ in _trivalent_graphs(genus_):
+        for g, _, _ in _trivalent_graphs(genus_):
             assert g.is_connected and set(g.degrees()) == {3}, g
             assert not any(g.weights) and g.genus() == genus_, g
 
@@ -325,7 +325,7 @@ def test_trivalent_handles_over_edge_orbits_match_every_handle():
     level = _classes([banana(3), dumbbell()])
     for genus_ in range(2, 6):
         assert _trivalent_graphs(genus_) == level
-        level = _classes(h for g, _ in level for h in _every_handle(g))
+        level = _classes(h for g, _, _ in level for h in _every_handle(g))
 
 
 def test_gc_enumeration_counts():
