@@ -300,7 +300,6 @@ def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,
     return IntegralEstimate(mean, math.sqrt(var), n, seed, sampler)
 
 
-def tolerance(target: float, stderr: float, sigmas: float = 3.0,
-              floor: float = 0.005) -> float:
+def tolerance(target: float, stderr: float) -> float:
     """Acceptance tolerance: 3 standard errors plus a 0.5% systematic floor."""
-    return sigmas * stderr + floor * abs(target)
+    return 3.0 * stderr + 0.005 * abs(target)

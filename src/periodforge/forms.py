@@ -19,8 +19,8 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .graphs import MAX_SUBSET_EDGES, Graph
-from .polynomials import (CycleBasis, LinearFormMatrix, Poly, cycle_basis,
-                          det_poly, echelon, laplacian, pivot)
+from .polynomials import (LinearFormMatrix, Poly, cycle_basis, det_poly,
+                          echelon, laplacian, pivot)
 
 
 class FormError(ValueError):
@@ -189,11 +189,10 @@ class RationalForm:
         den = self.det.evaluate(point) ** self.k
         return num / den
 
-    def chart_top_coefficient(self, point: Sequence[Fraction],
-                              chart: int | None = None) -> Fraction:
-        """Coefficient against the ascending top wedge of the chart."""
-        chart = self.nvars if chart is None else chart
-        s = frozenset(v for v in range(1, self.nvars + 1) if v != chart)
+    def chart_top_coefficient(self, point: Sequence[Fraction]) -> Fraction:
+        """Coefficient against the ascending top wedge of the chart that
+        fixes the last variable."""
+        s = frozenset(range(1, self.nvars))
         if len(s) != self.degree:
             raise FormError("form degree does not match the chart dimension")
         return self.evaluate_coefficient(s, point)
@@ -271,13 +270,13 @@ def canonical_form_symbolic(x: LinearFormMatrix, n: int) -> RationalForm:
     return RationalForm(x.nvars, n, n, tr, det)
 
 
-def graph_canonical_form(g: Graph, spec: FormSpec,
-                         basis: CycleBasis | None = None) -> RationalForm:
-    """Pullback of the canonical form word to the graph's Laplacian.
+def graph_canonical_form(g: Graph, spec: FormSpec) -> RationalForm:
+    """Pullback of the canonical form word to the graph's Laplacian on the
+    fundamental cycle basis.
 
     Bi-invariance makes the result independent of the cycle basis.
     """
-    lam = laplacian(g, basis)
+    lam = laplacian(g)
     form = None
     for n in spec:
         f = canonical_form_symbolic(lam, n)
@@ -436,11 +435,12 @@ def _extend(paths: dict, free, rows, tmp):
 
 
 class FormEvaluator:
-    """Pointwise evaluator for canonical form words on a matrix family.
+    """Exact pointwise evaluator for canonical form words on a matrix family.
 
-    Works in exact rational arithmetic (Fraction points) or floats.  The
-    chart variable's differential is set to zero; coefficients are taken
-    against ascending wedge monomials of the remaining variables.
+    Coordinates are taken as exact rationals (a float as the rational it
+    stores), so every coefficient is a Fraction.  The chart variable's
+    differential is set to zero; coefficients are taken against ascending
+    wedge monomials of the remaining variables.
     """
 
     def __init__(self, x: LinearFormMatrix, chart: int | None = None):
@@ -449,7 +449,6 @@ class FormEvaluator:
         # chart=None: fix the last variable; chart=0: no chart (all
         # differentials kept, for coefficient dictionaries on full space)
         self.chart = self.nvars if chart is None else chart
-        self.m = x.size
         coeffs = _coefficient_matrices(x)
         self.atoms = []  # (var, a, b)
         self.atoms_of: dict[int, list[int]] = {}
@@ -460,25 +459,6 @@ class FormEvaluator:
                 self.atoms_of.setdefault(v, []).append(len(self.atoms))
                 self.atoms.append((v, a, b))
         self.variables = sorted(self.atoms_of)
-
-    # -- scalar Gram data --------------------------------------------------
-
-    def _gram(self, point, exact: bool):
-        """(atom, atom, 1) tensor b_i^T X^-1 a_j over the rank-one atoms
-        (v, a, b): an object array of Fractions when exact."""
-        import numpy as np
-
-        xp = self.x.evaluate(point)
-        if exact:
-            return self._object_gram(_invert_exact(xp))
-
-        def arr(rows):
-            return np.array([[float(c) for c in r] for r in rows]
-                            ).reshape(-1, self.m)
-        bs = [b for _, _, b in self.atoms]
-        as_ = [a for _, a, _ in self.atoms]
-        g = arr(bs) @ np.linalg.inv(arr(xp)) @ arr(as_).T
-        return g.reshape(len(bs), len(bs), 1)
 
     def _object_gram(self, mat):
         """(atom, atom, 1) object array b_i^T mat a_j over the rank-one
@@ -493,44 +473,42 @@ class FormEvaluator:
 
     # -- coefficients of tr((X^-1 dX)^n) ------------------------------------
 
-    def coefficients(self, n: int, point, exact: bool = False) -> dict:
+    def coefficients(self, n: int, point) -> dict:
         """Map frozenset S (|S| = n) -> coefficient of dx_S at the point:
-        ``_cycle_coefficients`` on a batch of one."""
+        ``_cycle_coefficients`` on a batch of one, over the exact inverse."""
         if n % 2 == 0:
             return {}
-        out = _cycle_coefficients(n, self._gram(point, exact),
-                                  self.variables, self.atoms_of)
+        gram = self._object_gram(_invert_exact(self.x.evaluate(point)))
+        out = _cycle_coefficients(n, gram, self.variables, self.atoms_of)
         return {s: c[0] for s, c in out.items()}
 
-    def word_top_coefficient(self, spec: FormSpec, point,
-                             exact: bool = False):
-        """Top chart coefficient of the wedge word at the point."""
-        allvars = frozenset(self.variables)
+    def word_top_coefficient(self, spec: FormSpec, point) -> Fraction:
+        """Top chart coefficient of the wedge word at the point.
+
+        The chart dimension counts every variable but the chart, including
+        those with no atom (an edge in no cycle), whose differential no
+        coefficient carries: the word is then 0."""
+        allvars = frozenset(range(1, self.nvars + 1)) - {self.chart}
         if len(allvars) != spec.degree:
             raise FormError(
                 f"word degree {spec.degree} does not match chart dimension "
                 f"{len(allvars)}")
         comps = list(spec.components)
         # zero coefficients dropped: their splits add nothing
-        per = {n: {s: c for s, c in self.coefficients(n, point, exact).items()
-                   if c}
+        per = {n: {s: c for s, c in self.coefficients(n, point).items() if c}
                for n in set(comps)}
-        zero = Fraction(0) if exact else 0.0
-        return _wedge_total(comps, per, allvars, zero)
+        return _wedge_total(comps, per, allvars, Fraction(0))
 
 
 def canonical_form_numeric(x: LinearFormMatrix, spec: FormSpec,
-                           point: Sequence, chart: int | None = None,
-                           exact: bool = False):
-    """Chart coefficient of the spec word at the point.
+                           point: Sequence) -> Fraction:
+    """Chart coefficient of the spec word at the point, exactly.
 
-    The chart variable (default: the last one) is fixed; its differential
-    drops out and the coefficient is taken against the ascending top wedge
-    of the remaining variables.
+    The last variable is the chart: its differential drops out and the
+    coefficient is taken against the ascending top wedge of the remaining
+    variables.
     """
-    ev = FormEvaluator(x, chart)
-    pt = [Fraction(p) for p in point] if exact else [float(p) for p in point]
-    return ev.word_top_coefficient(spec, pt, exact=exact)
+    return FormEvaluator(x).word_top_coefficient(spec, point)
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +686,7 @@ class BatchedGraphFormEvaluator:
 
     The chart is the last edge.  The Laplacian's coefficient matrices are
     the rank-one cycle outer products q_e q_e^T, so one Gram tensor per
-    batch, ``CycleIncidence.gram``, feeds the scalar evaluator's subset DP
+    batch, ``CycleIncidence.gram``, feeds the exact evaluator's subset DP
     ``_cycle_coefficients``, with one atom per edge and numpy arrays over
     the sample axis.  The DP accumulates in place, keeping the per-element
     order of the floating-point operations of the plain term-by-term sum:

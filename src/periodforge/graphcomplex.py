@@ -216,11 +216,11 @@ def matrix_rank(mat: Mapping[tuple[int, int], int], nrows: int, ncols: int) -> i
     return r
 
 
-def homology_dims(loops: int, max_loops: int = 6) -> dict[int, int]:
+def homology_dims(loops: int) -> dict[int, int]:
     """Dimensions of graph homology at fixed loop order, keyed by degree
-    (edges - 2*loops), read off ``homology_report``."""
+    (edges - 2*loops), read off ``homology_report`` at its default bound."""
     return {row["degree"]: row["homology"]
-            for row in homology_report(loops, max_loops) if row["homology"]}
+            for row in homology_report(loops) if row["homology"]}
 
 
 def homology_report(loops: int, max_loops: int = 6) -> list[dict]:

@@ -245,20 +245,17 @@ class EdgePermutation:
 # operations mirroring the module surface
 # ---------------------------------------------------------------------------
 
-def two_vertex_join(g1: Graph, e1: int, g2: Graph, e2: int,
-                    flip: bool = False) -> Graph:
+def two_vertex_join(g1: Graph, e1: int, g2: Graph, e2: int) -> Graph:
     """Glue g1 and g2 along the endpoints of e1 and e2, dropping both edges.
 
     The endpoints of e1 = (v1, w1) are identified with those of e2 =
-    (v2, w2); ``flip`` matches v1 with w2 instead.  Edge order: g1's edges
-    (minus e1) followed by g2's (minus e2).
+    (v2, w2), v1 with v2.  Edge order: g1's edges (minus e1) followed by
+    g2's (minus e2).
     """
     v1, w1 = g1.endpoints(e1)
     v2, w2 = g2.endpoints(e2)
     if v1 == w1 or v2 == w2:
         raise GraphError("two_vertex_join needs edges with distinct endpoints")
-    if flip:
-        v2, w2 = w2, v2
     # vertices: g1's 1..n1, then g2's except v2, w2
     n1 = g1.nv
     ren2: dict[int, int] = {v2: v1, w2: w1}

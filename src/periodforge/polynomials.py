@@ -357,46 +357,27 @@ def cycle_basis(g: Graph) -> CycleBasis:
         else:
             parent[ru] = rv
             tree.append(e)
-    # tree adjacency for path finding
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, g.nv + 1)}
     for e in tree:
         s, t = edge_orientation(g, e)
         adj[s].append((t, e))
         adj[t].append((s, e))
-
-    def tree_path(a: int, b: int) -> list[tuple[int, int]]:
-        """Edges (edge id, direction) walking a -> b; direction +1 means the
-        walk agrees with the edge orientation."""
-        prev: dict[int, tuple[int, int, int]] = {a: (0, 0, 0)}
-        stack = [a]
-        while stack:
-            x = stack.pop()
-            if x == b:
-                break
-            for y, e in adj[x]:
-                if y not in prev:
-                    s, t = edge_orientation(g, e)
-                    prev[y] = (x, e, 1 if (s, t) == (x, y) else -1)
-                    stack.append(y)
-        path = []
-        x = b
-        while x != a:
-            px, e, d = prev[x]
-            path.append((e, d))
-            x = px
-        path.reverse()
-        return path
-
+    # path[v]: the signed tree edges walking 1 -> v, +1 where the walk
+    # agrees with the edge orientation
+    path: dict[int, dict[int, int]] = {1: {}}
+    stack = [1]
+    while stack:
+        x = stack.pop()
+        for y, e in adj[x]:
+            if y not in path:
+                path[y] = path[x] | {e: 1 if x < y else -1}
+                stack.append(y)
     vectors = []
     for e in sorted(rest):
-        u, v = g.endpoints(e)
-        if u == v:
-            vectors.append(((e, 1),))
-            continue
         s, t = edge_orientation(g, e)
-        coeffs = {e: 1}
-        for te, d in tree_path(t, s):
-            coeffs[te] = coeffs.get(te, 0) + d
+        coeffs = {e: 1} | path[s]
+        for te, d in path[t].items():
+            coeffs[te] = coeffs.get(te, 0) - d
         vectors.append(tuple(sorted((k, c) for k, c in coeffs.items() if c)))
     return CycleBasis(tuple(vectors), g.ne)
 

@@ -219,7 +219,7 @@ def test_exact_form_evaluation_at_singular_point_raises():
                 for e in g.edge_ids]):
         assert _leibniz(lam.evaluate(pt)) == 0
         with pytest.raises(FormError):
-            FormEvaluator(lam).coefficients(5, pt, exact=True)
+            FormEvaluator(lam).coefficients(5, pt)
 
 
 def _triangle(g):

@@ -12,7 +12,7 @@ from periodforge.polynomials import (Poly, cycle_basis, generic_2x2,
 from periodforge.forms import (BatchedGraphFormEvaluator, CycleIncidence,
                                FormError, FormEvaluator, FormSpec,
                                RationalForm, _cycle_coefficients,
-                               canonical_form_numeric,
+                               _invert_exact, canonical_form_numeric,
                                canonical_form_symbolic, graph_canonical_form)
 from forms_oracle import dense_coefficients
 
@@ -125,7 +125,7 @@ def test_omega7_symmetric_4x4_vanishes_at_exact_points():
     pts = [[Fraction(3 + ((7 * i + p) % 11), 4) for i in range(10)]
            for p in (0, 5)]
     for pt in pts:
-        coeffs = ev.coefficients(7, pt, exact=True)
+        coeffs = ev.coefficients(7, pt)
         assert coeffs and all(c == 0 for c in coeffs.values())
 
 
@@ -195,9 +195,30 @@ def test_numeric_matches_symbolic_exact():
            [Fraction(1), Fraction(1), Fraction(1), Fraction(1), Fraction(1),
             Fraction(1)]]
     for pt in pts:
-        sym = f.chart_top_coefficient(pt, chart=6)
-        num = canonical_form_numeric(lam, FormSpec((5,)), pt, exact=True)
+        sym = f.chart_top_coefficient(pt)
+        num = canonical_form_numeric(lam, FormSpec((5,)), pt)
         assert sym == num
+
+
+def test_numeric_at_float_point_is_its_exact_rational_value():
+    lam = laplacian(wheel(3))
+    coords = [0.7, 1.3, 0.4, 2.2, 0.9, 1.0]
+    value = canonical_form_numeric(lam, FormSpec((5,)), coords)
+    assert isinstance(value, Fraction)
+    assert value == canonical_form_numeric(lam, FormSpec((5,)),
+                                           [Fraction(c) for c in coords])
+
+
+def test_bridge_word_is_zero_on_every_route():
+    """Edge 3 is a bridge: it lies in no cycle, so no coefficient carries
+    its differential and the top chart coefficient of omega5 is 0."""
+    g = Graph((0, 0, 0, 0), ((1, 2), (1, 2), (2, 3), (1, 2), (3, 4), (3, 4)))
+    spec = FormSpec((5,))
+    pt = [Fraction(k, 7) for k in (3, 5, 2, 6, 4, 7)]
+    assert canonical_form_numeric(laplacian(g), spec, pt) == 0
+    assert graph_canonical_form(g, spec).chart_top_coefficient(pt) == 0
+    batched = BatchedGraphFormEvaluator(g, spec)
+    assert batched.evaluate(np.array([[float(c) for c in pt]]))[0] == 0
 
 
 def test_symbolic_matches_dense_oracle():
@@ -231,7 +252,7 @@ def test_numeric_matches_dense_oracle():
     nonzero = []
     for x, chart, pt in cases:
         dense = dense_coefficients(x, 5, pt)
-        mine = FormEvaluator(x, chart=chart).coefficients(5, pt, exact=True)
+        mine = FormEvaluator(x, chart=chart).coefficients(5, pt)
         for s, val in mine.items():
             assert dense.get(s, Fraction(0)) == val
         for s, val in dense.items():
@@ -255,7 +276,7 @@ def test_degree_one_matches_dense_oracle():
     ]
     for x, pt in cases:
         dense = dense_coefficients(x, 1, pt)
-        mine = FormEvaluator(x, chart=0).coefficients(1, pt, exact=True)
+        mine = FormEvaluator(x, chart=0).coefficients(1, pt)
         assert dense and {s: v for s, v in mine.items() if v} == dense
         f = canonical_form_symbolic(x, 1)
         keys = set(f.numer) | set(dense)
@@ -268,12 +289,12 @@ def test_projective_invariance_numeric(rng):
     ev = FormEvaluator(lam, chart=6)
     spec = FormSpec((5,))
     for _ in range(100):
-        pt = [rng.uniform(0.2, 3.0) for _ in range(6)]
-        lamb = rng.uniform(0.3, 4.0)
+        pt = [Fraction(rng.uniform(0.2, 3.0)) for _ in range(6)]
+        lamb = Fraction(rng.uniform(0.3, 4.0))
         v1 = ev.word_top_coefficient(spec, pt)
         v2 = ev.word_top_coefficient(spec, [lamb * x for x in pt])
         # the top coefficient is homogeneous of degree -(nvars - 1)
-        assert abs(v2 - v1 / lamb ** 5) < 1e-10 * abs(v1)
+        assert v2 == v1 / lamb ** 5
 
 
 def test_bi_invariance_numeric(rng):
@@ -295,7 +316,7 @@ def test_bi_invariance_numeric(rng):
             pt = [rng.uniform(0.2, 2.5) for _ in range(6)]
             v1 = base.word_top_coefficient(spec, pt)
             v2 = ev2.word_top_coefficient(spec, pt)
-            assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
+            assert v1 == v2
 
 
 def test_basis_independence_of_graph_form(rng):
@@ -477,14 +498,15 @@ def test_batched_dp_bit_identical_to_reference():
 
 def test_float_dp_with_two_atoms_bit_identical_to_reference():
     """omega5 on the symmetric family (two atoms per off-diagonal
-    variable) and the general 3x3 family (a != b), in floats at a batch of
-    points: the same coefficients, bit for bit, as the reference."""
+    variable) and the general 3x3 family (a != b), in floats on the
+    rounded exact Gram at a batch of points: the same coefficients, bit for
+    bit, as the reference."""
     rng = np.random.default_rng(19)
     for x in (generic_symmetric(3), generic_matrix(3)):
         ev = FormEvaluator(x, chart=0)
-        gt = np.concatenate([ev._gram(list(rng.uniform(0.2, 2.0, x.nvars)),
-                                      exact=False) for _ in range(16)],
-                            axis=2)
+        pts = [list(rng.uniform(0.2, 2.0, x.nvars)) for _ in range(16)]
+        gt = np.concatenate([ev._object_gram(_invert_exact(x.evaluate(pt)))
+                             .astype(float) for pt in pts], axis=2)
         _assert_gram_dp_matches_reference(ev.variables, ev.atoms_of, 5, gt)
 
 

@@ -170,3 +170,82 @@ def test_every_top_level_definition_is_referenced():
               if not any(p != path or o[:len(owner)] != owner
                          for p, o in users.get(name, ()))]
     assert not unused, unused
+
+
+def _optional_parameters(tree: ast.Module):
+    """(line, label, call name, {parameter: position or None}) for the
+    defaulted parameters of each public top-level function, each public
+    method of a public top-level class and each such class's constructor:
+    its ``__init__``, or the fields of a dataclass.  The position counts
+    the arguments a call passes, so a method's ``self`` or ``cls`` is not
+    counted; a keyword-only parameter has None."""
+    def params(fn, skip):
+        a = fn.args
+        pos = (a.posonlyargs + a.args)[skip:]
+        out = {p.arg: i for i, p in enumerate(pos)
+               if i >= len(pos) - len(a.defaults)}
+        out.update((p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                   if d is not None)
+        return out
+
+    for top in tree.body:
+        if getattr(top, "name", "_").startswith("_"):
+            continue
+        if isinstance(top, ast.FunctionDef):
+            yield top.lineno, top.name, top.name, params(top, 0)
+        if not isinstance(top, ast.ClassDef):
+            continue
+        methods = [n for n in top.body if isinstance(n, ast.FunctionDef)]
+        fields = [n for n in top.body if isinstance(n, ast.AnnAssign)]
+        if "__init__" not in {m.name for m in methods} and any(
+                "dataclass" in ast.unparse(d) for d in top.decorator_list):
+            yield top.lineno, top.name, top.name, {
+                f.target.id: i for i, f in enumerate(fields) if f.value}
+        for node in methods:
+            skip = 0 if any("staticmethod" in ast.unparse(d)
+                            for d in node.decorator_list) else 1
+            if node.name == "__init__":
+                yield node.lineno, top.name, top.name, params(node, skip)
+            elif not node.name.startswith("_"):
+                yield (node.lineno, f"{top.name}.{node.name}", node.name,
+                       params(node, skip))
+
+
+def _calls(tree: ast.Module):
+    """(called name, positional arguments before any ``*``, whether one is
+    starred, keyword names, whether a ``**`` is passed) for every call."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        star = [i for i, a in enumerate(node.args)
+                if isinstance(a, ast.Starred)]
+        yield (name, star[0] if star else len(node.args), bool(star),
+               {k.arg for k in node.keywords if k.arg},
+               any(k.arg is None for k in node.keywords))
+
+
+def test_every_optional_parameter_is_passed():
+    """Each defaulted parameter of a public function, public method or
+    class constructor of the package is passed by some call in the
+    package, the tests or the benchmark: by keyword, by position or
+    through ``*``/``**``.  A parameter nothing passes is a constant.  Calls
+    count by name: any call of that name or attribute is a use."""
+    package = Path(periodforge.__file__).resolve().parent
+    root = Path(__file__).resolve().parents[1]
+    calls: dict[str, list] = {}
+    defs = []
+    for folder in (package, root / "tests", root / "perfbench"):
+        for path in sorted(folder.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for name, *passed in _calls(tree):
+                calls.setdefault(name, []).append(passed)
+            if folder == package:
+                defs += [(path, *d) for d in _optional_parameters(tree)]
+    unpassed = [f"{path.name}:{line} {label}({p})"
+                for path, line, label, name, ps in defs
+                for p, i in ps.items()
+                if not any(p in kws or dstar
+                           or (i is not None and (i < npos or star))
+                           for npos, star, kws, dstar in calls.get(name, ()))]
+    assert not unpassed, unpassed
