@@ -3,7 +3,9 @@
 Estimates are importance-weighted means under the tropical measure, split
 into shards with independently seeded streams; the reduction is fixed in
 shard order, so results are bit-identical for a given (seed, samples,
-sampler) regardless of thread count.
+sampler) regardless of thread count.  A shard is drawn and evaluated one
+block at a time, each block reading its rows of the shard's stream, so
+results do not depend on the block size either.
 """
 
 from __future__ import annotations
@@ -21,14 +23,14 @@ from .graphs import Graph, GraphError
 from .polynomials import Poly, PolynomialError
 from .forms import BatchedGraphFormEvaluator, CycleIncidence, FormSpec
 from .graphcomplex import ChainVector
-from .tropical import TropicalSampler, build_measure, simplex_sample
+from .tropical import (RowWindow, TropicalSampler, build_measure,
+                       simplex_sample)
 
 import numpy as np
 
 _SHARD = 65536
-# samples per evaluation block: it bounds the Laplacians, Gram tensor and
-# DP path arrays alive at once, which a shard never holds for all its
-# samples
+# samples per block: it bounds the points, Laplacians, Gram tensor and DP
+# path arrays alive at once, which a shard never holds for all its samples
 _BLOCK = 8192
 
 
@@ -183,16 +185,22 @@ class _Evaluator:
 
 def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None, seed: int,
                shard_index: int, count: int):
+    """(count, weight sum, M2) of one shard, drawn, evaluated and checked
+    one block at a time: each block reads its rows of the shard's stream
+    through a ``RowWindow``, so only the weights are shard-sized."""
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(shard_index,))))
-    xs, logw = simplex_sample(rng, count, ev.ig.graph.ne, sampler)
+    start = rng.bit_generator.state
     w = np.empty(count)
     for lo in range(0, count, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        w[blk] = ev.values(xs[blk], logw[blk])
-    bad = ~np.isfinite(w)
-    if bad.any():
-        raise NonFinitePointError(xs[int(np.argmax(bad))])
+        m = min(_BLOCK, count - lo)
+        xs, logw = simplex_sample(RowWindow(rng, start, lo, count), m,
+                                  ev.ig.graph.ne, sampler)
+        blk = w[lo:lo + m]
+        blk[...] = ev.values(xs, logw)
+        bad = ~np.isfinite(blk)
+        if bad.any():
+            raise NonFinitePointError(xs[int(np.argmax(bad))])
     # (count, sum, M2 about the shard's own mean), in two passes
     total = float(w.sum())
     dev = w - total / count

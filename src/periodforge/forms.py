@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -339,7 +340,7 @@ def _exact_gram(mat, bs, as_):
     return [[sum(t[c] * a[c] for c in ms) for a in as_] for t in tmp]
 
 
-def _cycle_coefficients(n: int, gt, vars_, atoms_of) -> dict:
+def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays=None) -> dict:
     """dict frozenset -> (B,) coefficient arrays for tr((X^-1 dX)^n).
 
     An anchored subset DP over cyclic products of Gram scalars, with the
@@ -363,11 +364,28 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of) -> dict:
     term and summing the terms in path order, so the result does not
     depend on the layout, on the accumulation being in place, or on how
     the samples are split into batches.
+
+    With ``arrays``, a ``_PathArrays`` free list, every path array, the
+    start arrays and ``tmp`` are popped from its ``spare`` views when it
+    has one, and each array goes back once no path reads it; the
+    coefficient arrays returned come from it too.  Without one, each array
+    is allocated.
     """
     import numpy as np
 
     B = gt.shape[2]
-    tmp = np.empty(B, dtype=gt.dtype)
+    if arrays is None:
+        spare: list = []
+
+        def new():
+            return np.empty(B, dtype=gt.dtype)
+
+        def give(a):
+            pass
+    else:
+        arrays.hand_out(B)
+        spare, new, give = arrays.spare, arrays.new, arrays.spare.append
+    tmp = spare.pop() if spare else new()
     # rows[i][j] is the (B,) view G[i, j], indexed without a numpy call
     rows = [list(r) for r in gt]
     out: dict[frozenset, np.ndarray] = {}
@@ -378,17 +396,19 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of) -> dict:
         # (bits above w, bit of w, atoms of w) per bigger variable w
         free = [(wi + 1, 1 << wi, atoms_of[w]) for wi, w in enumerate(bigger)]
         for alpha in atoms_of[anchor]:
-            start = np.ones(B, dtype=gt.dtype)
+            start = spare.pop() if spare else new()
+            start.fill(1)
             if n == 1:
                 closed = [(0, alpha, start)]
             else:
                 paths = {0: [(alpha, start)]}
                 for _ in range(n - 2):
                     nxt: dict[int, list] = {}
-                    for mask, beta, val in _extend(paths, free, rows, tmp):
+                    for mask, beta, val in _extend(paths, free, rows, tmp,
+                                                   spare, new, give):
                         nxt.setdefault(mask, []).append((beta, val))
                     paths = nxt
-                closed = _extend(paths, free, rows, tmp)
+                closed = _extend(paths, free, rows, tmp, spare, new, give)
             for mask, last, val in closed:
                 s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
                                            if mask >> i & 1}
@@ -399,17 +419,20 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of) -> dict:
                     out[s] = val
                 else:
                     prev += val
+                    give(val)
+    give(tmp)
     return out
 
 
-def _extend(paths: dict, free, rows, tmp):
+def _extend(paths: dict, free, rows, tmp, spare, new, give):
     """The paths one variable longer than ``paths`` (mask -> [(last atom,
     array), ...]), yielded as (mask, last atom, array) in creation order:
     source masks in order, then ascending w, then the atoms of w.  The
     first term of a destination is its product (negated when the sign is
     odd), later terms are added or subtracted in the order of the source's
-    paths.  Each source mask is popped from ``paths`` once its
-    destinations are built."""
+    paths.  Each destination's array is popped from ``spare``, or made by
+    ``new`` when it is empty.  Each source mask is popped from ``paths``
+    once its destinations are built, and its arrays go to ``give``."""
     import numpy as np
 
     mul = np.multiply
@@ -421,7 +444,7 @@ def _extend(paths: dict, free, rows, tmp):
                 continue
             odd = (mask >> above).bit_count() & 1
             for beta in betas:
-                acc = mul(val0, row0[beta])
+                acc = mul(val0, row0[beta], spare.pop() if spare else new())
                 if odd:
                     np.negative(acc, out=acc)
                     for row, val in more:
@@ -432,6 +455,8 @@ def _extend(paths: dict, free, rows, tmp):
                         mul(val, row[beta], out=tmp)
                         acc += tmp
                 yield mask | bitw, beta, acc
+        for _, val in srcs:
+            give(val)
 
 
 class FormEvaluator:
@@ -681,6 +706,35 @@ class CycleIncidence:
         return np.array(_exact_gram(_invert_exact(lam), q, q), dtype=float)
 
 
+class _PathArrays:
+    """Free list of the subset DP's float arrays, for one thread.
+
+    Each array is as long as the largest batch seen so far; ``spare`` holds
+    views of the first B entries of the free ones, for the batch of B
+    samples being evaluated.  Only views that ``spare`` or ``new`` handed
+    out for that batch go back into ``spare``.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self.batch = 0
+        self.spare: list = []
+
+    def hand_out(self, B: int) -> None:
+        """Makes ``spare`` and ``new`` serve views of B entries; a batch
+        longer than any before drops the shorter arrays."""
+        if B > self.size:
+            self.size, self.spare = B, []
+        elif B != self.batch:
+            self.spare[:] = [view.base[:B] for view in self.spare]
+        self.batch = B
+
+    def new(self):
+        import numpy as np
+
+        return np.empty(self.size)[:self.batch]
+
+
 class BatchedGraphFormEvaluator:
     """Vectorised chart coefficients of a form word on a graph Laplacian.
 
@@ -692,7 +746,9 @@ class BatchedGraphFormEvaluator:
     order of the floating-point operations of the plain term-by-term sum:
     estimates are bit-identical to that sum over the same Gram.  The
     engine passes one block of samples at a time, which bounds the Gram
-    tensor and the DP's path arrays.
+    tensor and the DP's path arrays; each thread draws those arrays from
+    its own ``_PathArrays``, so they are allocated once per thread, not
+    once per block.
     """
 
     def __init__(self, g: Graph, spec: FormSpec):
@@ -708,6 +764,7 @@ class BatchedGraphFormEvaluator:
         self.inc = CycleIncidence(g)
         self.chart_vars = list(range(1, g.ne))
         self.atoms_of = {v: [v - 1] for v in self.chart_vars}
+        self._local = threading.local()
 
     def evaluate(self, xs):
         """(B,) array: coefficient of the ascending top chart wedge.
@@ -716,12 +773,19 @@ class BatchedGraphFormEvaluator:
         """
         import numpy as np
 
+        arrays = getattr(self._local, "arrays", None)
+        if arrays is None:
+            arrays = self._local.arrays = _PathArrays()
         gt = self.inc.gram(xs)
         comps = list(self.spec.components)
-        per = {n: _cycle_coefficients(n, gt, self.chart_vars, self.atoms_of)
+        per = {n: _cycle_coefficients(n, gt, self.chart_vars, self.atoms_of,
+                                      arrays)
                for n in set(comps)}
-        return _wedge_total(comps, per, frozenset(self.chart_vars),
-                            np.zeros(xs.shape[0]))
+        total = _wedge_total(comps, per, frozenset(self.chart_vars),
+                             np.zeros(xs.shape[0]))
+        for table in per.values():
+            arrays.spare.extend(table.values())
+        return total
 
     def integrand_values(self, xs):
         """f with word = f * Omega: (-1)^|E| * top coefficient / x_|E|."""

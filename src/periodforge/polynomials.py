@@ -31,6 +31,17 @@ def _num(c):
     return c
 
 
+def _exact_coordinate(point, i: int) -> Fraction:
+    """``point[i]`` as a Fraction; PolynomialError names x_{i+1} when it is
+    not a finite number."""
+    try:
+        return Fraction(point[i])
+    except (OverflowError, ValueError):
+        raise PolynomialError(
+            f"coordinate x{i + 1} = {point[i]!r} is not a finite number"
+        ) from None
+
+
 class Poly:
     """Sparse exact polynomial in x1..x_nvars; coefficients are ints or
     Fractions, keyed by exponent tuples."""
@@ -162,13 +173,16 @@ class Poly:
         return {sum(k) for k in self.coeffs}
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Exact value at ``point``, where point[i - 1] is x_i."""
+        """Exact value at ``point``, where point[i - 1] is x_i; a float
+        coordinate is read as the rational it stores.  Raises
+        PolynomialError when a coordinate the polynomial uses is infinite
+        or NaN."""
         total = Fraction(0)
         for k, c in self.coeffs.items():
             term = Fraction(c)
             for i, e in enumerate(k):
                 if e:
-                    term *= Fraction(point[i]) ** e
+                    term *= _exact_coordinate(point, i) ** e
             total += term
         return total
 

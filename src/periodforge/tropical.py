@@ -278,6 +278,39 @@ class TropicalSampler:
         return logxs, logpsitr
 
 
+class RowWindow:
+    """Rows ``lo .. lo + m`` of every draw of a shard that has ``total`` rows.
+
+    An rng-like view for ``TropicalSampler.sample`` and ``simplex_sample``:
+    ``random(size)``, with ``size[0]`` = m, returns exactly those rows of
+    the array that the same call with ``size[0]`` = total returns on the
+    shard's generator ``gen``.  ``Generator.random`` reads one 64-bit output
+    per double, so the call whose whole-shard draw starts at output ``base``
+    of the stream resets ``gen`` to ``start``, the shard's start state, and
+    advances it to ``base + lo * width``, with ``width`` the product of the
+    trailing dimensions; the next call's draw starts at ``base + total *
+    width``.  A shard thus never draws all its rows at once, and its points
+    do not depend on how its rows are split into windows.
+    """
+
+    def __init__(self, gen: np.random.Generator, start: dict, lo: int,
+                 total: int):
+        self.gen = gen
+        self.start = start
+        self.lo = lo
+        self.total = total
+        self.base = 0
+
+    def random(self, size):
+        shape = (size,) if np.ndim(size) == 0 else tuple(size)
+        width = math.prod(shape[1:])
+        bits = self.gen.bit_generator
+        bits.state = self.start
+        bits.advance(self.base + self.lo * width)
+        self.base += self.total * width
+        return self.gen.random(shape)
+
+
 def simplex_sample(rng: np.random.Generator, count: int, n: int,
                    sampler: TropicalSampler | None = None):
     """(points on the simplex (count, n), log importance weights (count,)).
@@ -287,10 +320,15 @@ def simplex_sample(rng: np.random.Generator, count: int, n: int,
     x^nu; without one the points are uniform (Dirichlet) and the weight is
     the constant 1/(n-1)!, the volume of the simplex against the projective
     form.  Either way mean(weight * f(points)) estimates the projective
-    integral of f.
+    integral of f.  Every draw is an ``rng.random`` call, so ``rng`` may
+    be a ``RowWindow``.
     """
     if sampler is None:
-        xs = rng.dirichlet(np.ones(n), size=count)
+        # normalised exponentials -log(1 - U): one output per coordinate,
+        # which a row window can read, where a gamma draw takes a variable
+        # number
+        xs = -np.log1p(-rng.random((count, n)))
+        xs /= xs.sum(axis=1, keepdims=True)
         return xs, -math.lgamma(n) * np.ones(count)
     logxs, logpsitr = sampler.sample(rng, count)
     xs = np.exp(logxs)

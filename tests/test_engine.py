@@ -10,9 +10,9 @@ from periodforge.graphs import (Graph, GraphError, _root, banana, complete,
 from periodforge.polynomials import Poly, graph_polynomial
 from periodforge import engine
 from periodforge.forms import FormSpec
-from periodforge.tropical import (DivergentIntegrandError, TropicalSampler,
-                                  build_measure, simplex_sample,
-                                  subset_loop_numbers)
+from periodforge.tropical import (DivergentIntegrandError, RowWindow,
+                                  TropicalSampler, build_measure,
+                                  simplex_sample, subset_loop_numbers)
 from periodforge.engine import (Integrand, IntegralEstimate, IntegrationError,
                                 canonical_integrand, integrate,
                                 integrate_canonical,
@@ -275,6 +275,40 @@ def test_simplex_sample_zero_nu_weight_is_tropical_term():
     assert logw.tobytes() == ref.tobytes()
 
 
+def _windowed(draw, count, block):
+    """``draw(rng, m)`` over blocks of ``block`` rows of the stream of
+    ``PCG64(9)``, each through a ``RowWindow``, concatenated output by
+    output."""
+    gen = np.random.Generator(np.random.PCG64(9))
+    start = gen.bit_generator.state
+    parts = [draw(RowWindow(gen, start, lo, count), min(block, count - lo))
+             for lo in range(0, count, block)]
+    return [np.concatenate(col) for col in zip(*parts)]
+
+
+def _block_draws():
+    """The draws a shard makes, by name, as ``draw(rng, rows)``."""
+    z5 = TropicalSampler(build_measure(zigzag(5), k=2))
+    w5 = TropicalSampler(build_measure(wheel(5), [1] * 5 + [0] * 5, 3))
+    return {"sample-Z5": z5.sample, "sample-W5-nu": w5.sample,
+            "simplex-W5-nu": lambda rng, m: simplex_sample(rng, m, 10, w5),
+            "simplex-dirichlet":
+                lambda rng, m: simplex_sample(rng, m, 10, None)}
+
+
+@pytest.mark.parametrize("case", ["sample-Z5", "sample-W5-nu", "simplex-W5-nu",
+                                  "simplex-dirichlet"])
+def test_row_window_equals_whole_shard(case):
+    """Blocks of 1, 7, 4,096 and all the rows, each drawn through a row
+    window of the shard's stream, concatenate to the whole-shard draw."""
+    draw = _block_draws()[case]
+    count = 4100
+    whole = draw(np.random.Generator(np.random.PCG64(9)), count)
+    for block in (1, 7, 4096, count):
+        got = _windowed(draw, count, block)
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole)), block
+
+
 def test_subset_tables_capped():
     big = Graph((0, 0), ((1, 2),) * 17)
     with pytest.raises(GraphError, match="capped at 16 edges"):
@@ -400,6 +434,30 @@ def test_form_word_determinism_and_threads():
     assert (e1.mean, e1.stderr) == (e2.mean, e2.stderr)
 
 
+def test_path_arrays_stay_per_thread_under_preemption(monkeypatch):
+    """Four threads on two cores share one form evaluator and switch every
+    few microseconds, on blocks of 300 and of 100 samples.  Each draws the
+    DP's path arrays from its own free list, so no thread is handed views
+    of another's block length, and the estimate is bit-identical to the
+    one-thread run."""
+    import sys
+
+    monkeypatch.setattr(engine, "_BLOCK", 300)
+
+    def estimate(threads):
+        e = integrate_canonical(wheel(5), FormSpec((9,)), 8000, seed=13,
+                                threads=threads, shard_size=1000)
+        return e.mean, e.stderr
+
+    one = estimate(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert estimate(4) == one
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("block, samples, shard_size", [
     (7, 600, 250), (10 ** 6, 20000, 12000)], ids=["block7", "block1e6"])
@@ -434,6 +492,25 @@ def test_form_shard_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 18e6, peak
+
+
+def test_residue_shard_peak_memory():
+    """One 65,536-sample Z8 residue shard reads each block's points from
+    its stream through a row window, so only its weights are shard-sized:
+    about 10 MB traced peak, against about 27 MB when the shard drew its
+    (65,536, 16) points whole."""
+    import tracemalloc
+
+    g = zigzag(8)
+    ev = engine._Evaluator(residue_integrand(g))
+    sampler = TropicalSampler(build_measure(g, k=2))
+    tracemalloc.start()
+    try:
+        engine._run_shard(ev, sampler, 4, 0, 65536)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, peak
 
 
 def test_non_finite_sample_aborts_form_integral(monkeypatch):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from periodforge.graphs import Graph, banana, wheel
-from periodforge.polynomials import (Poly, cycle_basis, generic_2x2,
-                                     generic_matrix, generic_symmetric,
-                                     graph_polynomial, laplacian)
+from periodforge.polynomials import (Poly, PolynomialError, cycle_basis,
+                                     generic_2x2, generic_matrix,
+                                     generic_symmetric, graph_polynomial,
+                                     laplacian)
 from periodforge.forms import (BatchedGraphFormEvaluator, CycleIncidence,
                                FormError, FormEvaluator, FormSpec,
                                RationalForm, _cycle_coefficients,
@@ -219,6 +220,17 @@ def test_bridge_word_is_zero_on_every_route():
     assert graph_canonical_form(g, spec).chart_top_coefficient(pt) == 0
     batched = BatchedGraphFormEvaluator(g, spec)
     assert batched.evaluate(np.array([[float(c) for c in pt]]))[0] == 0
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")],
+                         ids=["inf", "nan"])
+def test_non_finite_coordinate_is_a_polynomial_error(bad):
+    """A coordinate the Laplacian uses that is not finite raises the
+    layer's error, naming the coordinate, not a bare OverflowError or
+    ValueError from Fraction."""
+    with pytest.raises(PolynomialError, match="x4 = (inf|nan)"):
+        canonical_form_numeric(laplacian(wheel(3)), FormSpec((5,)),
+                               [1, 1, 1, bad, 1, 1])
 
 
 def test_symbolic_matches_dense_oracle():

@@ -75,6 +75,29 @@ def test_benchmark_span_targets_resolve():
                    "SpanRecorder().install()\n")
 
 
+def test_span_counts_sum_over_blocks():
+    """The sampler and the form evaluator run once per block, and the
+    span counters read each call's rows, so the traced totals are the
+    samples drawn and evaluated, whatever the block size."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    _fresh_modules(f"import sys\nsys.path.insert(0, {str(bench)!r})\n"
+                   "from periodforge import engine\n"
+                   "from periodforge.forms import FormSpec\n"
+                   "from periodforge.graphs import wheel\n"
+                   "from spans import SpanRecorder, layer_metrics\n"
+                   "rec = SpanRecorder()\n"
+                   "rec.install()\n"
+                   "engine._BLOCK = 3000\n"
+                   "engine.integrate_residue(wheel(3), 20000, seed=1)\n"
+                   "engine.integrate_canonical(wheel(3), FormSpec((5,)), "
+                   "20000, seed=1)\n"
+                   "m = layer_metrics(rec.spans, 0.0)\n"
+                   "assert m['tropical.samples'] == 40000, m\n"
+                   "assert m['forms.points'] == 20000, m\n"
+                   "calls = [s[3] for s in rec.spans].count('tropical.sample')\n"
+                   "assert calls == 14, calls\n")
+
+
 def test_layer_errors_are_value_errors():
     """The CLI maps ValueError to exit 2 without importing the layers, so
     every error class of every layer, the engine's included, is one."""
