@@ -266,7 +266,8 @@ def canonical_form_symbolic(x: LinearFormMatrix, n: int) -> RationalForm:
     if n % 2:
         ev = FormEvaluator(x, chart=0)
         out = _cycle_coefficients(n, ev._object_gram(_adjugate(x)),
-                                  ev.variables, ev.atoms_of)
+                                  ev.variables, ev.atoms_of,
+                                  _PathArrays(object))
         tr = {s: c[0] for s, c in out.items()}
     return RationalForm(x.nvars, n, n, tr, det)
 
@@ -340,7 +341,7 @@ def _exact_gram(mat, bs, as_):
     return [[sum(t[c] * a[c] for c in ms) for a in as_] for t in tmp]
 
 
-def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays=None) -> dict:
+def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
     """dict frozenset -> (B,) coefficient arrays for tr((X^-1 dX)^n).
 
     An anchored subset DP over cyclic products of Gram scalars, with the
@@ -365,27 +366,16 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays=None) -> dict:
     depend on the layout, on the accumulation being in place, or on how
     the samples are split into batches.
 
-    With ``arrays``, a ``_PathArrays`` free list, every path array, the
-    start arrays and ``tmp`` are popped from its ``spare`` views when it
-    has one, and each array goes back once no path reads it; the
-    coefficient arrays returned come from it too.  Without one, each array
-    is allocated.
+    Every path array, the start arrays and ``tmp`` are taken from
+    ``arrays``, a ``_PathArrays`` free list of ``gt``'s dtype, and each
+    goes back once no path reads it; the coefficient arrays returned come
+    from it too.
     """
     import numpy as np
 
-    B = gt.shape[2]
-    if arrays is None:
-        spare: list = []
-
-        def new():
-            return np.empty(B, dtype=gt.dtype)
-
-        def give(a):
-            pass
-    else:
-        arrays.hand_out(B)
-        spare, new, give = arrays.spare, arrays.new, arrays.spare.append
-    tmp = spare.pop() if spare else new()
+    arrays.hand_out(gt.shape[2])
+    take, give = arrays.take, arrays.give
+    tmp = take()
     # rows[i][j] is the (B,) view G[i, j], indexed without a numpy call
     rows = [list(r) for r in gt]
     out: dict[frozenset, np.ndarray] = {}
@@ -396,7 +386,7 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays=None) -> dict:
         # (bits above w, bit of w, atoms of w) per bigger variable w
         free = [(wi + 1, 1 << wi, atoms_of[w]) for wi, w in enumerate(bigger)]
         for alpha in atoms_of[anchor]:
-            start = spare.pop() if spare else new()
+            start = take()
             start.fill(1)
             if n == 1:
                 closed = [(0, alpha, start)]
@@ -405,10 +395,10 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays=None) -> dict:
                 for _ in range(n - 2):
                     nxt: dict[int, list] = {}
                     for mask, beta, val in _extend(paths, free, rows, tmp,
-                                                   spare, new, give):
+                                                   arrays):
                         nxt.setdefault(mask, []).append((beta, val))
                     paths = nxt
-                closed = _extend(paths, free, rows, tmp, spare, new, give)
+                closed = _extend(paths, free, rows, tmp, arrays)
             for mask, last, val in closed:
                 s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
                                            if mask >> i & 1}
@@ -424,18 +414,19 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays=None) -> dict:
     return out
 
 
-def _extend(paths: dict, free, rows, tmp, spare, new, give):
+def _extend(paths: dict, free, rows, tmp, arrays):
     """The paths one variable longer than ``paths`` (mask -> [(last atom,
     array), ...]), yielded as (mask, last atom, array) in creation order:
     source masks in order, then ascending w, then the atoms of w.  The
     first term of a destination is its product (negated when the sign is
     odd), later terms are added or subtracted in the order of the source's
-    paths.  Each destination's array is popped from ``spare``, or made by
-    ``new`` when it is empty.  Each source mask is popped from ``paths``
-    once its destinations are built, and its arrays go to ``give``."""
+    paths.  Each destination's array is taken from ``arrays``; each source
+    mask is popped from ``paths`` once its destinations are built, and its
+    arrays go back to ``arrays``."""
     import numpy as np
 
     mul = np.multiply
+    take, give = arrays.take, arrays.give
     for mask in list(paths):
         srcs = [(rows[last], val) for last, val in paths.pop(mask)]
         (row0, val0), more = srcs[0], srcs[1:]
@@ -444,7 +435,7 @@ def _extend(paths: dict, free, rows, tmp, spare, new, give):
                 continue
             odd = (mask >> above).bit_count() & 1
             for beta in betas:
-                acc = mul(val0, row0[beta], spare.pop() if spare else new())
+                acc = mul(val0, row0[beta], take())
                 if odd:
                     np.negative(acc, out=acc)
                     for row, val in more:
@@ -504,7 +495,8 @@ class FormEvaluator:
         if n % 2 == 0:
             return {}
         gram = self._object_gram(_invert_exact(self.x.evaluate(point)))
-        out = _cycle_coefficients(n, gram, self.variables, self.atoms_of)
+        out = _cycle_coefficients(n, gram, self.variables, self.atoms_of,
+                                  _PathArrays(object))
         return {s: c[0] for s, c in out.items()}
 
     def word_top_coefficient(self, spec: FormSpec, point) -> Fraction:
@@ -707,32 +699,30 @@ class CycleIncidence:
 
 
 class _PathArrays:
-    """Free list of the subset DP's float arrays, for one thread.
+    """Free list of the subset DP's (B,) arrays of one dtype.
 
-    Each array is as long as the largest batch seen so far; ``spare`` holds
-    views of the first B entries of the free ones, for the batch of B
-    samples being evaluated.  Only views that ``spare`` or ``new`` handed
-    out for that batch go back into ``spare``.
+    ``take`` pops a free array or makes one; ``give`` returns an array that
+    ``take`` handed out.  A batch of another length drops the free ones.
     """
 
-    def __init__(self):
-        self.size = 0
+    def __init__(self, dtype):
+        self.dtype = dtype
         self.batch = 0
         self.spare: list = []
 
     def hand_out(self, B: int) -> None:
-        """Makes ``spare`` and ``new`` serve views of B entries; a batch
-        longer than any before drops the shorter arrays."""
-        if B > self.size:
-            self.size, self.spare = B, []
-        elif B != self.batch:
-            self.spare[:] = [view.base[:B] for view in self.spare]
-        self.batch = B
+        """Makes ``take`` serve arrays of B entries."""
+        if B != self.batch:
+            self.batch, self.spare = B, []
 
-    def new(self):
+    def take(self):
         import numpy as np
 
-        return np.empty(self.size)[:self.batch]
+        return self.spare.pop() if self.spare else np.empty(self.batch,
+                                                            self.dtype)
+
+    def give(self, a) -> None:
+        self.spare.append(a)
 
 
 class BatchedGraphFormEvaluator:
@@ -775,7 +765,7 @@ class BatchedGraphFormEvaluator:
 
         arrays = getattr(self._local, "arrays", None)
         if arrays is None:
-            arrays = self._local.arrays = _PathArrays()
+            arrays = self._local.arrays = _PathArrays(float)
         gt = self.inc.gram(xs)
         comps = list(self.spec.components)
         per = {n: _cycle_coefficients(n, gt, self.chart_vars, self.atoms_of,
@@ -784,7 +774,8 @@ class BatchedGraphFormEvaluator:
         total = _wedge_total(comps, per, frozenset(self.chart_vars),
                              np.zeros(xs.shape[0]))
         for table in per.values():
-            arrays.spare.extend(table.values())
+            for val in table.values():
+                arrays.give(val)
         return total
 
     def integrand_values(self, xs):

@@ -437,7 +437,7 @@ def test_form_word_determinism_and_threads():
 def test_path_arrays_stay_per_thread_under_preemption(monkeypatch):
     """Four threads on two cores share one form evaluator and switch every
     few microseconds, on blocks of 300 and of 100 samples.  Each draws the
-    DP's path arrays from its own free list, so no thread is handed views
+    DP's path arrays from its own free list, so no thread is handed arrays
     of another's block length, and the estimate is bit-identical to the
     one-thread run."""
     import sys

@@ -12,7 +12,7 @@ from periodforge.polynomials import (Poly, PolynomialError, cycle_basis,
                                      laplacian)
 from periodforge.forms import (BatchedGraphFormEvaluator, CycleIncidence,
                                FormError, FormEvaluator, FormSpec,
-                               RationalForm, _cycle_coefficients,
+                               RationalForm, _PathArrays, _cycle_coefficients,
                                _invert_exact, canonical_form_numeric,
                                canonical_form_symbolic, graph_canonical_form)
 from forms_oracle import dense_coefficients
@@ -479,7 +479,8 @@ def _reference_component_coefficients(chart_vars, n, gram, atoms_of):
 def _assert_gram_dp_matches_reference(variables, atoms_of, n, gt):
     ref = _reference_component_coefficients(variables, n,
                                             gt.transpose(2, 0, 1), atoms_of)
-    got = _cycle_coefficients(n, gt, variables, atoms_of)
+    got = _cycle_coefficients(n, gt, variables, atoms_of,
+                              _PathArrays(gt.dtype))
     assert list(got) == list(ref)
     for s in ref:
         assert np.array_equal(got[s], ref[s]), sorted(s)
