@@ -172,8 +172,7 @@ def _cmd_residue(args, t0):
     target = _target(args)
     g = _load_graph(args.graph)
     ig = residue_integrand(g)
-    est = integrate(ig, args.samples, args.seed, sampler=args.sampler,
-                    threads=args.threads)
+    est = integrate(ig, args.samples, args.seed, threads=args.threads)
     return _finish_integral(args, t0, g, est, target, {"integrand": "residue"})
 
 
@@ -295,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target", help="expression, e.g. '6*zeta(3)'")
     sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--sampler", choices=("tropical", "dirichlet"),
-                    default="tropical")
 
     sp = add("canonical", _cmd_canonical, help="canonical integral")
     sp.add_argument("graph")

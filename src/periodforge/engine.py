@@ -3,7 +3,7 @@
 Estimates are importance-weighted means under the tropical measure, split
 into shards with independently seeded streams; the reduction is fixed in
 shard order, so results are bit-identical for a given (seed, samples,
-sampler) regardless of thread count.  A shard is drawn and evaluated one
+shard size) regardless of thread count.  A shard is drawn and evaluated one
 block at a time, each block reading its rows of the shard's stream, so
 results do not depend on the block size either.
 """
@@ -80,6 +80,10 @@ class Integrand:
                 raise GraphError(
                     "non-projective integrand: deg N - k h != -|E|")
         else:
+            # the matched density's exponent |E|/h needs a loop
+            if g.loop_number() == 0:
+                raise GraphError("form-word integrands need a graph with "
+                                 "at least one loop")
             if self.form_spec.degree != g.ne - 1:
                 raise GraphError("form degree must be |E| - 1")
 
@@ -119,7 +123,6 @@ class IntegralEstimate:
     stderr: float
     samples: int
     seed: int
-    sampler: str
 
     def z(self, target: float) -> float:
         if self.stderr == 0:
@@ -137,12 +140,11 @@ class IntegralEstimate:
 
     def scaled(self, c: float) -> "IntegralEstimate":
         return IntegralEstimate(c * self.mean, abs(c) * self.stderr,
-                                self.samples, self.seed, self.sampler)
+                                self.samples, self.seed)
 
     def to_json(self) -> dict:
         return {"mean": self.mean, "stderr": self.stderr,
-                "samples": self.samples, "seed": self.seed,
-                "sampler": self.sampler}
+                "samples": self.samples, "seed": self.seed}
 
 
 class _Evaluator:
@@ -183,7 +185,7 @@ class _Evaluator:
             return np.copysign(np.exp(logf, out=logf), num)
 
 
-def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None, seed: int,
+def _run_shard(ev: _Evaluator, sampler: TropicalSampler, seed: int,
                shard_index: int, count: int):
     """(count, weight sum, M2) of one shard, drawn, evaluated and checked
     one block at a time: each block reads its rows of the shard's stream
@@ -194,8 +196,7 @@ def _run_shard(ev: _Evaluator, sampler: TropicalSampler | None, seed: int,
     w = np.empty(count)
     for lo in range(0, count, _BLOCK):
         m = min(_BLOCK, count - lo)
-        xs, logw = simplex_sample(RowWindow(rng, start, lo, count), m,
-                                  ev.ig.graph.ne, sampler)
+        xs, logw = simplex_sample(RowWindow(rng, start, lo, count), m, sampler)
         blk = w[lo:lo + m]
         blk[...] = ev.values(xs, logw)
         bad = ~np.isfinite(blk)
@@ -219,13 +220,13 @@ def _merge_moments(parts):
     return n, mean, m2
 
 
-def integrate(ig: Integrand, samples: int, seed: int,
-              sampler: str = "tropical", threads: int = 1,
+def integrate(ig: Integrand, samples: int, seed: int, threads: int = 1,
               shard_size: int = _SHARD) -> IntegralEstimate:
-    """Importance-weighted estimate of the projective integral of ig.
+    """Importance-weighted estimate of the projective integral of ig under
+    its matched tropical measure.
 
-    Deterministic for fixed (seed, samples, sampler, shard_size); shards
-    have independent substreams and are reduced in index order.
+    Deterministic for fixed (seed, samples, shard_size); shards have
+    independent substreams and are reduced in index order.
     """
     if samples < 2:
         raise IntegrationError("need at least two samples")
@@ -234,13 +235,8 @@ def integrate(ig: Integrand, samples: int, seed: int,
     if shard_size < 1:
         raise IntegrationError(
             f"shard_size must be at least 1, got {shard_size}")
-    g = ig.graph
     nu, k = ig.sampler_parameters()
-    samp = None
-    if sampler != "dirichlet":
-        if sampler != "tropical":
-            raise IntegrationError(f"unknown sampler {sampler!r}")
-        samp = TropicalSampler(build_measure(g, nu, k))
+    samp = TropicalSampler(build_measure(ig.graph, nu, k))
     ev = _Evaluator(ig)
     shards = [(i, min(shard_size, samples - i * shard_size))
               for i in range((samples + shard_size - 1) // shard_size)]
@@ -254,8 +250,7 @@ def integrate(ig: Integrand, samples: int, seed: int,
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(lambda a: _run_shard(*a), args))
     n, mean, m2 = _merge_moments(results)
-    stderr = math.sqrt(m2 / n / (n - 1)) if n > 1 else float("inf")
-    return IntegralEstimate(mean, stderr, n, seed, sampler)
+    return IntegralEstimate(mean, math.sqrt(m2 / n / (n - 1)), n, seed)
 
 
 def integrate_residue(g: Graph, samples: int, seed: int, **kw) -> IntegralEstimate:
@@ -287,9 +282,8 @@ def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,
     from ``SeedSequence(seed, spawn_key=(i,))``, so no two (seed, class)
     pairs share a stream.
     """
-    sampler = kw.get("sampler", "tropical")
     if chain.is_zero():
-        return IntegralEstimate(0.0, 0.0, 0, seed, sampler)
+        return IntegralEstimate(0.0, 0.0, 0, seed)
     for cls in chain.coeffs:
         if cls.graph.ne != spec.degree + 1:
             raise GraphError("chain graphs must have degree + 1 edges")
@@ -305,7 +299,7 @@ def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,
         mean += float(coeff) * est.mean
         var += float(coeff) ** 2 * est.stderr ** 2
         n += est.samples
-    return IntegralEstimate(mean, math.sqrt(var), n, seed, sampler)
+    return IntegralEstimate(mean, math.sqrt(var), n, seed)
 
 
 def tolerance(target: float, stderr: float) -> float:

@@ -611,6 +611,12 @@ def divergent_subgraphs(g: Graph) -> list[tuple[int, ...]]:
     # forms module raises the resident set of an `import periodforge.cli`
     # process by about 0.7 MB (34.2 -> 35.0 MB ru_maxrss, Python 3.11 and
     # numpy 2.4 on x86-64 Linux).
-    from .tropical import subdivergent_subsets
+    from .tropical import _mask_edges, _popcounts, subset_loop_numbers
 
-    return sorted(subdivergent_subsets(g), key=lambda s: (len(s), s))
+    n = g.ne
+    h = subset_loop_numbers(g)
+    size = _popcounts(n)
+    # proper nonempty subsets, where omega <= 0 for nu = 0 and k = 2
+    masks = (size[1:-1] <= 2 * h[1:-1]).nonzero()[0] + 1
+    return sorted((_mask_edges(m, n) for m in masks.tolist()),
+                  key=lambda s: (len(s), s))

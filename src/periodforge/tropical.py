@@ -96,18 +96,6 @@ def subset_loop_numbers(g: Graph) -> np.ndarray:
     return h
 
 
-def subdivergent_subsets(g: Graph) -> list[tuple[int, ...]]:
-    """Proper nonempty edge subsets S with |S| <= 2 h(S), in bitmask order.
-
-    These are the subsets where omega <= 0 for nu = 0 and k = 2.
-    """
-    full = (1 << g.ne) - 1
-    h = subset_loop_numbers(g)
-    size = _popcounts(g.ne)
-    masks = np.flatnonzero(size[1:full] <= 2 * h[1:full]) + 1
-    return [_mask_edges(m, g.ne) for m in masks.tolist()]
-
-
 @dataclass
 class TropicalMeasure:
     """Exact subset tables for one density x^nu / (Psi^tr)^k."""
@@ -281,15 +269,13 @@ class TropicalSampler:
 class RowWindow:
     """Rows ``lo .. lo + m`` of every draw of a shard that has ``total`` rows.
 
-    An rng-like view for ``TropicalSampler.sample`` and ``simplex_sample``:
-    ``random(size)``, with ``size[0]`` = m, returns exactly those rows of
-    the array that the same call with ``size[0]`` = total returns on the
+    An rng-like view for ``TropicalSampler.sample``: ``random(m)`` returns
+    exactly those rows of the array that ``random(total)`` returns on the
     shard's generator ``gen``.  ``Generator.random`` reads one 64-bit output
     per double, so the call whose whole-shard draw starts at output ``base``
     of the stream resets ``gen`` to ``start``, the shard's start state, and
-    advances it to ``base + lo * width``, with ``width`` the product of the
-    trailing dimensions; the next call's draw starts at ``base + total *
-    width``.  A shard thus never draws all its rows at once, and its points
+    advances it to ``base + lo``; the next call's draw starts at ``base +
+    total``.  A shard thus never draws all its rows at once, and its points
     do not depend on how its rows are split into windows.
     """
 
@@ -301,35 +287,23 @@ class RowWindow:
         self.total = total
         self.base = 0
 
-    def random(self, size):
-        shape = (size,) if np.ndim(size) == 0 else tuple(size)
-        width = math.prod(shape[1:])
+    def random(self, count: int):
         bits = self.gen.bit_generator
         bits.state = self.start
-        bits.advance(self.base + self.lo * width)
-        self.base += self.total * width
-        return self.gen.random(shape)
+        bits.advance(self.base + self.lo)
+        self.base += self.total
+        return self.gen.random(count)
 
 
-def simplex_sample(rng: np.random.Generator, count: int, n: int,
-                   sampler: TropicalSampler | None = None):
+def simplex_sample(rng: np.random.Generator, count: int,
+                   sampler: TropicalSampler):
     """(points on the simplex (count, n), log importance weights (count,)).
 
-    Points are normalised to sum 1.  Under a tropical sampler the weight of
-    a point x is the reciprocal density tropical_period * (Psi^tr(x))^k /
-    x^nu; without one the points are uniform (Dirichlet) and the weight is
-    the constant 1/(n-1)!, the volume of the simplex against the projective
-    form.  Either way mean(weight * f(points)) estimates the projective
-    integral of f.  Every draw is an ``rng.random`` call, so ``rng`` may
-    be a ``RowWindow``.
+    Points are normalised to sum 1, and the weight of a point x is the
+    reciprocal density tropical_period * (Psi^tr(x))^k / x^nu, so
+    mean(weight * f(points)) estimates the projective integral of f.
+    Every draw is an ``rng.random`` call, so ``rng`` may be a ``RowWindow``.
     """
-    if sampler is None:
-        # normalised exponentials -log(1 - U): one output per coordinate,
-        # which a row window can read, where a gamma draw takes a variable
-        # number
-        xs = -np.log1p(-rng.random((count, n)))
-        xs /= xs.sum(axis=1, keepdims=True)
-        return xs, -math.lgamma(n) * np.ones(count)
     logxs, logpsitr = sampler.sample(rng, count)
     xs = np.exp(logxs)
     total = xs.sum(axis=1, keepdims=True)

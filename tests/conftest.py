@@ -58,13 +58,9 @@ def rng():
 
 def tropical_sample(g: Graph, k, seed: int, count: int,
                     nu: Sequence[int] | None = None):
-    """Convenience wrapper: (points on the simplex, importance weights).
-
-    k = 0 with trivial nu falls back to the plain uniform (Dirichlet)
-    sampler; see ``simplex_sample`` for the weights.
-    """
-    uniform = (k == 0 or k is None) and not (nu and any(nu))
-    sampler = None if uniform else TropicalSampler(build_measure(g, nu, k))
+    """Convenience wrapper: (points on the simplex, importance weights)
+    under the tropical measure of (nu, k); see ``simplex_sample``."""
+    sampler = TropicalSampler(build_measure(g, nu, k))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    xs, logw = simplex_sample(rng, count, g.ne, sampler)
+    xs, logw = simplex_sample(rng, count, sampler)
     return xs, np.exp(logw)

@@ -574,7 +574,7 @@ def test_log_psi_matches_exact_psi():
         inc = CycleIncidence(g)
         psi = graph_polynomial(g)
         sampler = TropicalSampler(build_measure(g, k=2))
-        drawn, _ = simplex_sample(rng, 2000, g.ne, sampler)
+        drawn, _ = simplex_sample(rng, 2000, sampler)
         logs = np.log(drawn)
         skewed = np.argsort(logs.max(axis=1) - logs.min(axis=1))[-5:]
         xs = np.vstack([rng.dirichlet(np.ones(g.ne), size=20),

@@ -79,8 +79,11 @@ def files(tmp_path):
     m.write_text("2\n2 1\n1 2\n")
     dunce = tmp_path / "dunce.g"
     dunce.write_text(wg(dunce_graph()))
+    tree = tmp_path / "path.g"
+    tree.write_text(wg(Graph((0,) * 7,
+                             tuple((i, i + 1) for i in range(1, 7)))))
     return {"sunrise": str(g), "w3": str(w3), "hex": str(m),
-            "dunce": str(dunce)}
+            "dunce": str(dunce), "tree": str(tree)}
 
 
 def test_cli_psi(files, capsys):
@@ -139,6 +142,19 @@ def test_cli_residue_divergent_graph(files, capsys):
     assert "non-projective" in err
 
 
+def test_cli_residue_offers_no_sampler_choice(files, capsys):
+    """Residues are sampled from the tropical measure only: the JSON
+    estimate names no sampler, and argparse rejects ``--sampler``."""
+    assert main(["residue", files["w3"], "--samples", "2000",
+                 "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "sampler" not in payload
+    with pytest.raises(SystemExit) as exc:
+        main(["residue", files["w3"], "--sampler", "dirichlet"])
+    assert exc.value.code == 2
+    assert "--sampler" in capsys.readouterr().err
+
+
 def test_cli_rejects_non_integer_zeta_argument(files, capsys):
     code = main(["residue", files["w3"], "--samples", "2000", "--seed", "1",
                  "--target", "6*zeta(2.5)"])
@@ -181,13 +197,14 @@ def test_cli_rejects_non_positive_threads(files, capsys, command, threads):
     ["gc-homology", "--loops", "1"],
     ["residue", "{w3}", "--samples", "1"],
     ["residue", "{dunce}", "--samples", "2000"],
+    ["canonical", "{tree}", "--form", "5", "--samples", "2000"],
     ["minvec", "{bad_matrix}"],
     ["minvec", "{zero_denominator}"],
     ["cell", "{zero_denominator}"],
     ["torelli", "{sunrise}", "--lengths", "1,x,1"],
     ["torelli", "{sunrise}", "--lengths", "1,1"],
     ["torelli", "{sunrise}", "--lengths", "1/0,1,1"],
-], ids=["gc-loops", "residue-samples", "residue-divergent",
+], ids=["gc-loops", "residue-samples", "residue-divergent", "canonical-tree",
         "minvec-malformed", "minvec-zero-denominator", "cell-zero-denominator",
         "torelli-unparsable", "torelli-count", "torelli-zero-denominator"])
 def test_cli_maps_layer_errors_to_exit_2(files, tmp_path, capsys, argv):
