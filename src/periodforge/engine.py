@@ -50,10 +50,12 @@ class NonFinitePointError(IntegrationError):
 
 @dataclass(frozen=True)
 class Integrand:
-    """N(x)/Psi(x)^k against the projective volume form, or a form word.
+    """c x^nu / Psi(x)^k against the projective volume form, or a form word.
 
-    The numerator N is a Poly over the |E| edge variables and must be
-    projectively homogeneous: deg N - k*h = -|E|.  Form-word integrands
+    The numerator c x^nu is a one-term Poly over the |E| edge variables
+    and must be projectively homogeneous: |nu| - k*h = -|E|.  It fixes the
+    matched tropical density x^nu / (Psi^tr)^k, so each sample weighs
+    c T (Psi^tr / Psi)^k with T the tropical period.  Form-word integrands
     evaluate pointwise through the batched Laplacian evaluator.
     """
 
@@ -72,11 +74,10 @@ class Integrand:
             if self.numerator.nvars != g.ne:
                 raise GraphError("numerator must be a polynomial in the "
                                  f"{g.ne} edge variables")
-            degs = self.numerator.degrees()
-            if len(degs) != 1:
-                raise GraphError("numerator must be homogeneous")
-            d = degs.pop()
-            if d - self.psi_power * g.loop_number() != -g.ne:
+            if len(self.numerator.coeffs) != 1:
+                raise GraphError("numerator must be one monomial")
+            (nu,) = self.numerator.coeffs
+            if sum(nu) - self.psi_power * g.loop_number() != -g.ne:
                 raise GraphError(
                     "non-projective integrand: deg N - k h != -|E|")
         else:
@@ -89,7 +90,7 @@ class Integrand:
 
     def sampler_parameters(self) -> tuple[tuple[int, ...], Fraction]:
         """(nu, k) of the matched tropical density."""
-        if self.form_spec is None and len(self.numerator.coeffs) == 1:
+        if self.form_spec is None:
             (nu,) = self.numerator.coeffs
             return nu, Fraction(self.psi_power)
         g = self.graph
@@ -162,27 +163,19 @@ class _Evaluator:
         """Weights f * exp(logw) at simplex points, where I = integral of
         f * Omega and ``logw`` is the sampler's log importance weight.
 
-        f is homogeneous of degree -|E|; it is evaluated in the chart of
-        the last edge, at y = x/x_|E|, and compensated by x_|E|^-|E|.  For
-        N/Psi^k the weight is formed in log space, log|N| - k log Psi(y) -
-        |E| log x_|E| + logw, and exponentiated once; log Psi comes from
-        the incidence, which repairs the rows its float factorisation
-        cannot trust.
+        For c x^nu / Psi^k the sampler's density carries x^nu, so the
+        weight is c exp(logw - k log Psi(x)) = c T (Psi^tr / Psi)^k at the
+        simplex point itself; log Psi comes from the incidence, which
+        repairs the rows its float factorisation cannot trust.
         """
         ig = self.ig
         if ig.form_spec is not None:
             return self.form.integrand_values(xs) * np.exp(logw)
-        xc = xs[:, -1]
-        ys = xs / xc[:, None]
-        logpsi = self.inc.log_psi(ys)
-        num = ig.numerator.evaluate_floats(ys)
+        (c,) = ig.numerator.coeffs.values()
         # a non-finite weight is reported by _run_shard, not warned about
         with np.errstate(all="ignore"):
-            logf = np.log(np.abs(num))
-            logf -= ig.psi_power * logpsi
-            logf -= ig.graph.ne * np.log(xc)
-            logf += logw
-            return np.copysign(np.exp(logf, out=logf), num)
+            logw = logw - ig.psi_power * self.inc.log_psi(xs)
+            return float(c) * np.exp(logw, out=logw)
 
 
 def _run_shard(ev: _Evaluator, sampler: TropicalSampler, seed: int,

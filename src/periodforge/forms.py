@@ -290,43 +290,36 @@ def graph_canonical_form(g: Graph, spec: FormSpec) -> RationalForm:
 # numeric path: rank-one cycle products
 # ---------------------------------------------------------------------------
 
+def _row_reduce(rows: list[dict], m: int):
+    """Sparse Fraction rows to reduced row echelon form in their first m
+    columns, in place: ``echelon``, then back substitution by ``pivot``
+    over the pivots in reverse.  Returns the pivots of ``echelon``."""
+    pivots = echelon(rows, limit=m)
+    for r, c, _ in reversed(pivots):
+        pivot(rows, r, c)
+    return pivots
+
+
 def _rank_one_terms(mat: Sequence[Sequence[Fraction]]):
-    """Decompose a constant matrix as sum of outer products a b^T."""
+    """Decompose a constant matrix as sum of outer products a b^T: M =
+    sum of M[:, c] (row r of the reduced echelon form) over its pivots
+    (r, c)."""
     m = len(mat)
-    a = [list(map(Fraction, row)) for row in mat]
-    terms = []
-    while True:
-        piv = None
-        for i in range(m):
-            for j in range(m):
-                if a[i][j]:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            return terms
-        i0, j0 = piv
-        col = [a[i][j0] for i in range(m)]
-        row = [a[i0][j] / a[i0][j0] for j in range(m)]
-        terms.append((col, row))
-        for i in range(m):
-            if col[i]:
-                for j in range(m):
-                    a[i][j] -= col[i] * row[j]
+    rows = [{j: Fraction(v) for j, v in enumerate(r) if v} for r in mat]
+    return [([Fraction(row[c]) for row in mat],
+             [rows[r].get(j, Fraction(0)) for j in range(m)])
+            for r, c, _ in _row_reduce(rows, m)]
 
 
 def _invert_exact(mat: Sequence[Sequence[Fraction]]):
-    """Exact inverse: ``echelon`` on [A | I], pivoting in A's columns only,
-    then back substitution by ``pivot`` over the pivots in reverse."""
+    """Exact inverse: ``_row_reduce`` on [A | I], pivoting in A's columns
+    only."""
     m = len(mat)
     rows = [{j: Fraction(v) for j, v in enumerate(r) if v}
             | {m + i: Fraction(1)} for i, r in enumerate(mat)]
-    pivots = echelon(rows, limit=m)
+    pivots = _row_reduce(rows, m)
     if len(pivots) < m:
         raise FormError("matrix is singular at the evaluation point")
-    for r, c, _ in reversed(pivots):
-        pivot(rows, r, c)
     inv = [None] * m
     for r, c, _ in pivots:
         inv[c] = [rows[r].get(m + j, Fraction(0)) for j in range(m)]
@@ -675,8 +668,9 @@ class CycleIncidence:
         inv.reshape(h*h, B)`` is the Gram in the subset DP's layout.  Rows
         the factorisation flags (extreme corner samples) are redone in
         rational arithmetic; their columns are zeroed first, so the product
-        meets no NaN.  A flagged row with a non-finite coordinate has no
-        exact Gram: it gets NaN, which its caller reports.
+        meets no NaN.  A flagged row with no exact Gram, because a
+        coordinate is not finite or its Laplacian is singular, gets NaN,
+        which its caller reports with the point.
         """
         import numpy as np
 
@@ -685,17 +679,22 @@ class CycleIncidence:
         inv[:, :, bad] = 0.0
         gt = (self.pair @ inv.reshape(-1, B)).reshape(ne, ne, B)
         for i in np.flatnonzero(bad):
-            gt[:, :, i] = (self._gram_exact(xs[i]) if np.isfinite(xs[i]).all()
-                           else np.nan)
+            gt[:, :, i] = self._gram_exact(xs[i])
         return gt
 
     def _gram_exact(self, x):
-        """One row's Gram matrix in rational arithmetic, rounded once."""
+        """One row's Gram matrix in rational arithmetic, rounded once; NaN
+        when the row has no exact Gram."""
         import numpy as np
 
+        if not np.isfinite(x).all():
+            return np.nan
         q = [[Fraction(c) for c in row] for row in self.q.tolist()]
-        lam = self.exact_laplacian(x)
-        return np.array(_exact_gram(_invert_exact(lam), q, q), dtype=float)
+        try:
+            inv = _invert_exact(self.exact_laplacian(x))
+        except FormError:
+            return np.nan
+        return np.array(_exact_gram(inv, q, q), dtype=float)
 
 
 class _PathArrays:

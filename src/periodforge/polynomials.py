@@ -91,21 +91,32 @@ class Poly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.coeffs.items())))
 
-    def __add__(self, other: "Poly | int | Fraction") -> "Poly":
+    def _same_ring(self, other: "Poly | int | Fraction") -> "Poly":
+        """``other`` as a Poly in these variables: a scalar is a constant;
+        a Poly in another number of variables raises PolynomialError."""
         if not isinstance(other, Poly):
-            other = Poly.const(self.nvars, other)
+            return Poly.const(self.nvars, other)
+        if other.nvars != self.nvars:
+            raise PolynomialError(f"polynomials in {self.nvars} and "
+                                  f"{other.nvars} variables do not combine")
+        return other
+
+    def __add__(self, other: "Poly | int | Fraction") -> "Poly":
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
+        for k, c in self._same_ring(other).coeffs.items():
             out[k] = out.get(k, 0) + c
         return Poly(self.nvars, out)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "Poly") -> "Poly":
+    def __sub__(self, other: "Poly | int | Fraction") -> "Poly":
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
+        for k, c in self._same_ring(other).coeffs.items():
             out[k] = out.get(k, 0) - c
         return Poly(self.nvars, out)
+
+    def __rsub__(self, other: "int | Fraction") -> "Poly":
+        return self._same_ring(other) - self
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, {k: -c for k, c in self.coeffs.items()})
@@ -113,6 +124,7 @@ class Poly:
     def __mul__(self, other: "Poly | int | Fraction") -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
+        other = self._same_ring(other)
         out: dict[tuple, Fraction] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
@@ -271,30 +283,11 @@ class LinearFormMatrix:
             self.nvars, self.symmetric)
 
 
-def generic_matrix(m: int, symmetric: bool = False) -> LinearFormMatrix:
-    """Matrix of independent variables; symmetric uses m(m+1)/2 of them.
-
-    Variables are numbered along the diagonal first, then the upper triangle
-    row by row, matching the displays used in the worked examples.
-    """
-    if symmetric:
-        # x1..xm on the diagonal, then x_{m+1}.. in the upper triangle
-        idx = {}
-        nxt = m + 1
-        for i in range(m):
-            idx[(i, i)] = i + 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                idx[(i, j)] = nxt
-                idx[(j, i)] = nxt
-                nxt += 1
-        nvars = m * (m + 1) // 2
-        rows = tuple(tuple(Poly.var(nvars, idx[(i, j)]) for j in range(m))
-                     for i in range(m))
-        return LinearFormMatrix(rows, nvars, symmetric=True)
+def generic_matrix(m: int) -> LinearFormMatrix:
+    """Matrix of m*m independent variables, numbered row by row."""
     rows = tuple(tuple(Poly.var(m * m, i * m + j + 1) for j in range(m))
                  for i in range(m))
-    return LinearFormMatrix(rows, m * m, symmetric=False)
+    return LinearFormMatrix(rows, m * m)
 
 
 def generic_2x2() -> LinearFormMatrix:
@@ -304,8 +297,16 @@ def generic_2x2() -> LinearFormMatrix:
 
 
 def generic_symmetric(m: int) -> LinearFormMatrix:
-    """Symmetric matrix with diagonal x1..xm, off-diagonals x_{m+1}..."""
-    return generic_matrix(m, symmetric=True)
+    """Symmetric matrix of m(m+1)/2 variables: x1..xm on the diagonal, then
+    x_{m+1}.. along the upper triangle row by row, matching the displays
+    used in the worked examples."""
+    idx = {(i, i): i + 1 for i in range(m)}
+    for v, (i, j) in enumerate(itertools.combinations(range(m), 2), m + 1):
+        idx[(i, j)] = idx[(j, i)] = v
+    nvars = m * (m + 1) // 2
+    rows = tuple(tuple(Poly.var(nvars, idx[(i, j)]) for j in range(m))
+                 for i in range(m))
+    return LinearFormMatrix(rows, nvars, symmetric=True)
 
 
 # ---------------------------------------------------------------------------

@@ -226,7 +226,6 @@ class TropicalSampler:
         self.omega_f = (measure.omega_num
                         / measure.k.denominator).astype(float)
         self.omega_f[0] = 1.0
-        self.nu = np.array(measure.nu, dtype=float)
         self.kf = float(measure.k)
         self.log_period = math.log(float(measure.tropical_period))
         self.hfull = int(h[size - 1])
@@ -299,10 +298,11 @@ def simplex_sample(rng: np.random.Generator, count: int,
                    sampler: TropicalSampler):
     """(points on the simplex (count, n), log importance weights (count,)).
 
-    Points are normalised to sum 1, and the weight of a point x is the
-    reciprocal density tropical_period * (Psi^tr(x))^k / x^nu, so
-    mean(weight * f(points)) estimates the projective integral of f.
-    Every draw is an ``rng.random`` call, so ``rng`` may be a ``RowWindow``.
+    Points are normalised to sum 1.  The log weight of a point x is log of
+    tropical_period * (Psi^tr(x))^k, the reciprocal density times x^nu: for
+    an integrand c x^nu / Psi^k the mean of c * exp(logw) / Psi(x)^k
+    estimates its projective integral, and x^nu is never formed.  Every
+    draw is an ``rng.random`` call, so ``rng`` may be a ``RowWindow``.
     """
     logxs, logpsitr = sampler.sample(rng, count)
     xs = np.exp(logxs)
@@ -311,7 +311,4 @@ def simplex_sample(rng: np.random.Generator, count: int,
     # psi_tr is homogeneous of degree h: shift its log to the simplex scale
     scale = -np.log(total[:, 0])
     logpsitr = logpsitr + sampler.hfull * scale
-    logw = sampler.log_period + sampler.kf * logpsitr
-    if sampler.nu.any():
-        logw = logw - (np.log(xs) * sampler.nu).sum(axis=1)
-    return xs, logw
+    return xs, sampler.log_period + sampler.kf * logpsitr

@@ -7,7 +7,7 @@ import pytest
 
 from periodforge.graphs import (Graph, GraphError, _root, banana, complete,
                                 cycle, wheel, zigzag)
-from periodforge.polynomials import Poly, graph_polynomial
+from periodforge.polynomials import Poly, graph_polynomial, spanning_trees
 from periodforge import engine
 from periodforge.forms import FormSpec
 from periodforge.tropical import (DivergentIntegrandError, RowWindow,
@@ -252,8 +252,7 @@ def test_simplex_sample_matches_inline_weights():
     total = ex.sum(axis=1, keepdims=True)
     assert np.array_equal(xs, ex / total)
     logpsitr = logpsitr + wheel(5).loop_number() * -np.log(total[:, 0])
-    lognu = (np.log(ex / total) * np.array(nu, dtype=float)).sum(axis=1)
-    ref = math.log(float(m.tropical_period)) + 3.0 * logpsitr - lognu
+    ref = math.log(float(m.tropical_period)) + 3.0 * logpsitr
     assert np.array_equal(logw, ref)
 
 
@@ -316,6 +315,11 @@ def test_integrand_validation():
         Integrand(wheel(3), numerator=Poly.const(6, 1), psi_power=3)
     with pytest.raises(GraphError, match="edge variables"):
         Integrand(wheel(3), numerator=Poly.const(5, 1), psi_power=2)
+    # two terms of the projective degree: each would need its own density
+    two = Poly.monomial(6, [1, 2, 3]) + Poly.monomial(6, [4, 5, 6])
+    for num in (two, Poly.zero(6)):
+        with pytest.raises(GraphError, match="one monomial"):
+            Integrand(wheel(3), numerator=num, psi_power=3)
     for edges in ([0, 1], [1, 7]):
         with pytest.raises(GraphError, match="must lie in 1..6"):
             monomial_integrand(wheel(3), edges, 3)
@@ -327,6 +331,43 @@ def test_integrand_validation():
     ig = residue_integrand(dunce_graph())  # constructed fine, diverges later
     with pytest.raises(DivergentIntegrandError):
         integrate(ig, 1000, seed=0)
+
+
+@pytest.mark.parametrize("g, edges, k, c", [
+    (wheel(5), [1, 2, 3, 4, 5], 3, 12),
+    (zigzag(8), [], 2, 1),
+    (complete(6), list(range(1, 16)), 3, 1)], ids=["W5-spokes", "Z8", "K6"])
+def test_monomial_weights_lie_in_the_tropical_band(g, edges, k, c):
+    """A sample of c x^nu / Psi^k weighs c T (Psi^tr/Psi)^k, and Psi^tr <=
+    Psi <= N Psi^tr with N = Psi(1, ..., 1) the spanning-tree count, so
+    every weight of a block lies in [c T / N^k, c T]."""
+    ig = (monomial_integrand(g, edges, k, c) if edges
+          else residue_integrand(g))
+    nu, kf = ig.sampler_parameters()
+    measure = build_measure(g, nu, kf)
+    xs, logw = simplex_sample(np.random.default_rng(8), engine._BLOCK,
+                              TropicalSampler(measure))
+    w = engine._Evaluator(ig).values(xs, logw)
+    top = c * float(measure.tropical_period)
+    trees = len(spanning_trees(g))
+    assert trees == {10: 121, 16: 2919, 15: 1296}[g.ne]
+    assert (w >= top / trees ** k * (1 - 1e-12)).all()
+    assert (w <= top * (1 + 1e-12)).all()
+
+
+def test_singular_form_row_reports_its_point(monkeypatch):
+    """A form-word row whose Laplacian is singular (the W3 triangle of
+    edges 1, 2 and 4 at zero) aborts with its point, as the residue path
+    reports the same row."""
+    xs = np.array([[0.2, 0.3, 0.1, 0.15, 0.15, 0.1],
+                   [0.0, 0.0, 0.25, 0.0, 0.25, 0.5]])
+    monkeypatch.setattr(engine, "simplex_sample",
+                        lambda rng, count, s: (xs, np.zeros(2)))
+    for run in (lambda: integrate_canonical(wheel(3), FormSpec((5,)), 2, 0),
+                lambda: integrate_residue(wheel(3), 2, 0)):
+        with pytest.raises(engine.NonFinitePointError) as info:
+            run()
+        assert list(info.value.point) == list(xs[1])
 
 
 def test_bubble_residue():

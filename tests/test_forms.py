@@ -13,7 +13,8 @@ from periodforge.polynomials import (Poly, PolynomialError, cycle_basis,
 from periodforge.forms import (BatchedGraphFormEvaluator, CycleIncidence,
                                FormError, FormEvaluator, FormSpec,
                                RationalForm, _PathArrays, _cycle_coefficients,
-                               _invert_exact, canonical_form_numeric,
+                               _invert_exact, _rank_one_terms,
+                               canonical_form_numeric,
                                canonical_form_symbolic, graph_canonical_form)
 from forms_oracle import dense_coefficients
 
@@ -599,6 +600,22 @@ def test_batched_exact_gram_row():
     vals = ev.evaluate(xs)
     assert len(calls) == 1
     assert np.isfinite(vals).all()
+
+
+def test_rank_one_terms_sum_to_the_matrix():
+    """The split has one term per rank and its outer products add up to
+    the matrix, exactly."""
+    rng = np.random.default_rng(5)
+    for m, rank in ((1, 1), (3, 1), (3, 2), (4, 4), (4, 0)):
+        prod = np.zeros((m, m), dtype=int)
+        while np.linalg.matrix_rank(prod) < rank:
+            prod = (rng.integers(-3, 4, size=(m, rank))
+                    @ rng.integers(-3, 4, size=(rank, m)))
+        mat = [[Fraction(int(v)) for v in row] for row in prod]
+        terms = _rank_one_terms(mat)
+        assert len(terms) == rank
+        assert [[sum(col[i] * row[j] for col, row in terms)
+                 for j in range(m)] for i in range(m)] == mat
 
 
 def test_batched_evaluate_leaves_no_reference_cycles():

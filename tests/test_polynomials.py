@@ -303,6 +303,21 @@ def test_poly_division_and_derivative():
     assert d == Poly(3, {(0, 0, 1): 2})
 
 
+def test_poly_arithmetic_needs_one_ring():
+    """+, - and * of polynomials in different numbers of variables raise
+    PolynomialError; - takes a scalar on either side, as + does."""
+    x1, x3 = Poly.var(2, 1), Poly.var(3, 3)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(PolynomialError, match="2 and 3 variables"):
+            op(x1, x3)
+        with pytest.raises(PolynomialError, match="3 and 2 variables"):
+            op(x3, x1)
+    assert x1 - 1 == Poly(2, {(1, 0): 1, (0, 0): -1})
+    assert 1 - x1 == Poly(2, {(1, 0): -1, (0, 0): 1})
+    assert Fraction(1, 2) - x1 + x1 == Poly.const(2, Fraction(1, 2))
+    assert 2 * x1 - x1 * 2 == Poly.zero(2)
+
+
 def test_poly_evaluate_floats():
     import numpy as np
 
