@@ -11,6 +11,7 @@ results do not depend on the block size either.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -221,8 +222,12 @@ def integrate(ig: Integrand, samples: int, seed: int, threads: int = 1,
     Deterministic for fixed (seed, samples, shard_size); shards have
     independent substreams and are reduced in index order.
     """
-    if samples < 2:
-        raise IntegrationError("need at least two samples")
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise IntegrationError(
+            f"samples must be an integer of at least 2, got {samples!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise IntegrationError(
+            f"seed must be a non-negative integer, got {seed!r}")
     if threads < 1:
         raise IntegrationError(f"threads must be at least 1, got {threads}")
     if shard_size < 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,15 @@ class FormSpec:
     components: tuple[int, ...]
 
     def __init__(self, components):
-        comps = tuple(int(n) for n in components)
+        try:
+            comps = tuple(components)
+        except TypeError:
+            raise FormError("form specification must be a sequence of "
+                            f"integers, got {components!r}") from None
+        for n in comps:
+            if not isinstance(n, numbers.Integral):
+                raise FormError(f"component {n!r} is not an integer")
+        comps = tuple(map(int, comps))
         if not comps:
             raise FormError("empty form specification")
         for n in comps:
@@ -362,7 +371,10 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
     Every path array, the start arrays and ``tmp`` are taken from
     ``arrays``, a ``_PathArrays`` free list of ``gt``'s dtype, and each
     goes back once no path reads it; the coefficient arrays returned come
-    from it too.
+    from it too.  This is the one closing on every route but the batched
+    evaluator's single-component words, which ``_top_cycle_coefficient``
+    closes in the middle: that agrees with this DP to rounding, not bit for
+    bit.
     """
     import numpy as np
 
@@ -384,13 +396,8 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
             if n == 1:
                 closed = [(0, alpha, start)]
             else:
-                paths = {0: [(alpha, start)]}
-                for _ in range(n - 2):
-                    nxt: dict[int, list] = {}
-                    for mask, beta, val in _extend(paths, free, rows, tmp,
-                                                   arrays):
-                        nxt.setdefault(mask, []).append((beta, val))
-                    paths = nxt
+                paths = _deepen({0: [(alpha, start)]}, n - 2, free, rows,
+                                tmp, arrays)
                 closed = _extend(paths, free, rows, tmp, arrays)
             for mask, last, val in closed:
                 s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
@@ -405,6 +412,76 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
                     give(val)
     give(tmp)
     return out
+
+
+def _top_cycle_coefficient(n: int, gt, arrays):
+    """(B,) coefficient of dx_1 ^ ... ^ dx_n in tr((X^-1 dX)^n), n = 1 mod
+    4, for one atom per variable (atom v - 1 of variable v) and the float
+    Gram ``gt`` of a symmetric family, by meeting in the middle.
+
+    ``gt`` is first made symmetric in place, G[x, y] and G[y, x] both set
+    to their mean, so one direction of a cycle stands for both to first
+    order in their rounding, as in the DP's sum over both directions.
+    ``_extend`` grows the paths from atom 0 to depth h = (n - 1)/2 only:
+    f_h(S, b) over |S| = h, b last.  A cycle 0 -> A -> b -> B - b -> 0,
+    A its first h atoms, is f_h(A, a) stepped on to b by G[a, b], then
+    f_h(B, b) walked backwards; its sign is theirs times (-1)^(cross(A, B)
+    + h(h - 1)/2), cross counting the x in A and y in B with x > y.
+    Reversal keeps a cycle's product and, as n = 1 mod 4, its sign, so
+    only splits with atom 1 in A are summed and the total is doubled; the
+    factor n counts the rotations.  The tables of A and of B go back to
+    ``arrays`` after their one split."""
+    import numpy as np
+
+    arrays.hand_out(gt.shape[2])
+    take, give = arrays.take, arrays.give
+    for i in range(n - 1):
+        upper = gt[i, i + 1:n]
+        upper += gt[i + 1:n, i]
+        upper *= 0.5
+        gt[i + 1:n, i] = upper
+    tmp = take()
+    rows = [list(r) for r in gt]
+    h = (n - 1) // 2
+    # atom i >= 1 is bit i - 1 of a mask
+    free = [(i, 1 << (i - 1), (i,)) for i in range(1, n)]
+    start = take()
+    start.fill(1)
+    paths = _deepen({0: [(0, start)]}, h, free, rows, tmp, arrays)
+    full = (1 << (n - 1)) - 1
+    total = np.zeros(gt.shape[2])
+    for amask in [m for m in paths if m & 1]:
+        bmask = full ^ amask
+        cross = sum((amask >> (i + 1)).bit_count() for i in range(n - 1)
+                    if bmask >> i & 1)
+        add = np.subtract if (cross + h * (h - 1) // 2) & 1 else np.add
+        (a0, val0), *more = paths.pop(amask)
+        for b, term in paths.pop(bmask):
+            step = np.multiply(val0, rows[a0][b], out=take())
+            for a, val in more:
+                np.multiply(val, rows[a][b], out=tmp)
+                step += tmp
+            term *= step
+            add(total, term, out=total)
+            give(step)
+            give(term)
+        give(val0)
+        for _, val in more:
+            give(val)
+    give(tmp)
+    total *= 2 * n
+    return total
+
+
+def _deepen(paths: dict, steps: int, free, rows, tmp, arrays) -> dict:
+    """``paths`` after ``steps`` calls of ``_extend``, each depth kept as
+    mask -> [(last atom, array), ...] in creation order."""
+    for _ in range(steps):
+        nxt: dict[int, list] = {}
+        for mask, beta, val in _extend(paths, free, rows, tmp, arrays):
+            nxt.setdefault(mask, []).append((beta, val))
+        paths = nxt
+    return paths
 
 
 def _extend(paths: dict, free, rows, tmp, arrays):
@@ -733,11 +810,16 @@ class BatchedGraphFormEvaluator:
     ``_cycle_coefficients``, with one atom per edge and numpy arrays over
     the sample axis.  The DP accumulates in place, keeping the per-element
     order of the floating-point operations of the plain term-by-term sum:
-    estimates are bit-identical to that sum over the same Gram.  The
-    engine passes one block of samples at a time, which bounds the Gram
-    tensor and the DP's path arrays; each thread draws those arrays from
-    its own ``_PathArrays``, so they are allocated once per thread, not
-    once per block.
+    a multi-component word's estimate is bit-identical to that sum over the
+    same Gram.  A single-component word needs only the coefficient on all
+    chart variables, whose cycles ``_top_cycle_coefficient`` closes by
+    joining half paths, using the Gram's symmetry: its estimates match the
+    DP's to rounding, not bit for bit.  Either way each element's
+    operations are fixed, so estimates do not depend on the thread count.
+    The engine passes one block of samples at a time, which bounds the
+    Gram tensor and the DP's path arrays; each thread draws those arrays
+    from its own ``_PathArrays``, so they are allocated once per thread,
+    not once per block.
     """
 
     def __init__(self, g: Graph, spec: FormSpec):
@@ -767,6 +849,8 @@ class BatchedGraphFormEvaluator:
             arrays = self._local.arrays = _PathArrays(float)
         gt = self.inc.gram(xs)
         comps = list(self.spec.components)
+        if len(comps) == 1:
+            return _top_cycle_coefficient(comps[0], gt, arrays)
         per = {n: _cycle_coefficients(n, gt, self.chart_vars, self.atoms_of,
                                       arrays)
                for n in set(comps)}

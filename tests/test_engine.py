@@ -429,6 +429,26 @@ def test_integrate_rejects_non_positive_shard_size(shard_size, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("kw, message", [
+    ({"samples": 10.5}, "samples must be an integer of at least 2, got 10.5"),
+    ({"samples": 1}, "samples must be an integer of at least 2, got 1"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5")],
+    ids=["fractional-samples", "one-sample", "negative-seed",
+         "fractional-seed"])
+def test_integrate_rejects_bad_samples_and_seed(kw, message, monkeypatch):
+    """A sample count or seed the streams cannot use fails before any
+    preprocessing, naming the value, as the thread and shard checks do."""
+    built = []
+    monkeypatch.setattr(engine, "build_measure",
+                        lambda *a: built.append(a))
+    args = {"samples": 1000, "seed": 0, **kw}
+    with pytest.raises(IntegrationError, match=message):
+        integrate(canonical_integrand(wheel(3), FormSpec((5,))),
+                  args["samples"], args["seed"])
+    assert built == []
+
+
 def test_z_score_and_tolerance():
     est = IntegralEstimate(10.0, 0.5, 100, 0)
     assert est.z(10.0) == 0.0

@@ -40,6 +40,22 @@ def test_formspec_validation():
     with pytest.raises(FormError):
         FormSpec(())
     assert FormSpec((5, 9, 13)).degree == 27
+    assert FormSpec([np.int64(9)]).components == (9,)
+
+
+@pytest.mark.parametrize("components, message", [
+    ([9.9], "component 9.9 is not an integer"),
+    (["5"], "component '5' is not an integer"),
+    ([5, 9.0], "component 9.0 is not an integer"),
+    ("59", "component '5' is not an integer"),
+    (5, "must be a sequence of integers, got 5"),
+    (None, "must be a sequence of integers, got None")])
+def test_formspec_rejects_what_is_not_a_word(components, message):
+    """A component that is not an integer is rejected, not rounded or
+    parsed into another word, and a bare number is the layer's error, not
+    a TypeError."""
+    with pytest.raises(FormError, match=message):
+        FormSpec(components)
 
 
 def test_omega3_2x2_display():
@@ -536,6 +552,59 @@ def test_non_finite_row_gets_nan_gram():
         assert np.isnan(values[1])
         assert np.isfinite(values[[0, 2]]).all()
         assert values[0] == values[2] == ev.evaluate(xs[:1])[0]
+
+
+def test_non_finite_row_gets_nan_on_w5():
+    """The same for omega9 on W5, whose half-path join reads every Gram
+    entry of the row: NaN there, and elsewhere the values of a batch of the
+    same length with no bad row.  (The Gram's matrix product may round
+    differently for a batch of one to four rows, so the lengths match.)"""
+    ev = BatchedGraphFormEvaluator(wheel(5), FormSpec((9,)))
+    good = list(np.linspace(0.1, 0.3, 10))
+    clean = ev.evaluate(np.array([good] * 3))
+    for bad in (np.inf, np.nan):
+        row = [1.0] * 10
+        row[6] = bad
+        values = ev.evaluate(np.array([good, row, good]))
+        assert np.isnan(values[1])
+        assert np.isfinite(values[[0, 2]]).all()
+        assert values[0] == values[2] == clean[0]
+
+
+@pytest.mark.parametrize("k, rows", [(3, 40), (5, 40), (7, 16)])
+def test_half_path_join_matches_the_dp(k, rows):
+    """omega_{2k-1} on the wheel W_k has one component, so the batched
+    evaluator closes its cycles by joining half paths: on the same Gram
+    tensor it agrees with the full subset DP to rounding, on Dirichlet rows
+    and, on W3, on a corner row that takes the exact Gram."""
+    n = 2 * k - 1
+    ev = BatchedGraphFormEvaluator(wheel(k), FormSpec((n,)))
+    xs = np.random.default_rng(31 + k).dirichlet(np.ones(2 * k), size=rows)
+    if k == 3:
+        xs = np.vstack([xs, [[1, 1, 1, 1e-300, 1e-300, 1e-300]]])
+    gt = ev.inc.gram(xs)
+    dp = _cycle_coefficients(n, gt, ev.chart_vars, ev.atoms_of,
+                             _PathArrays(float))
+    want = dp[frozenset(ev.chart_vars)]
+    ev.inc.gram = lambda _: gt
+    got = ev.evaluate(xs)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_half_path_join_matches_exact_evaluator(k):
+    """The join against the exact evaluator's Fraction DP at three dyadic
+    points, which floats hold exactly."""
+    g = wheel(k)
+    spec = FormSpec((2 * k - 1,))
+    ev = BatchedGraphFormEvaluator(g, spec)
+    exact = FormEvaluator(laplacian(g), chart=g.ne)
+    pts = [[Fraction(1 + (3 * i + j) % 7, 8) for i in range(g.ne)]
+           for j in range(3)]
+    got = ev.evaluate(np.array(pts, dtype=float))
+    for value, pt in zip(got, pts):
+        want = exact.word_top_coefficient(spec, pt)
+        assert abs(value - want) <= 1e-9 * abs(want), pt
 
 
 def test_gram_matches_exact_gram():

@@ -193,6 +193,21 @@ def test_cli_rejects_non_positive_threads(files, capsys, command, threads):
     assert f"threads must be at least 1, got {threads}" in err
 
 
+@pytest.mark.parametrize("command", ["residue", "canonical"])
+def test_cli_rejects_negative_seed_before_preprocessing(files, capsys,
+                                                        monkeypatch, command):
+    built = []
+    monkeypatch.setattr("periodforge.engine.build_measure",
+                        lambda *a: built.append(a))
+    form = ["--form", "5"] if command == "canonical" else []
+    code = main([command, files["w3"], *form, "--samples", "2000",
+                 "--seed", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -1" in err
+    assert built == []
+
+
 @pytest.mark.parametrize("argv", [
     ["gc-homology", "--loops", "1"],
     ["residue", "{w3}", "--samples", "1"],
