@@ -13,6 +13,7 @@ tropical subset tables (divergences).
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 
@@ -325,6 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     t0 = time.time()
+    # One BLAS thread unless the caller chose otherwise, set before any
+    # subcommand loads numpy: --threads is the engine's parallelism, and a
+    # BLAS thread per core makes the small Laplacian and Gram products many
+    # times slower.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -214,6 +214,17 @@ def _merge_moments(parts):
     return n, mean, m2
 
 
+def _check_samples_and_seed(samples, seed) -> None:
+    """Rejects, naming the value, a sample count or seed that the streams
+    cannot use."""
+    if not isinstance(samples, numbers.Integral) or samples < 2:
+        raise IntegrationError(
+            f"samples must be an integer of at least 2, got {samples!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise IntegrationError(
+            f"seed must be a non-negative integer, got {seed!r}")
+
+
 def integrate(ig: Integrand, samples: int, seed: int, threads: int = 1,
               shard_size: int = _SHARD) -> IntegralEstimate:
     """Importance-weighted estimate of the projective integral of ig under
@@ -222,12 +233,7 @@ def integrate(ig: Integrand, samples: int, seed: int, threads: int = 1,
     Deterministic for fixed (seed, samples, shard_size); shards have
     independent substreams and are reduced in index order.
     """
-    if not isinstance(samples, numbers.Integral) or samples < 2:
-        raise IntegrationError(
-            f"samples must be an integer of at least 2, got {samples!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise IntegrationError(
-            f"seed must be a non-negative integer, got {seed!r}")
+    _check_samples_and_seed(samples, seed)
     if threads < 1:
         raise IntegrationError(f"threads must be at least 1, got {threads}")
     if shard_size < 1:
@@ -278,8 +284,10 @@ def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,
     chart orientation; the chain coefficients already carry the edge-order
     parities relative to those representatives.  Class ``i`` is seeded
     from ``SeedSequence(seed, spawn_key=(i,))``, so no two (seed, class)
-    pairs share a stream.
+    pairs share a stream.  The sample count and seed are checked as in
+    ``integrate``, also for a zero chain.
     """
+    _check_samples_and_seed(samples, seed)
     if chain.is_zero():
         return IntegralEstimate(0.0, 0.0, 0, seed)
     for cls in chain.coeffs:

@@ -354,19 +354,15 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
     of a graph Laplacian, two per off-diagonal variable of a symmetric
     family.
 
-    For each anchor atom alpha, a depth holds the open paths as mask over
-    the bigger variables -> [(last atom, array), ...], masks and paths in
-    creation order.  ``_extend`` builds the next depth one destination at a
-    time: the paths into (S | w, beta) all come from the single mask S,
-    so the destination's array takes the terms of S's paths one after
-    another while they stay in cache.  A source mask is dropped as soon as
-    its destinations are built, and the last extension is never stored:
-    each of its paths is closed at once, by G[beta, alpha] and the
-    rotation count n, and added into its coefficient.  Per element this is
-    the same sequence of floating-point operations as forming each signed
-    term and summing the terms in path order, so the result does not
-    depend on the layout, on the accumulation being in place, or on how
-    the samples are split into batches.
+    For each anchor atom alpha, ``_stream`` grows the open paths over the
+    bigger variables mask by mask, and each path n - 1 variables long is
+    closed as soon as it is built, by G[beta, alpha] and the rotation count
+    n, and added into its coefficient.  Per element this is the same
+    sequence of floating-point operations as forming each signed term and
+    summing the terms in path order, so the result does not depend on the
+    layout, on the accumulation being in place, or on how the samples are
+    split into batches.  The order of the dict's keys is not part of the
+    result.
 
     Every path array, the start arrays and ``tmp`` are taken from
     ``arrays``, a ``_PathArrays`` free list of ``gt``'s dtype, and each
@@ -393,25 +389,56 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
         for alpha in atoms_of[anchor]:
             start = take()
             start.fill(1)
-            if n == 1:
-                closed = [(0, alpha, start)]
-            else:
-                paths = _deepen({0: [(alpha, start)]}, n - 2, free, rows,
-                                tmp, arrays)
-                closed = _extend(paths, free, rows, tmp, arrays)
-            for mask, last, val in closed:
+            paths = [(alpha, start)]
+            closed = ([(0, paths)] if n == 1 else
+                      _stream(paths, n - 1, free, rows, tmp, arrays))
+            for mask, built in closed:
                 s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
                                            if mask >> i & 1}
-                np.multiply(val, rows[last][alpha], out=val)
-                val *= n
-                prev = out.get(s)
-                if prev is None:
-                    out[s] = val
-                else:
-                    prev += val
-                    give(val)
+                for last, val in built:
+                    np.multiply(val, rows[last][alpha], out=val)
+                    val *= n
+                    prev = out.get(s)
+                    if prev is None:
+                        out[s] = val
+                    else:
+                        prev += val
+                        give(val)
     give(tmp)
     return out
+
+
+def _stream(paths: list, depth: int, free, rows, tmp, arrays):
+    """The paths ``depth`` >= 1 variables longer than ``paths``, those of
+    mask 0, yielded as (mask, [(last atom, array), ...]) per source of the
+    mask as they are built.
+
+    A mask is pushed on a stack once all its sources are extended, and the
+    masks one step completes are pushed smallest last, so it is popped
+    first: then every mask's sources are extended in ascending order, as in
+    a depth-by-depth sweep, and every sum keeps that sweep's order.  A
+    popped mask's arrays go back at once, so only partial and pushed masks
+    hold paths."""
+    stack = [(0, paths)]
+    partial: dict[int, list] = {}
+    while stack:
+        mask, paths = stack.pop()
+        if mask.bit_count() == depth - 1:
+            for bitw, built in _extend(mask, paths, free, rows, tmp, arrays):
+                yield mask | bitw, built
+            continue
+        done = []
+        for bitw, built in _extend(mask, paths, free, rows, tmp, arrays):
+            dest = mask | bitw
+            entry = partial.get(dest)
+            if entry is None:
+                entry = partial[dest] = [dest.bit_count(), []]
+            entry[0] -= 1
+            entry[1] += built
+            if not entry[0]:
+                del partial[dest]
+                done.append((dest, entry[1]))
+        stack += reversed(done)
 
 
 def _top_cycle_coefficient(n: int, gt, arrays):
@@ -422,7 +449,7 @@ def _top_cycle_coefficient(n: int, gt, arrays):
     ``gt`` is first made symmetric in place, G[x, y] and G[y, x] both set
     to their mean, so one direction of a cycle stands for both to first
     order in their rounding, as in the DP's sum over both directions.
-    ``_extend`` grows the paths from atom 0 to depth h = (n - 1)/2 only:
+    ``_deepen`` grows the paths from atom 0 to depth h = (n - 1)/2 only:
     f_h(S, b) over |S| = h, b last.  A cycle 0 -> A -> b -> B - b -> 0,
     A its first h atoms, is f_h(A, a) stepped on to b by G[a, b], then
     f_h(B, b) walked backwards; its sign is theirs times (-1)^(cross(A, B)
@@ -474,50 +501,52 @@ def _top_cycle_coefficient(n: int, gt, arrays):
 
 
 def _deepen(paths: dict, steps: int, free, rows, tmp, arrays) -> dict:
-    """``paths`` after ``steps`` calls of ``_extend``, each depth kept as
-    mask -> [(last atom, array), ...] in creation order."""
+    """``paths`` (mask -> [(last atom, array), ...]) ``steps`` variables
+    longer, a whole depth at a time, masks and paths in creation order."""
     for _ in range(steps):
         nxt: dict[int, list] = {}
-        for mask, beta, val in _extend(paths, free, rows, tmp, arrays):
-            nxt.setdefault(mask, []).append((beta, val))
+        for mask in list(paths):
+            for bitw, built in _extend(mask, paths.pop(mask), free, rows,
+                                       tmp, arrays):
+                nxt.setdefault(mask | bitw, []).extend(built)
         paths = nxt
     return paths
 
 
-def _extend(paths: dict, free, rows, tmp, arrays):
-    """The paths one variable longer than ``paths`` (mask -> [(last atom,
-    array), ...]), yielded as (mask, last atom, array) in creation order:
-    source masks in order, then ascending w, then the atoms of w.  The
-    first term of a destination is its product (negated when the sign is
-    odd), later terms are added or subtracted in the order of the source's
-    paths.  Each destination's array is taken from ``arrays``; each source
-    mask is popped from ``paths`` once its destinations are built, and its
-    arrays go back to ``arrays``."""
+def _extend(mask: int, paths: list, free, rows, tmp, arrays):
+    """The paths [(last atom, array), ...] of ``mask`` one variable longer,
+    yielded as (bit of w, [(beta, array) for beta in the atoms of w]) for
+    each free w in ascending order.  The first term of a destination is
+    its product (negated when the sign is odd), later terms are added or
+    subtracted in the order of ``paths``.  Each destination's array is
+    taken from ``arrays``; the arrays of ``paths`` go back to ``arrays``
+    once every destination is built."""
     import numpy as np
 
     mul = np.multiply
-    take, give = arrays.take, arrays.give
-    for mask in list(paths):
-        srcs = [(rows[last], val) for last, val in paths.pop(mask)]
-        (row0, val0), more = srcs[0], srcs[1:]
-        for above, bitw, betas in free:
-            if mask & bitw:
-                continue
-            odd = (mask >> above).bit_count() & 1
-            for beta in betas:
-                acc = mul(val0, row0[beta], take())
-                if odd:
-                    np.negative(acc, out=acc)
-                    for row, val in more:
-                        mul(val, row[beta], out=tmp)
-                        acc -= tmp
-                else:
-                    for row, val in more:
-                        mul(val, row[beta], out=tmp)
-                        acc += tmp
-                yield mask | bitw, beta, acc
-        for _, val in srcs:
-            give(val)
+    take = arrays.take
+    srcs = [(rows[last], val) for last, val in paths]
+    (row0, val0), more = srcs[0], srcs[1:]
+    for above, bitw, betas in free:
+        if mask & bitw:
+            continue
+        odd = (mask >> above).bit_count() & 1
+        built = []
+        for beta in betas:
+            acc = mul(val0, row0[beta], take())
+            if odd:
+                np.negative(acc, out=acc)
+                for row, val in more:
+                    mul(val, row[beta], out=tmp)
+                    acc -= tmp
+            else:
+                for row, val in more:
+                    mul(val, row[beta], out=tmp)
+                    acc += tmp
+            built.append((beta, acc))
+        yield bitw, built
+    for _, val in srcs:
+        arrays.give(val)
 
 
 class FormEvaluator:

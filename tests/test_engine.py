@@ -429,13 +429,16 @@ def test_integrate_rejects_non_positive_shard_size(shard_size, monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("kw, message", [
+_BAD_SAMPLES_AND_SEED = pytest.mark.parametrize("kw, message", [
     ({"samples": 10.5}, "samples must be an integer of at least 2, got 10.5"),
     ({"samples": 1}, "samples must be an integer of at least 2, got 1"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
     ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5")],
     ids=["fractional-samples", "one-sample", "negative-seed",
          "fractional-seed"])
+
+
+@_BAD_SAMPLES_AND_SEED
 def test_integrate_rejects_bad_samples_and_seed(kw, message, monkeypatch):
     """A sample count or seed the streams cannot use fails before any
     preprocessing, naming the value, as the thread and shard checks do."""
@@ -447,6 +450,23 @@ def test_integrate_rejects_bad_samples_and_seed(kw, message, monkeypatch):
         integrate(canonical_integrand(wheel(3), FormSpec((5,))),
                   args["samples"], args["seed"])
     assert built == []
+
+
+@_BAD_SAMPLES_AND_SEED
+def test_integrate_chain_rejects_bad_samples_and_seed(kw, message,
+                                                      monkeypatch):
+    """``integrate_chain`` makes the same checks with the same messages
+    before it derives a class seed, for a zero chain too, so a negative
+    seed no longer reaches numpy's SeedSequence."""
+    calls = []
+    monkeypatch.setattr(engine, "integrate_canonical",
+                        lambda *a, **k: calls.append(a))
+    args = {"samples": 1000, "seed": 0, **kw}
+    for chain in (ChainVector.from_graph(wheel(3)), ChainVector.zero()):
+        with pytest.raises(IntegrationError, match=message):
+            integrate_chain(chain, FormSpec((5,)), args["samples"],
+                            args["seed"])
+    assert calls == []
 
 
 def test_z_score_and_tolerance():

@@ -119,6 +119,43 @@ def test_cli_divergences(files, capsys):
     assert payload["subdivergence_free"] is True
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["unset", "set"])
+def test_cli_pins_blas_threads_before_numpy_loads(files, preset):
+    """``main`` sets one BLAS thread before a subcommand loads numpy, in a
+    fresh interpreter; a value the caller set is kept."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import periodforge
+
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(periodforge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import json, os, sys\n"
+            "seen = {}\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            f"            seen.update((v, os.environ.get(v)) for v in {_BLAS_VARS!r})\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "from periodforge.cli import main\n"
+            f"assert main(['divergences', {files['sunrise']!r}]) == 0\n"
+            "print(json.dumps(seen))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    seen = json.loads(out.stdout.splitlines()[-1])
+    assert seen == {"OPENBLAS_NUM_THREADS": preset or "1",
+                    "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def test_cli_residue_target_pass(files, capsys):
     code = main(["residue", files["w3"], "--samples", "150000",
                  "--seed", "1", "--target", "6*zeta(3)", "--json"])
