@@ -843,7 +843,13 @@ class BatchedGraphFormEvaluator:
     same Gram.  A single-component word needs only the coefficient on all
     chart variables, whose cycles ``_top_cycle_coefficient`` closes by
     joining half paths, using the Gram's symmetry: its estimates match the
-    DP's to rounding, not bit for bit.  Either way each element's
+    DP's to rounding, not bit for bit.  A top word, omega5 ^ omega9 ^ ...
+    ^ omega_{2m-1} of degree m(m+1)/2 - 1 on |E| = m(m+1)/2 edges and m =
+    |V| - 1 odd (W3 omega5, K6 omega5 ^ omega9), is the unique invariant
+    top form up to a constant (Brown, arXiv:2101.04419): it is weighed in
+    closed form, c x_|E| (prod x)^((m-3)/2) / Psi^((m+1)/2), with no Gram
+    and no DP; ``_top_word`` measures c against the DP once, at two fixed
+    rows, and keeps the DP when they disagree.  Either way each element's
     operations are fixed, so estimates do not depend on the thread count.
     The engine passes one block of samples at a time, which bounds the
     Gram tensor and the DP's path arrays; each thread draws those arrays
@@ -865,17 +871,69 @@ class BatchedGraphFormEvaluator:
         self.chart_vars = list(range(1, g.ne))
         self.atoms_of = {v: [v - 1] for v in self.chart_vars}
         self._local = threading.local()
+        self.top = self._top_word()
+
+    def _top_word(self):
+        """(c, p, k) when the word is the top invariant form of m x m
+        matrices, m = |V| - 1 odd, on |E| = m(m+1)/2 edges: then the chart
+        coefficient is c x_|E| (prod x)^p / Psi^k, p = (m - 3)/2 and k = (m +
+        1)/2.  c is the DP's word over that closed form at two fixed rows,
+        1 + e/|E| and 2 - e/|E|, and is used only when both ratios are
+        finite, nonzero and agree to 1e-9: an identically zero word (a
+        multigraph that passes the edge count) leaves rounding noise there,
+        which does not, and keeps the DP.  None when the word is not top."""
+        import numpy as np
+
+        g, m = self.graph, self.graph.nv - 1
+        if not (m % 2 and g.ne == m * (m + 1) // 2
+                and self.spec.components == tuple(range(5, 2 * m, 4))):
+            return None
+        p, k = (m - 3) // 2, (m + 1) // 2
+        e = np.arange(1, g.ne + 1) / g.ne
+        rows = np.array([1 + e, 2 - e])
+        with np.errstate(all="ignore"):
+            ratio = (self._dp_word(rows, _PathArrays(float))
+                     / self._closed_form(rows, (1.0, p, k)))
+        r0, r1 = ratio
+        if np.isfinite(ratio).all() and r0 and abs(r1 - r0) <= 1e-9 * abs(r0):
+            return float(r0), p, k
+        return None
+
+    def _closed_form(self, xs, top):
+        """c exp(log x_|E| + p sum log x - k log Psi) at the rows of ``xs``
+        for ``top`` = (c, p, k): log Psi comes from ``CycleIncidence.log_psi``,
+        which redoes flagged rows exactly, and every power is taken in the
+        exponent, so a corner row where Psi^k alone overflows stays finite.
+        NaN at a row with a coordinate that is not finite."""
+        import numpy as np
+
+        c, p, k = top
+        with np.errstate(all="ignore"):
+            logx = np.log(xs)
+            expo = logx[:, -1] - k * self.inc.log_psi(xs)
+            if p:
+                expo += p * logx.sum(axis=1)
+            out = c * np.exp(expo)
+        out[~np.isfinite(xs).all(axis=1)] = np.nan
+        return out
 
     def evaluate(self, xs):
         """(B,) array: coefficient of the ascending top chart wedge.
 
         ``xs`` holds full edge coordinate rows (chart column included).
         """
-        import numpy as np
-
+        if self.top is not None:
+            return self._closed_form(xs, self.top)
         arrays = getattr(self._local, "arrays", None)
         if arrays is None:
             arrays = self._local.arrays = _PathArrays(float)
+        return self._dp_word(xs, arrays)
+
+    def _dp_word(self, xs, arrays):
+        """``evaluate`` by the Gram and the subset DP (or the half-path join
+        of a one-component word), the path arrays taken from ``arrays``."""
+        import numpy as np
+
         gt = self.inc.gram(xs)
         comps = list(self.spec.components)
         if len(comps) == 1:

@@ -6,7 +6,6 @@ them).  Monte-Carlo criteria use fixed seeds, 3 standard errors plus a
 """
 
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -310,9 +309,6 @@ def test_wheel_nontriviality_cross_certificate():
     report("property: odd wheel class non-zero (kernel + integral)", ok)
 
 
-STRETCH = os.environ.get("PERIODFORGE_STRETCH") == "1"
-
-
 def test_stretch_k6_wedge_value():
     """K6 canonical wedge via the pointwise-verified integrand identity.
 
@@ -338,8 +334,6 @@ def test_stretch_k6_wedge_value():
                f"{preferred}")
 
 
-@pytest.mark.skipif(not STRETCH, reason="set PERIODFORGE_STRETCH=1 to run "
-                    "the direct form-word route (minutes)")
 def test_stretch_k6_direct_form_route():
     k6 = complete(6)
     est = integrate_canonical(k6, FormSpec((5, 9)), 60000, seed=116,

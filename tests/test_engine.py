@@ -494,6 +494,25 @@ def test_integrate_chain_linearity():
     assert cancel.mean == 0.0
 
 
+@pytest.mark.parametrize("g, spec", [(wheel(3), (5,)), (complete(6), (5, 9))],
+                         ids=["W3", "K6"])
+def test_top_word_estimate_independent_of_threads_and_block(g, spec,
+                                                            monkeypatch):
+    """A top word's closed form treats each row on its own: its estimate
+    is bit-identical at one and two threads, and at blocks of 7 and of
+    8,192 samples."""
+    def estimate(threads):
+        e = integrate_canonical(g, FormSpec(spec), 1500, seed=17,
+                                threads=threads, shard_size=400)
+        return e.mean, e.stderr
+
+    one = estimate(1)
+    assert estimate(2) == one
+    monkeypatch.setattr(engine, "_BLOCK", 7)
+    assert estimate(1) == one
+    assert estimate(2) == one
+
+
 def test_form_word_determinism_and_threads():
     """Shards of a form-word integral share one evaluator across threads;
     the estimate is bit-identical at one and two threads."""

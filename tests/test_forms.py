@@ -14,6 +14,7 @@ from periodforge.forms import (BatchedGraphFormEvaluator, CycleIncidence,
                                FormError, FormEvaluator, FormSpec,
                                RationalForm, _PathArrays, _cycle_coefficients,
                                _invert_exact, _rank_one_terms,
+                               _top_cycle_coefficient, _wedge_total,
                                canonical_form_numeric,
                                canonical_form_symbolic, graph_canonical_form)
 from forms_oracle import dense_coefficients
@@ -418,9 +419,20 @@ def test_batched_matches_scalar_on_w5():
         assert abs(vals[i] - ref) < 1e-9 * abs(ref)
 
 
+def _dp_word(ev, xs):
+    """The word at the rows of ``xs`` by the Gram, the subset DP of each
+    component and the wedge split, whatever route ``ev.evaluate`` takes."""
+    per = {n: _cycle_coefficients(n, ev.inc.gram(xs), ev.chart_vars,
+                                  ev.atoms_of, _PathArrays(float))
+           for n in set(ev.spec.components)}
+    return _wedge_total(list(ev.spec.components), per,
+                        frozenset(ev.chart_vars), np.zeros(xs.shape[0]))
+
+
 def test_k6_wedge_identity_pointwise():
-    """omega^5 ^ omega^9 on the K6 Laplacian equals (9!/8) prod x / Psi^3
-    times the chart volume coefficient, up to overall orientation."""
+    """omega^5 ^ omega^9 on the K6 Laplacian, by the subset DP, equals
+    (9!/8) prod x / Psi^3 times the chart volume coefficient, up to overall
+    orientation."""
     from math import factorial
 
     from periodforge.graphs import complete
@@ -430,7 +442,7 @@ def test_k6_wedge_identity_pointwise():
     rng = np.random.default_rng(4)
     xs = rng.uniform(0.4, 1.6, size=(3, 15))
     xs[:, 14] = 1.0
-    vals = ev.evaluate(xs)
+    vals = _dp_word(ev, xs)
     psi = graph_polynomial(k6).evaluate_floats(xs)
     prod = xs.prod(axis=1)
     display = factorial(9) / 8 * prod / psi ** 3
@@ -568,9 +580,9 @@ def test_short_words_bit_identical_to_reference(n):
 
 def test_k6_evaluate_peak_memory():
     """The DP extends each mask as soon as its sources are done, so one
-    500-row K6 omega5 ^ omega9 block holds a few thousand path arrays at
-    once, not all 12,012 paths of a depth: about 23.5 MB traced peak,
-    against 53.3 MB depth by depth."""
+    500-row K6 omega5 ^ omega9 block by the DP holds a few thousand path
+    arrays at once, not all 12,012 paths of a depth: about 23.5 MB traced
+    peak, against 53.3 MB depth by depth."""
     import tracemalloc
 
     from periodforge.graphs import complete
@@ -579,7 +591,7 @@ def test_k6_evaluate_peak_memory():
     xs = np.random.default_rng(41).dirichlet(np.ones(15), size=500)
     tracemalloc.start()
     try:
-        ev.evaluate(xs)
+        _dp_word(ev, xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -619,10 +631,10 @@ def test_non_finite_row_gets_nan_on_w5():
 
 @pytest.mark.parametrize("k, rows", [(3, 40), (5, 40), (7, 16)])
 def test_half_path_join_matches_the_dp(k, rows):
-    """omega_{2k-1} on the wheel W_k has one component, so the batched
-    evaluator closes its cycles by joining half paths: on the same Gram
-    tensor it agrees with the full subset DP to rounding, on Dirichlet rows
-    and, on W3, on a corner row that takes the exact Gram."""
+    """omega_{2k-1} on the wheel W_k has one component, so its cycles can
+    be closed by joining half paths: on the same Gram tensor that agrees
+    with the full subset DP to rounding, on Dirichlet rows and, on W3, on a
+    corner row that takes the exact Gram."""
     n = 2 * k - 1
     ev = BatchedGraphFormEvaluator(wheel(k), FormSpec((n,)))
     xs = np.random.default_rng(31 + k).dirichlet(np.ones(2 * k), size=rows)
@@ -632,8 +644,7 @@ def test_half_path_join_matches_the_dp(k, rows):
     dp = _cycle_coefficients(n, gt, ev.chart_vars, ev.atoms_of,
                              _PathArrays(float))
     want = dp[frozenset(ev.chart_vars)]
-    ev.inc.gram = lambda _: gt
-    got = ev.evaluate(xs)
+    got = _top_cycle_coefficient(n, gt, _PathArrays(float))
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
 
@@ -705,16 +716,84 @@ def test_log_psi_matches_exact_psi():
 
 def test_batched_exact_gram_row():
     """A corner row whose Laplacian is singular in floats goes through the
-    exact Gram and still yields finite coefficients."""
+    exact Gram and still yields finite coefficients by the half-path
+    join."""
     ev = BatchedGraphFormEvaluator(wheel(3), FormSpec((5,)))
     xs = np.array([[0.2, 0.3, 0.1, 0.15, 0.15, 0.1],
                    [1, 1, 1, 1e-300, 1e-300, 1e-300]])
     calls = []
     exact = ev.inc._gram_exact
     ev.inc._gram_exact = lambda x: calls.append(x) or exact(x)
-    vals = ev.evaluate(xs)
+    vals = _top_cycle_coefficient(5, ev.inc.gram(xs), _PathArrays(float))
     assert len(calls) == 1
     assert np.isfinite(vals).all()
+
+
+@pytest.mark.parametrize("which", ["W3", "K6", "K6 reversed"])
+def test_top_word_closed_form_matches_the_dp(which):
+    """W3 omega5 and K6 omega5 ^ omega9 are top words, evaluated as c x_|E|
+    (prod x)^p / Psi^k: on random and Dirichlet rows that agrees with the
+    subset DP to 1e-10.  Reversing K6's edge order flips the orientation,
+    so its constant is the opposite of K6's."""
+    from periodforge.graphs import complete
+
+    k6 = complete(6)
+    g, spec = {"W3": (wheel(3), (5,)), "K6": (k6, (5, 9)),
+               "K6 reversed": (Graph(k6.weights, k6.edges[::-1]),
+                               (5, 9))}[which]
+    ev = BatchedGraphFormEvaluator(g, FormSpec(spec))
+    assert ev.top is not None
+    rng = np.random.default_rng(43)
+    xs = np.vstack([rng.uniform(0.05, 2.0, size=(20, g.ne)),
+                    rng.dirichlet(np.ones(g.ne), size=20)])
+    want = _dp_word(ev, xs)
+    got = ev.evaluate(xs)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+    if which == "K6 reversed":
+        forward = BatchedGraphFormEvaluator(k6, FormSpec(spec))
+        assert ev.top[0] == pytest.approx(-forward.top[0], rel=1e-12)
+
+
+def test_top_word_corner_and_non_finite_rows():
+    """The closed form is finite on the corner row where Psi^2 alone
+    overflows, raises no warning, and is NaN on rows with an infinite or
+    NaN coordinate."""
+    import warnings
+
+    ev = BatchedGraphFormEvaluator(wheel(3), FormSpec((5,)))
+    xs = np.array([[1, 1, 1, 1e-300, 1e-300, 1e-300],
+                   [1, 1, 1, np.inf, 1, 1.0], [1, 1, 1, np.nan, 1, 1.0],
+                   [0.2, 0.3, 0.1, 0.15, 0.15, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = ev.evaluate(xs)
+    assert np.isfinite(values[[0, 3]]).all()
+    assert np.isnan(values[[1, 2]]).all()
+    assert values[0] == pytest.approx(_dp_word(ev, xs[:1])[0], rel=1e-10)
+
+
+def test_zero_top_words_keep_the_dp():
+    """C4 with two doubled edges and K6 with one edge doubled pass the edge
+    and vertex count of a top word, but the word is identically zero: the
+    DP leaves only rounding noise at the two constant rows, whose ratios
+    disagree, so both keep the DP.  Its values stay at rounding size
+    against the nonzero top word of the same shape, 10 / Psi^2 and 45,360
+    x_|E| prod x / Psi^3."""
+    from periodforge.graphs import complete
+
+    c4 = Graph((0,) * 4, ((1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (4, 1)))
+    k6 = complete(6)
+    doubled = Graph(k6.weights, (k6.edges[1],) + k6.edges[1:])
+    rng = np.random.default_rng(47)
+    for g, spec in [(c4, (5,)), (doubled, (5, 9))]:
+        ev = BatchedGraphFormEvaluator(g, FormSpec(spec))
+        assert ev.top is None, g
+        xs = rng.dirichlet(np.ones(g.ne), size=8)
+        psi = graph_polynomial(g).evaluate_floats(xs)
+        scale = (10 / psi ** 2 if g.ne == 6 else
+                 45360 * xs[:, -1] * xs.prod(axis=1) / psi ** 3)
+        got = ev.evaluate(xs)
+        assert np.all(np.abs(got) <= 1e-9 * scale)
 
 
 def test_rank_one_terms_sum_to_the_matrix():
