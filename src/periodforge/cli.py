@@ -173,7 +173,7 @@ def _cmd_residue(args, t0):
     target = _target(args)
     g = _load_graph(args.graph)
     ig = residue_integrand(g)
-    est = integrate(ig, args.samples, args.seed, threads=args.threads)
+    est = integrate(ig, args.samples, args.seed)
     return _finish_integral(args, t0, g, est, target, {"integrand": "residue"})
 
 
@@ -185,7 +185,7 @@ def _cmd_canonical(args, t0):
     g = _load_graph(args.graph)
     spec = FormSpec(tuple(int(x) for x in args.form.split(",")))
     ig = canonical_integrand(g, spec)
-    est = integrate(ig, args.samples, args.seed, threads=args.threads)
+    est = integrate(ig, args.samples, args.seed)
     return _finish_integral(args, t0, g, est, target,
                             {"integrand": f"canonical {list(spec)}"})
 
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=1000000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target", help="expression, e.g. '6*zeta(3)'")
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = add("canonical", _cmd_canonical, help="canonical integral")
     sp.add_argument("graph")
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=500000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--target")
-    sp.add_argument("--threads", type=int, default=1)
 
     sp = add("gc-homology", _cmd_gc_homology, help="graph complex homology")
     sp.add_argument("--loops", type=int, required=True)
@@ -327,9 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     t0 = time.time()
     # One BLAS thread unless the caller chose otherwise, set before any
-    # subcommand loads numpy: --threads is the engine's parallelism, and a
-    # BLAS thread per core makes the small Laplacian and Gram products many
-    # times slower.
+    # subcommand loads numpy: a BLAS thread per core makes the small
+    # Laplacian and Gram products many times slower.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     parser = build_parser()

@@ -1,11 +1,11 @@
 """Monte-Carlo evaluation of Feynman residues and canonical integrals.
 
 Estimates are importance-weighted means under the tropical measure, split
-into shards with independently seeded streams; the reduction is fixed in
-shard order, so results are bit-identical for a given (seed, samples,
-shard size) regardless of thread count.  A shard is drawn and evaluated one
-block at a time, each block reading its rows of the shard's stream, so
-results do not depend on the block size either.
+into shards with independently seeded streams; the shards run one after
+another and are reduced in index order, so results are bit-identical for a
+given (seed, samples, shard size).  A shard is drawn and evaluated one block
+at a time, each block reading its rows of the shard's stream, so results do
+not depend on the block size either.
 """
 
 from __future__ import annotations
@@ -231,29 +231,23 @@ def integrate(ig: Integrand, samples: int, seed: int, threads: int = 1,
     its matched tropical measure.
 
     Deterministic for fixed (seed, samples, shard_size); shards have
-    independent substreams and are reduced in index order.
+    independent substreams and are reduced in index order.  ``threads``
+    accepts only 1: the engine runs in one thread, and the parameter stays
+    because the benchmark worker passes ``threads=1``.
     """
     _check_samples_and_seed(samples, seed)
-    if threads < 1:
-        raise IntegrationError(f"threads must be at least 1, got {threads}")
-    if shard_size < 1:
+    if not isinstance(threads, numbers.Integral) or threads != 1:
+        raise IntegrationError(f"threads must be 1, got {threads!r}")
+    if not isinstance(shard_size, numbers.Integral) or shard_size < 1:
         raise IntegrationError(
-            f"shard_size must be at least 1, got {shard_size}")
+            f"shard_size must be an integer of at least 1, got {shard_size!r}")
     nu, k = ig.sampler_parameters()
     samp = TropicalSampler(build_measure(ig.graph, nu, k))
     ev = _Evaluator(ig)
     shards = [(i, min(shard_size, samples - i * shard_size))
               for i in range((samples + shard_size - 1) // shard_size)]
-    args = [(ev, samp, seed, i, c) for i, c in shards]
-    if threads == 1:
-        results = [_run_shard(*a) for a in args]
-    else:
-        # imported here: a single-threaded run never loads the executor
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(lambda a: _run_shard(*a), args))
-    n, mean, m2 = _merge_moments(results)
+    n, mean, m2 = _merge_moments(
+        [_run_shard(ev, samp, seed, i, c) for i, c in shards])
     return IntegralEstimate(mean, math.sqrt(m2 / n / (n - 1)), n, seed)
 
 

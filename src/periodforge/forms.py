@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -680,8 +679,8 @@ class CycleIncidence:
         its inverse is not finite; its other outputs are not trusted and the
         caller redoes it exactly.  D_j in (0, 1] is the scaled pivot, so a
         small one means cancellation has taken about -log2 D_j of its bits.
-        Every array written is allocated here, so threads may share the
-        instance, and no floating-point warning is raised.
+        Every array written is allocated here, and no floating-point warning
+        is raised.
         """
         import numpy as np
 
@@ -849,12 +848,10 @@ class BatchedGraphFormEvaluator:
     top form up to a constant (Brown, arXiv:2101.04419): it is weighed in
     closed form, c x_|E| (prod x)^((m-3)/2) / Psi^((m+1)/2), with no Gram
     and no DP; ``_top_word`` measures c against the DP once, at two fixed
-    rows, and keeps the DP when they disagree.  Either way each element's
-    operations are fixed, so estimates do not depend on the thread count.
-    The engine passes one block of samples at a time, which bounds the
-    Gram tensor and the DP's path arrays; each thread draws those arrays
-    from its own ``_PathArrays``, so they are allocated once per thread,
-    not once per block.
+    rows, and keeps the DP when they disagree.  The engine passes one block
+    of samples at a time, which bounds the Gram tensor and the DP's path
+    arrays; those arrays come from the evaluator's one ``_PathArrays``, so
+    they are allocated once per block length, not once per block.
     """
 
     def __init__(self, g: Graph, spec: FormSpec):
@@ -870,7 +867,7 @@ class BatchedGraphFormEvaluator:
         self.inc = CycleIncidence(g)
         self.chart_vars = list(range(1, g.ne))
         self.atoms_of = {v: [v - 1] for v in self.chart_vars}
-        self._local = threading.local()
+        self.arrays = _PathArrays(float)
         self.top = self._top_word()
 
     def _top_word(self):
@@ -891,6 +888,8 @@ class BatchedGraphFormEvaluator:
         p, k = (m - 3) // 2, (m + 1) // 2
         e = np.arange(1, g.ne + 1) / g.ne
         rows = np.array([1 + e, 2 - e])
+        # a call-local free list: ``self.arrays`` would keep the check's
+        # thousands of two-element path arrays for the evaluator's lifetime
         with np.errstate(all="ignore"):
             ratio = (self._dp_word(rows, _PathArrays(float))
                      / self._closed_form(rows, (1.0, p, k)))
@@ -924,10 +923,7 @@ class BatchedGraphFormEvaluator:
         """
         if self.top is not None:
             return self._closed_form(xs, self.top)
-        arrays = getattr(self._local, "arrays", None)
-        if arrays is None:
-            arrays = self._local.arrays = _PathArrays(float)
-        return self._dp_word(xs, arrays)
+        return self._dp_word(xs, self.arrays)
 
     def _dp_word(self, xs, arrays):
         """``evaluate`` by the Gram and the subset DP (or the half-path join

@@ -232,7 +232,8 @@ def homology_report(loops: int, max_loops: int = 6) -> list[dict]:
     if loops > max_loops:
         raise ComplexError(
             f"loop order {loops} above the configured bound {max_loops}; "
-            "raise max_loops explicitly if you mean it")
+            "raise max_loops, or pass --allow-big on the command line, if "
+            "you mean it")
     if loops < 2:
         raise ComplexError("homology starts at 2 loops")
     top = 3 * loops - 3

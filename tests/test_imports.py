@@ -75,6 +75,40 @@ def test_benchmark_span_targets_resolve():
                    "SpanRecorder().install()\n")
 
 
+def test_benchmark_worker_runs_every_operation_kind():
+    """The benchmark's worker calls the library as the benchmark does
+    (``threads=1`` included) on one small operation of each kind; no
+    operation may come back with an error."""
+    import json
+
+    from periodforge.graphs import wheel
+
+    def graph(g):
+        return [list(g.weights), [list(e) for e in g.edges]]
+
+    ops = [{"kind": "canonical", "graph": graph(wheel(3)), "form": [5],
+            "samples": 2000, "seed": 1},
+           {"kind": "canonical", "graph": graph(wheel(5)), "form": [9],
+            "samples": 2000, "shard_size": 1000, "seed": 2},
+           {"kind": "residue", "graph": graph(wheel(3)), "samples": 2000,
+            "seed": 3},
+           {"kind": "monomial", "graph": graph(wheel(5)),
+            "edges": [1, 2, 3, 4, 5], "psi_power": 3, "coeff": 12,
+            "samples": 2000, "seed": 4},
+           {"kind": "homology", "loops": 3},
+           {"kind": "stable", "genus": 2}]
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    worker = root / "perfbench" / "worker.py"
+    out = subprocess.run([sys.executable, str(worker)], input=json.dumps(ops),
+                         env=env, capture_output=True, text=True, check=True)
+    results = json.loads(out.stdout)["results"]
+    assert len(results) == len(ops)
+    assert not [r for r in results if "error" in r], results
+
+
 def test_span_counts_sum_over_blocks():
     """The sampler and the form evaluator run once per block, and the
     span counters read each call's rows, so the traced totals are the

@@ -220,14 +220,21 @@ def test_cli_rejects_bad_target_before_sampling(files, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["residue", "canonical"])
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_cli_rejects_non_positive_threads(files, capsys, command, threads):
+def test_cli_has_no_threads_option(files, capsys, command):
+    """The engine runs in one thread, so argparse refuses ``--threads``."""
     form = ["--form", "5"] if command == "canonical" else []
-    code = main([command, files["w3"], *form, "--samples", "2000",
-                 "--threads", threads])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"threads must be at least 1, got {threads}" in err
+    with pytest.raises(SystemExit) as exc:
+        main([command, files["w3"], *form, "--samples", "2000",
+              "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_cli_loop_bound_names_allow_big(capsys):
+    """Past the loop bound the error names the command-line remedy, not
+    only the library's ``max_loops``."""
+    assert main(["gc-homology", "--loops", "7"]) == 2
+    assert "--allow-big" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["residue", "canonical"])
