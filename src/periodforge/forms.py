@@ -127,13 +127,12 @@ class RationalForm:
             if len(s) != degree:
                 raise FormError("wedge key of wrong degree")
         self.det = det
-        if reduce:
+        if not self.numer:
+            self.k = 0
+        elif reduce:
             self._reduce()
 
     def _reduce(self):
-        if not self.numer:
-            self.k = 0
-            return
         while self.k > 0:
             divided = {}
             for s, p in self.numer.items():
@@ -417,7 +416,7 @@ def _stream(paths: list, depth: int, free, rows, tmp, arrays):
     first: then every mask's sources are extended in ascending order, as in
     a depth-by-depth sweep, and every sum keeps that sweep's order.  A
     popped mask's arrays go back at once, so only partial and pushed masks
-    hold paths."""
+    hold paths.  It grows the DP's paths and the join's half tables."""
     stack = [(0, paths)]
     partial: dict[int, list] = {}
     while stack:
@@ -448,15 +447,18 @@ def _top_cycle_coefficient(n: int, gt, arrays):
     ``gt`` is first made symmetric in place, G[x, y] and G[y, x] both set
     to their mean, so one direction of a cycle stands for both to first
     order in their rounding, as in the DP's sum over both directions.
-    ``_deepen`` grows the paths from atom 0 to depth h = (n - 1)/2 only:
+    ``_stream`` grows the paths from atom 0 to depth h = (n - 1)/2 only:
     f_h(S, b) over |S| = h, b last.  A cycle 0 -> A -> b -> B - b -> 0,
     A its first h atoms, is f_h(A, a) stepped on to b by G[a, b], then
     f_h(B, b) walked backwards; its sign is theirs times (-1)^(cross(A, B)
     + h(h - 1)/2), cross counting the x in A and y in B with x > y.
     Reversal keeps a cycle's product and, as n = 1 mod 4, its sign, so
     only splits with atom 1 in A are summed and the total is doubled; the
-    factor n counts the rotations.  The tables of A and of B go back to
-    ``arrays`` after their one split."""
+    factor n counts the rotations.  A runs in lexicographic order, the
+    order a depth-by-depth sweep makes its masks in, and ``_stream`` keeps
+    that sweep's order in each table, so the sum is the sweep's bit for
+    bit.  The tables of A and of B go back to ``arrays`` after their split,
+    and the total is taken from it."""
     import numpy as np
 
     arrays.hand_out(gt.shape[2])
@@ -473,10 +475,14 @@ def _top_cycle_coefficient(n: int, gt, arrays):
     free = [(i, 1 << (i - 1), (i,)) for i in range(1, n)]
     start = take()
     start.fill(1)
-    paths = _deepen({0: [(0, start)]}, h, free, rows, tmp, arrays)
+    paths: dict[int, list] = {}
+    for mask, built in _stream([(0, start)], h, free, rows, tmp, arrays):
+        paths.setdefault(mask, []).extend(built)
     full = (1 << (n - 1)) - 1
-    total = np.zeros(gt.shape[2])
-    for amask in [m for m in paths if m & 1]:
+    total = take()
+    total.fill(0)
+    for rest in itertools.combinations(range(1, n - 1), h - 1):
+        amask = 1 | sum(1 << i for i in rest)
         bmask = full ^ amask
         cross = sum((amask >> (i + 1)).bit_count() for i in range(n - 1)
                     if bmask >> i & 1)
@@ -497,19 +503,6 @@ def _top_cycle_coefficient(n: int, gt, arrays):
     give(tmp)
     total *= 2 * n
     return total
-
-
-def _deepen(paths: dict, steps: int, free, rows, tmp, arrays) -> dict:
-    """``paths`` (mask -> [(last atom, array), ...]) ``steps`` variables
-    longer, a whole depth at a time, masks and paths in creation order."""
-    for _ in range(steps):
-        nxt: dict[int, list] = {}
-        for mask in list(paths):
-            for bitw, built in _extend(mask, paths.pop(mask), free, rows,
-                                       tmp, arrays):
-                nxt.setdefault(mask | bitw, []).extend(built)
-        paths = nxt
-    return paths
 
 
 def _extend(mask: int, paths: list, free, rows, tmp, arrays):

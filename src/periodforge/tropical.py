@@ -34,7 +34,7 @@ Python's correctly rounded integer division, so they equal float(T(S)).
 from __future__ import annotations
 
 import math
-
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -131,10 +131,14 @@ def build_measure(g: Graph, nu: Sequence[int] | None = None,
     n = g.ne
     if n < 2:
         raise GraphError("need at least two edges to integrate")
-    h = subset_loop_numbers(g)
-    nu = tuple(int(x) for x in (nu if nu is not None else [0] * n))
+    nu = tuple(nu if nu is not None else [0] * n)
+    for x in nu:
+        if not isinstance(x, numbers.Integral):
+            raise GraphError(f"nu entry {x!r} is not an integer")
+    nu = tuple(map(int, nu))
     if len(nu) != n or any(x < 0 for x in nu):
         raise GraphError("nu needs one non-negative exponent per edge")
+    h = subset_loop_numbers(g)
     hloop = g.loop_number()
     if k is None:
         k = Fraction(sum(nu) + n, hloop)

@@ -70,6 +70,28 @@ def test_divergence_detection():
         build_measure(chain, k=2)
 
 
+@pytest.mark.parametrize("nu, message", [
+    ([0.5] * 6, "nu entry 0.5 is not an integer"),
+    ([0] * 5 + [Fraction(1, 2)],
+     r"nu entry Fraction\(1, 2\) is not an integer"),
+    ([1.0] * 6, "nu entry 1.0 is not an integer"),
+    ([0] * 5 + [-1], "one non-negative exponent per edge"),
+    ([0] * 5, "one non-negative exponent per edge")],
+    ids=["half", "fraction", "integral-float", "negative", "short"])
+def test_build_measure_rejects_bad_nu(nu, message, monkeypatch):
+    """An exponent that is not a non-negative integer is refused, naming a
+    non-integer entry instead of truncating it, before any table is
+    built."""
+    import periodforge.tropical as tropical
+
+    built = []
+    monkeypatch.setattr(tropical, "subset_loop_numbers",
+                        lambda g: built.append(g))
+    with pytest.raises(GraphError, match=message):
+        build_measure(wheel(3), nu=nu)
+    assert built == []
+
+
 def test_build_measure_validation():
     with pytest.raises(GraphError):
         build_measure(wheel(3), k=3)  # not projective
@@ -433,16 +455,16 @@ def test_integrate_rejects_non_positive_shard_size(shard_size, monkeypatch):
     assert built == []
 
 
-_BAD_SAMPLES_AND_SEED = pytest.mark.parametrize("kw, message", [
+_BAD_CASES = [
     ({"samples": 10.5}, "samples must be an integer of at least 2, got 10.5"),
     ({"samples": 1}, "samples must be an integer of at least 2, got 1"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-    ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5")],
-    ids=["fractional-samples", "one-sample", "negative-seed",
-         "fractional-seed"])
+    ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5")]
+_BAD_IDS = ["fractional-samples", "one-sample", "negative-seed",
+            "fractional-seed"]
 
 
-@_BAD_SAMPLES_AND_SEED
+@pytest.mark.parametrize("kw, message", _BAD_CASES, ids=_BAD_IDS)
 def test_integrate_rejects_bad_samples_and_seed(kw, message, monkeypatch):
     """A sample count or seed the streams cannot use fails before any
     preprocessing, naming the value, as the thread and shard checks do."""
@@ -456,20 +478,27 @@ def test_integrate_rejects_bad_samples_and_seed(kw, message, monkeypatch):
     assert built == []
 
 
-@_BAD_SAMPLES_AND_SEED
-def test_integrate_chain_rejects_bad_samples_and_seed(kw, message,
+@pytest.mark.parametrize("kw, error, message", [
+    (kw, IntegrationError, message) for kw, message in _BAD_CASES] + [
+    ({"shard_size": 0}, IntegrationError,
+     "shard_size must be an integer of at least 1, got 0"),
+    ({"threads": 2}, IntegrationError, "threads must be 1, got 2"),
+    ({"shard": 10}, TypeError, "unexpected keyword argument 'shard'")],
+    ids=_BAD_IDS + ["zero-shard-size", "two-threads", "unknown-keyword"])
+def test_integrate_chain_rejects_bad_samples_and_seed(kw, error, message,
                                                       monkeypatch):
-    """``integrate_chain`` makes the same checks with the same messages
-    before it derives a class seed, for a zero chain too, so a negative
-    seed no longer reaches numpy's SeedSequence."""
+    """``integrate_chain`` makes ``integrate``'s checks with the same
+    messages before it derives a class seed, for a zero chain too, so a
+    negative seed no longer reaches numpy's SeedSequence and a bad option
+    or an unknown keyword is not ignored."""
     calls = []
     monkeypatch.setattr(engine, "integrate_canonical",
                         lambda *a, **k: calls.append(a))
     args = {"samples": 1000, "seed": 0, **kw}
+    samples, seed = args.pop("samples"), args.pop("seed")
     for chain in (ChainVector.from_graph(wheel(3)), ChainVector.zero()):
-        with pytest.raises(IntegrationError, match=message):
-            integrate_chain(chain, FormSpec((5,)), args["samples"],
-                            args["seed"])
+        with pytest.raises(error, match=message):
+            integrate_chain(chain, FormSpec((5,)), samples, seed, **args)
     assert calls == []
 
 

@@ -66,6 +66,16 @@ def test_omega3_2x2_display():
     assert f == _display_form(4, 3, 3, f.det)
 
 
+def test_zero_form_has_k_zero_unreduced():
+    """A form scaled to zero is the zero form, k = 0, though ``scale``
+    skips the reduction."""
+    f = canonical_form_symbolic(generic_symmetric(2), 1)
+    assert f.k == 1
+    zero = f.scale(0)
+    assert zero.is_zero() and zero.k == 0
+    assert zero == RationalForm(f.nvars, 1, 0, {}, f.det)
+
+
 def test_omega5_symmetric_3x3_display_up_to_sign():
     """The trace form equals the worked display times -1; the overall sign
     of such displays is orientation convention (see the decisions notes),
@@ -646,6 +656,21 @@ def test_half_path_join_matches_the_dp(k, rows):
     want = dp[frozenset(ev.chart_vars)]
     got = _top_cycle_coefficient(n, gt, _PathArrays(float))
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+def test_half_path_join_sum_order_is_pinned():
+    """The W5 omega9 join on Grams computed exactly and rounded once (no
+    BLAS), against golden bits: the half tables and the splits keep one
+    sum order, which a change in mask order would move."""
+    inc = CycleIncidence(wheel(5))
+    rows = [[(e + r) / 16 for e in range(1, 11)] for r in range(4)]
+    rows.append([2.0 ** (-3 * e) for e in range(1, 11)])
+    gt = np.stack([inc._gram_exact(np.array(x)) for x in rows], axis=2)
+    got = _top_cycle_coefficient(9, gt, _PathArrays(float))
+    assert [float.hex(float(v)) for v in got] == [
+        "-0x1.80f4e76f76797p+6", "-0x1.ebe62b45ac66ap+3",
+        "-0x1.b590193cb0ceap+1", "-0x1.e7994c2c05811p-1",
+        "-0x1.89003d36c80bbp+75"]
 
 
 @pytest.mark.parametrize("k", [3, 5])
