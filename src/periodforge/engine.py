@@ -273,7 +273,8 @@ def integrate_canonical(g: Graph, spec: FormSpec, samples: int, seed: int,
 
 
 def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,
-                    seed: int, **kw) -> IntegralEstimate:
+                    seed: int, threads: int = 1,
+                    shard_size: int = _SHARD) -> IntegralEstimate:
     """Coefficient-weighted sum of canonical integrals over a chain.
 
     Each class is integrated over its canonical representative in the
@@ -281,9 +282,10 @@ def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,
     parities relative to those representatives.  Class ``i`` is seeded
     from ``SeedSequence(seed, spawn_key=(i,))``, so no two (seed, class)
     pairs share a stream.  The arguments are checked as in ``integrate``,
-    also for a zero chain.
+    also for a zero chain; ``threads`` and ``shard_size`` go on to each
+    class's ``integrate_canonical``.
     """
-    _check_arguments(samples, seed, **kw)
+    _check_arguments(samples, seed, threads, shard_size)
     if chain.is_zero():
         return IntegralEstimate(0.0, 0.0, 0, seed)
     for cls in chain.coeffs:
@@ -297,7 +299,7 @@ def integrate_chain(chain: ChainVector, spec: FormSpec, samples: int,
         ss = np.random.SeedSequence(seed, spawn_key=(idx,))
         est = integrate_canonical(cls.graph, spec, samples,
                                   int(ss.generate_state(1, np.uint64)[0]),
-                                  **kw)
+                                  threads=threads, shard_size=shard_size)
         mean += float(coeff) * est.mean
         var += float(coeff) ** 2 * est.stderr ** 2
         n += est.samples

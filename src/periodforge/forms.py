@@ -341,6 +341,13 @@ def _exact_gram(mat, bs, as_):
     return [[sum(t[c] * a[c] for c in ms) for a in as_] for t in tmp]
 
 
+# The longest batch ``_cycle_coefficients`` runs one depth at a time.  On
+# K6 that is faster than ``_stream`` up to some hundreds of rows, but a
+# layer holds every path of its depth: omega5 and omega9 trace about 0.3 MB
+# a row, against 0.04 MB mask by mask.
+_DEPTH_ROWS = 8
+
+
 def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
     """dict frozenset -> (B,) coefficient arrays for tr((X^-1 dX)^n).
 
@@ -352,26 +359,32 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
     of a graph Laplacian, two per off-diagonal variable of a symmetric
     family.
 
-    For each anchor atom alpha, ``_stream`` grows the open paths over the
-    bigger variables mask by mask, and each path n - 1 variables long is
-    closed as soon as it is built, by G[beta, alpha] and the rotation count
-    n, and added into its coefficient.  Per element this is the same
-    sequence of floating-point operations as forming each signed term and
-    summing the terms in path order, so the result does not depend on the
-    layout, on the accumulation being in place, or on how the samples are
-    split into batches.  The order of the dict's keys is not part of the
-    result.
+    For each anchor atom alpha, the open paths over the bigger variables
+    are grown, and each path n - 1 variables long is closed by G[beta,
+    alpha] and the rotation count n and added into its coefficient.  Per
+    element this is the same sequence of floating-point operations as
+    forming each signed term and summing the terms in path order, so the
+    result does not depend on the layout, on the accumulation being in
+    place, or on how the samples are split into batches.  The order of the
+    dict's keys is not part of the result.
 
-    Every path array, the start arrays and ``tmp`` are taken from
-    ``arrays``, a ``_PathArrays`` free list of ``gt``'s dtype, and each
-    goes back once no path reads it; the coefficient arrays returned come
-    from it too.  This is the one closing on every route but the batched
-    evaluator's single-component words, which ``_top_cycle_coefficient``
-    closes in the middle: that agrees with this DP to rounding, not bit for
-    bit.
+    Two drivers grow the paths, with the same bits.  A batch of at most
+    ``_DEPTH_ROWS`` rows with one atom per variable (every graph Laplacian,
+    so also the exact and symbolic paths of a graph) takes ``_by_depth``,
+    one whole depth per numpy call.  Any other batch takes ``_stream``,
+    mask by mask, with each path closed as soon as it is built; its path
+    arrays, the start arrays and ``tmp`` are taken from ``arrays``, a
+    ``_PathArrays`` free list of ``gt``'s dtype, and each goes back once no
+    path reads it; the coefficient arrays returned come from it too.  The
+    batched evaluator's single-component words do not come here:
+    ``_top_cycle_coefficient`` closes their cycles in the middle, which
+    agrees with this DP to rounding, not bit for bit.
     """
     import numpy as np
 
+    if gt.shape[2] <= _DEPTH_ROWS and all(len(atoms_of[v]) == 1
+                                          for v in vars_):
+        return _by_depth(n, gt, vars_, atoms_of)
     arrays.hand_out(gt.shape[2])
     take, give = arrays.take, arrays.give
     tmp = take()
@@ -403,6 +416,75 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
                         prev += val
                         give(val)
     give(tmp)
+    return out
+
+
+def _by_depth(n: int, gt, vars_, atoms_of) -> dict:
+    """``_cycle_coefficients`` for one atom per variable, one whole depth at
+    a time: a few numpy calls per depth and free variable instead of
+    ``_stream``'s one per path and source, which on a batch of a few rows
+    is all their cost.
+
+    For each anchor, layer d is one (masks, d, B) array: the d-subset masks
+    of the bigger variables in ascending order, each with its d paths by
+    descending last variable, the order ``_stream`` appends them in.  One
+    pass per free variable w extends the masks lacking w: their paths times
+    G[last, w], negated where the mask's bits above w are odd, then added
+    path by path.  That is ``_extend``'s -p0 - p1 - ... on every element,
+    and the closing adds each mask's paths in ``_stream``'s order, so the
+    coefficients are ``_stream``'s bit for bit, signed zeros included.  A
+    layer holds every path of its depth, so this driver is for small
+    batches only.  The coefficient arrays returned are rows of one array
+    per anchor, and no free list is used."""
+    import numpy as np
+
+    atom = [atoms_of[v][0] for v in vars_]
+    B = gt.shape[2]
+    # the bit count of every mask of the first anchor's bigger variables
+    widest = max(len(vars_) - 1, 0)
+    every = np.arange(1 << widest)
+    count = np.zeros(1 << widest, dtype=np.intp)
+    for i in range(widest):
+        count += every >> i & 1
+    rank = np.empty(1 << widest, dtype=np.intp)
+    out: dict[frozenset, np.ndarray] = {}
+    for ai, anchor in enumerate(vars_):
+        k = len(vars_) - ai - 1
+        if k < n - 1:
+            continue
+        big = np.array(atom[ai + 1:], dtype=np.intp)  # the atom of bit i
+        # layer 0: mask 0 with one path, at the anchor's atom, of value 1
+        masks = every[:1]
+        lasts = np.array([[atom[ai]]])
+        layer = np.ones((1, 1, B), gt.dtype)
+        for d in range(1, n):
+            grown = every[:1 << k][count[:1 << k] == d]
+            rank[grown] = np.arange(len(grown))
+            nxt = np.empty((len(grown), d, B), gt.dtype)
+            for wi in range(k):
+                lack = (masks >> wi & 1) == 0
+                src = masks[lack]
+                # w's place among the destination's paths: the bits above w
+                above = count[src >> (wi + 1)]
+                prod = layer[lack] * gt[lasts[lack], big[wi]]
+                np.negative(prod, out=prod,
+                            where=(above & 1).astype(bool)[:, None, None])
+                acc = prod[:, 0]
+                for j in range(1, prod.shape[1]):
+                    acc += prod[:, j]
+                nxt[rank[src | 1 << wi], above] = acc
+            bits = grown[:, None] >> np.arange(k - 1, -1, -1) & 1
+            lasts = big[k - 1 - np.nonzero(bits)[1]].reshape(-1, d)
+            masks, layer = grown, nxt
+        layer *= gt[lasts, atom[ai]]
+        layer *= n
+        coef = layer[:, 0]
+        for j in range(1, layer.shape[1]):
+            coef += layer[:, j]
+        bigger = vars_[ai + 1:]
+        for mask, val in zip(masks.tolist(), coef):
+            out[frozenset({anchor}) | {bigger[i] for i in range(k)
+                                       if mask >> i & 1}] = val
     return out
 
 
@@ -799,7 +881,8 @@ class _PathArrays:
     """Free list of the subset DP's (B,) arrays of one dtype.
 
     ``take`` pops a free array or makes one; ``give`` returns an array that
-    ``take`` handed out.  A batch of another length drops the free ones.
+    ``take`` handed out, and drops one of another length, which ``take``
+    could not serve.  A batch of another length drops the free ones.
     """
 
     def __init__(self, dtype):
@@ -819,7 +902,8 @@ class _PathArrays:
                                                             self.dtype)
 
     def give(self, a) -> None:
-        self.spare.append(a)
+        if len(a) == self.batch:
+            self.spare.append(a)
 
 
 class BatchedGraphFormEvaluator:
@@ -843,8 +927,12 @@ class BatchedGraphFormEvaluator:
     and no DP; ``_top_word`` measures c against the DP once, at two fixed
     rows, and keeps the DP when they disagree.  The engine passes one block
     of samples at a time, which bounds the Gram tensor and the DP's path
-    arrays; those arrays come from the evaluator's one ``_PathArrays``, so
-    they are allocated once per block length, not once per block.
+    arrays.  A block of at most ``_DEPTH_ROWS`` rows (the two-row check,
+    a short last block) runs the DP one depth at a time (``_by_depth``);
+    a longer one runs it mask by mask (``_stream``), drawing its path
+    arrays from the evaluator's one ``_PathArrays``, so they are allocated
+    once per block length, not once per block.  Both drivers give the same
+    bits.
     """
 
     def __init__(self, g: Graph, spec: FormSpec):
@@ -871,7 +959,11 @@ class BatchedGraphFormEvaluator:
         1 + e/|E| and 2 - e/|E|, and is used only when both ratios are
         finite, nonzero and agree to 1e-9: an identically zero word (a
         multigraph that passes the edge count) leaves rounding noise there,
-        which does not, and keeps the DP.  None when the word is not top."""
+        which does not, and keeps the DP.  Two rows are under
+        ``_DEPTH_ROWS``, so a word of several components (K6 omega5 ^
+        omega9) takes ``_by_depth`` here, with ``_stream``'s bits, and a
+        one-component word (W3 omega5) the half-path join.  None when the
+        word is not top."""
         import numpy as np
 
         g, m = self.graph, self.graph.nv - 1
@@ -881,11 +973,8 @@ class BatchedGraphFormEvaluator:
         p, k = (m - 3) // 2, (m + 1) // 2
         e = np.arange(1, g.ne + 1) / g.ne
         rows = np.array([1 + e, 2 - e])
-        # a call-local free list: ``self.arrays`` would keep the check's
-        # thousands of two-element path arrays for the evaluator's lifetime
         with np.errstate(all="ignore"):
-            ratio = (self._dp_word(rows, _PathArrays(float))
-                     / self._closed_form(rows, (1.0, p, k)))
+            ratio = self._dp_word(rows) / self._closed_form(rows, (1.0, p, k))
         r0, r1 = ratio
         if np.isfinite(ratio).all() and r0 and abs(r1 - r0) <= 1e-9 * abs(r0):
             return float(r0), p, k
@@ -916,13 +1005,15 @@ class BatchedGraphFormEvaluator:
         """
         if self.top is not None:
             return self._closed_form(xs, self.top)
-        return self._dp_word(xs, self.arrays)
+        return self._dp_word(xs)
 
-    def _dp_word(self, xs, arrays):
+    def _dp_word(self, xs):
         """``evaluate`` by the Gram and the subset DP (or the half-path join
-        of a one-component word), the path arrays taken from ``arrays``."""
+        of a one-component word), the path arrays taken from
+        ``self.arrays``."""
         import numpy as np
 
+        arrays = self.arrays
         gt = self.inc.gram(xs)
         comps = list(self.spec.components)
         if len(comps) == 1:

@@ -483,7 +483,8 @@ def test_integrate_rejects_bad_samples_and_seed(kw, message, monkeypatch):
     ({"shard_size": 0}, IntegrationError,
      "shard_size must be an integer of at least 1, got 0"),
     ({"threads": 2}, IntegrationError, "threads must be 1, got 2"),
-    ({"shard": 10}, TypeError, "unexpected keyword argument 'shard'")],
+    ({"shard": 10}, TypeError,
+     r"integrate_chain\(\) got an unexpected keyword argument 'shard'")],
     ids=_BAD_IDS + ["zero-shard-size", "two-threads", "unknown-keyword"])
 def test_integrate_chain_rejects_bad_samples_and_seed(kw, error, message,
                                                       monkeypatch):

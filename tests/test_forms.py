@@ -588,6 +588,72 @@ def test_short_words_bit_identical_to_reference(n):
                                                                       pt)
 
 
+def _hex_table(table):
+    return {s: [float.hex(v) for v in val.tolist()] for s, val in
+            table.items()}
+
+
+@pytest.mark.parametrize("graph", ["W3", "W5", "K6"])
+def test_depth_driver_bit_identical_to_stream(graph, monkeypatch):
+    """On 5, 9 and 14 chart variables, at 1, 2 and ``_DEPTH_ROWS`` rows and
+    for n = 1, 3, 5, 9, the depth-major driver gives ``_stream``'s
+    coefficients bit for bit: on Dirichlet Grams, and on Grams of -1, -0.0,
+    0 and 1, whose cancellations leave signed zeros."""
+    from periodforge import forms
+    from periodforge.graphs import complete
+
+    g, spec = {"W3": (wheel(3), (5,)), "W5": (wheel(5), (9,)),
+               "K6": (complete(6), (5, 9))}[graph]
+    ev = BatchedGraphFormEvaluator(g, FormSpec(spec))
+    rng = np.random.default_rng(53)
+    for rows in (1, 2, forms._DEPTH_ROWS):
+        signed = rng.integers(-1, 2, size=(g.ne, g.ne, rows)).astype(float)
+        signed[rng.random(signed.shape) < 0.2] = -0.0
+        for gt in (ev.inc.gram(rng.dirichlet(np.ones(g.ne), size=rows)),
+                   signed):
+            for n in (1, 3, 5, 9):
+                depth = _cycle_coefficients(n, gt, ev.chart_vars,
+                                            ev.atoms_of, _PathArrays(float))
+                with monkeypatch.context() as m:
+                    m.setattr(forms, "_DEPTH_ROWS", 0)
+                    stream = _cycle_coefficients(n, gt, ev.chart_vars,
+                                                 ev.atoms_of,
+                                                 _PathArrays(float))
+                assert _hex_table(depth) == _hex_table(stream), (rows, n)
+                assert _hex_table(forms._by_depth(
+                    n, gt, ev.chart_vars, ev.atoms_of)) == _hex_table(depth)
+
+
+def test_top_word_constants_are_pinned():
+    """The constants ``_top_word`` measures, as bits: K6, K6 with its edges
+    reversed, and W3."""
+    from periodforge.graphs import complete
+
+    k6 = complete(6)
+    got = [float.hex(BatchedGraphFormEvaluator(g, FormSpec(spec)).top[0])
+           for g, spec in [(k6, (5, 9)),
+                           (Graph(k6.weights, k6.edges[::-1]), (5, 9)),
+                           (wheel(3), (5,))]]
+    assert got == ["-0x1.6260000000021p+15", "0x1.6260000000014p+15",
+                   "0x1.3fffffffffffdp+3"]
+
+
+def test_k6_top_word_check_runs_by_depth(monkeypatch):
+    """The two-row check of K6 omega5 ^ omega9 runs the DP one depth at a
+    time, never ``_stream``, and leaves no path array in the evaluator's
+    free list."""
+    from periodforge import forms
+    from periodforge.graphs import complete
+
+    def refuse(*args):
+        raise AssertionError("_stream entered")
+
+    monkeypatch.setattr(forms, "_stream", refuse)
+    ev = BatchedGraphFormEvaluator(complete(6), FormSpec((5, 9)))
+    assert ev.top is not None
+    assert ev.arrays.spare == []
+
+
 def test_k6_evaluate_peak_memory():
     """The DP extends each mask as soon as its sources are done, so one
     500-row K6 omega5 ^ omega9 block by the DP holds a few thousand path
