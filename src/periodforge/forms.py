@@ -71,40 +71,6 @@ def _merge_sign(s1: frozenset, s2: frozenset) -> int:
     return -1 if inv % 2 else 1
 
 
-def _wedge_splits(comps, per, rest: frozenset, idx: int = 0):
-    """Ordered splits of ``rest`` into the parts of a wedge word.
-
-    Yields (parts, product of their coefficients), skipping every split
-    with a part that has no entry in ``per``.  The product is taken from
-    the last part backwards.  A module-level generator, so no recursive
-    closure holds the coefficient tables ``per`` in a reference cycle.
-    """
-    n = comps[idx]
-    if idx == len(comps) - 1:
-        if len(rest) == n and rest in per[n]:
-            yield (rest,), per[n][rest]
-        return
-    for combo in itertools.combinations(sorted(rest), n):
-        s = frozenset(combo)
-        c1 = per[n].get(s)
-        if c1 is None:
-            continue
-        for tail, cval in _wedge_splits(comps, per, rest - s, idx + 1):
-            yield (s,) + tail, c1 * cval
-
-
-def _wedge_total(comps, per, allvars: frozenset, total):
-    """``total`` plus the signed products over the splits of ``allvars``."""
-    for parts, val in _wedge_splits(comps, per, allvars):
-        sign = 1
-        placed: list[int] = []
-        for s in parts:
-            sign *= _merge_sign(frozenset(placed), s)
-            placed.extend(s)
-        total = total + sign * val
-    return total
-
-
 class RationalForm:
     """Differential form Numerator / det^k with polynomial coefficients.
 
@@ -272,10 +238,11 @@ def canonical_form_symbolic(x: LinearFormMatrix, n: int) -> RationalForm:
     tr = {}
     if n % 2:
         ev = FormEvaluator(x, chart=0)
-        out = _cycle_coefficients(n, ev._object_gram(_adjugate(x)),
-                                  ev.variables, ev.atoms_of,
-                                  _PathArrays(object))
-        tr = {s: c[0] for s, c in out.items()}
+        table = _cycle_coefficients((n,), ev._object_gram(_adjugate(x)),
+                                    ev.variables, ev.atoms_of,
+                                    _PathArrays(object))[n]
+        tr = dict(zip(_subset_keys(n, ev.variables),
+                      [row[0] for row in table]))
     return RationalForm(x.nvars, n, n, tr, det)
 
 
@@ -348,8 +315,37 @@ def _exact_gram(mat, bs, as_):
 _DEPTH_ROWS = 8
 
 
-def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
-    """dict frozenset -> (B,) coefficient arrays for tr((X^-1 dX)^n).
+def _subsets(k: int):
+    """The subsets of k variables as bit masks, bit i for variable i:
+    (count, rank, by_count), the bit count of every mask, its place among
+    the masks of its bit count in ascending order, and those masks for each
+    bit count.  A coefficient table of n-subsets has one row per mask of n
+    bits, in ``by_count[n]`` order, so row ``rank[mask]`` is the mask's."""
+    import numpy as np
+
+    count = np.zeros(1 << k, dtype=np.intp)
+    for i in range(k):
+        count[1 << i:2 << i] = count[:1 << i] + 1
+    order = np.argsort(count, kind="stable")
+    sizes = np.bincount(count, minlength=k + 1)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(1 << k) - np.repeat(np.cumsum(sizes) - sizes,
+                                                sizes)
+    return count, rank, np.split(order, np.cumsum(sizes)[:-1])
+
+
+def _subset_keys(n: int, vars_) -> list:
+    """The variable sets of the rows of an n-subset coefficient table."""
+    if n > len(vars_):
+        return []
+    return [frozenset(v for i, v in enumerate(vars_) if mask >> i & 1)
+            for mask in _subsets(len(vars_))[2][n].tolist()]
+
+
+def _cycle_coefficients(ns, gt, vars_, atoms_of, arrays) -> dict:
+    """n -> coefficient table of tr((X^-1 dX)^n) for each n of ``ns``: one
+    (B,) row per n-subset of ``vars_``, ordered as in ``_subsets``
+    (``_subset_keys`` names them), as one array or as a list of arrays.
 
     An anchored subset DP over cyclic products of Gram scalars, with the
     n-fold rotation symmetry factored out.  ``gt`` is b_i^T X^-1 a_j over
@@ -365,18 +361,20 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
     element this is the same sequence of floating-point operations as
     forming each signed term and summing the terms in path order, so the
     result does not depend on the layout, on the accumulation being in
-    place, or on how the samples are split into batches.  The order of the
-    dict's keys is not part of the result.
+    place, or on how the samples are split into batches.
 
     Two drivers grow the paths, with the same bits.  A batch of at most
     ``_DEPTH_ROWS`` rows with one atom per variable (every graph Laplacian,
     so also the exact and symbolic paths of a graph) takes ``_by_depth``,
-    one whole depth per numpy call.  Any other batch takes ``_stream``,
-    mask by mask, with each path closed as soon as it is built; its path
-    arrays, the start arrays and ``tmp`` are taken from ``arrays``, a
-    ``_PathArrays`` free list of ``gt``'s dtype, and each goes back once no
-    path reads it; the coefficient arrays returned come from it too.  The
-    batched evaluator's single-component words do not come here:
+    which grows the paths of every anchor one depth at a time and closes
+    every n of ``ns`` from the same layers; it returns arrays.  Any other
+    batch takes ``_stream`` once per n, mask by mask, with each path closed
+    as soon as it is built and added into its row, the first one becoming
+    the row; it returns lists.  Its path arrays, the start arrays and
+    ``tmp`` are taken from ``arrays``, a ``_PathArrays`` free list of
+    ``gt``'s dtype, and each goes back once no path reads it; the rows come
+    from it too.  The batched
+    evaluator's single-component words do not come here:
     ``_top_cycle_coefficient`` closes their cycles in the middle, which
     agrees with this DP to rounding, not bit for bit.
     """
@@ -384,108 +382,181 @@ def _cycle_coefficients(n: int, gt, vars_, atoms_of, arrays) -> dict:
 
     if gt.shape[2] <= _DEPTH_ROWS and all(len(atoms_of[v]) == 1
                                           for v in vars_):
-        return _by_depth(n, gt, vars_, atoms_of)
+        return _by_depth(ns, gt, vars_, atoms_of)
+    k = len(vars_)
+    _, rank, by_count = _subsets(k)
+    rank = rank.tolist()
     arrays.hand_out(gt.shape[2])
     take, give = arrays.take, arrays.give
     tmp = take()
     # rows[i][j] is the (B,) view G[i, j], indexed without a numpy call
     rows = [list(r) for r in gt]
-    out: dict[frozenset, np.ndarray] = {}
-    for ai, anchor in enumerate(vars_):
-        bigger = vars_[ai + 1:]
-        if len(bigger) < n - 1:
-            continue
-        # (bits above w, bit of w, atoms of w) per bigger variable w
-        free = [(wi + 1, 1 << wi, atoms_of[w]) for wi, w in enumerate(bigger)]
-        for alpha in atoms_of[anchor]:
-            start = take()
-            start.fill(1)
-            paths = [(alpha, start)]
-            closed = ([(0, paths)] if n == 1 else
-                      _stream(paths, n - 1, free, rows, tmp, arrays))
-            for mask, built in closed:
-                s = frozenset({anchor}) | {bigger[i] for i in range(len(bigger))
-                                           if mask >> i & 1}
-                for last, val in built:
-                    np.multiply(val, rows[last][alpha], out=val)
-                    val *= n
-                    prev = out.get(s)
-                    if prev is None:
-                        out[s] = val
-                    else:
-                        prev += val
-                        give(val)
+    out = {}
+    # the longest component first: the others run on its freed arrays
+    for n in sorted(ns, reverse=True):
+        table = out[n] = [None] * (len(by_count[n]) if n <= k else 0)
+        for ai, anchor in enumerate(vars_):
+            bigger = vars_[ai + 1:]
+            if len(bigger) < n - 1:
+                continue
+            # (bits above w, bit of w, atoms of w) per bigger variable w
+            free = [(wi + 1, 1 << wi, atoms_of[w])
+                    for wi, w in enumerate(bigger)]
+            for alpha in atoms_of[anchor]:
+                start = take()
+                start.fill(1)
+                paths = [(alpha, start)]
+                closed = ([(0, paths)] if n == 1 else
+                          _stream(paths, n - 1, free, rows, tmp, arrays))
+                for mask, built in closed:
+                    r = rank[mask << ai + 1 | 1 << ai]
+                    for last, val in built:
+                        np.multiply(val, rows[last][alpha], out=val)
+                        val *= n
+                        prev = table[r]
+                        if prev is None:
+                            table[r] = val
+                        else:
+                            prev += val
+                            give(val)
     give(tmp)
     return out
 
 
-def _by_depth(n: int, gt, vars_, atoms_of) -> dict:
+def _by_depth(ns, gt, vars_, atoms_of) -> dict:
     """``_cycle_coefficients`` for one atom per variable, one whole depth at
-    a time: a few numpy calls per depth and free variable instead of
-    ``_stream``'s one per path and source, which on a batch of a few rows
-    is all their cost.
+    a time for every anchor at once: a few numpy calls per depth and free
+    variable instead of ``_stream``'s one per path and source, which on a
+    batch of a few rows is all their cost.
 
-    For each anchor, layer d is one (masks, d, B) array: the d-subset masks
-    of the bigger variables in ascending order, each with its d paths by
-    descending last variable, the order ``_stream`` appends them in.  One
-    pass per free variable w extends the masks lacking w: their paths times
-    G[last, w], negated where the mask's bits above w are odd, then added
-    path by path.  That is ``_extend``'s -p0 - p1 - ... on every element,
-    and the closing adds each mask's paths in ``_stream``'s order, so the
-    coefficients are ``_stream``'s bit for bit, signed zeros included.  A
-    layer holds every path of its depth, so this driver is for small
-    batches only.  The coefficient arrays returned are rows of one array
-    per anchor, and no free list is used."""
+    A mask of d + 1 bits stands for the paths of depth d from its lowest
+    variable, the anchor, over the others.  Layer d is one (masks, paths,
+    B) array: the masks of d + 1 bits in ascending order, each with its
+    paths by descending last variable (at depth 0 the anchor alone, of
+    value 1), the order ``_stream`` appends them in.  One pass per free
+    variable w extends the masks that lack w and have a bit below it:
+    their paths times G[last, w], negated where the mask's bits above w are
+    odd, then added path by path.  That is ``_extend``'s -p0 - p1 - ... on
+    every element.  Layer n - 1 is closed for each n of ``ns`` on the way:
+    each path times G[last, anchor] and n, the paths added in ``_stream``'s
+    order, so the coefficients are ``_stream``'s bit for bit, signed zeros
+    included.  A layer holds every path of its depth, so this driver is for
+    small batches only.  No free list is used."""
     import numpy as np
 
-    atom = [atoms_of[v][0] for v in vars_]
-    B = gt.shape[2]
-    # the bit count of every mask of the first anchor's bigger variables
-    widest = max(len(vars_) - 1, 0)
-    every = np.arange(1 << widest)
-    count = np.zeros(1 << widest, dtype=np.intp)
-    for i in range(widest):
-        count += every >> i & 1
-    rank = np.empty(1 << widest, dtype=np.intp)
-    out: dict[frozenset, np.ndarray] = {}
-    for ai, anchor in enumerate(vars_):
-        k = len(vars_) - ai - 1
-        if k < n - 1:
-            continue
-        big = np.array(atom[ai + 1:], dtype=np.intp)  # the atom of bit i
-        # layer 0: mask 0 with one path, at the anchor's atom, of value 1
-        masks = every[:1]
-        lasts = np.array([[atom[ai]]])
-        layer = np.ones((1, 1, B), gt.dtype)
-        for d in range(1, n):
-            grown = every[:1 << k][count[:1 << k] == d]
-            rank[grown] = np.arange(len(grown))
-            nxt = np.empty((len(grown), d, B), gt.dtype)
-            for wi in range(k):
-                lack = (masks >> wi & 1) == 0
-                src = masks[lack]
-                # w's place among the destination's paths: the bits above w
-                above = count[src >> (wi + 1)]
-                prod = layer[lack] * gt[lasts[lack], big[wi]]
-                np.negative(prod, out=prod,
-                            where=(above & 1).astype(bool)[:, None, None])
-                acc = prod[:, 0]
-                for j in range(1, prod.shape[1]):
-                    acc += prod[:, j]
-                nxt[rank[src | 1 << wi], above] = acc
-            bits = grown[:, None] >> np.arange(k - 1, -1, -1) & 1
-            lasts = big[k - 1 - np.nonzero(bits)[1]].reshape(-1, d)
-            masks, layer = grown, nxt
-        layer *= gt[lasts, atom[ai]]
-        layer *= n
-        coef = layer[:, 0]
-        for j in range(1, layer.shape[1]):
-            coef += layer[:, j]
-        bigger = vars_[ai + 1:]
-        for mask, val in zip(masks.tolist(), coef):
-            out[frozenset({anchor}) | {bigger[i] for i in range(k)
-                                       if mask >> i & 1}] = val
+    k, B = len(vars_), gt.shape[2]
+    atom = np.array([atoms_of[v][0] for v in vars_], dtype=np.intp)
+    count, rank, by_count = _subsets(k)
+    out = {}
+    masks = 1 << np.arange(k)
+    lasts = atom[:, None]
+    layer = np.ones((k, 1, B), gt.dtype)
+    deepest = min(max(ns), k) - 1
+    for d in range(deepest + 1):
+        if d + 1 in ns:
+            # the atom of each mask's lowest bit, its anchor
+            first = atom[count[(masks & -masks) - 1]]
+            closed = layer * gt[lasts, first[:, None]]
+            closed *= d + 1
+            coef = closed[:, 0]
+            for j in range(1, closed.shape[1]):
+                coef += closed[:, j]
+            out[d + 1] = coef
+        if d == deepest:
+            break
+        grown = by_count[d + 2]
+        nxt = np.empty((len(grown), d + 1, B), gt.dtype)
+        nxt_lasts = np.empty((len(grown), d + 1), dtype=np.intp)
+        for wi in range(1, k):
+            # the masks without w and with their anchor below it
+            low = masks & ((2 << wi) - 1)
+            lack = (low != 0) & (low < 1 << wi)
+            src = masks[lack]
+            # w's place among the destination's paths: the bits above w
+            above = count[src >> (wi + 1)]
+            prod = layer[lack] * gt[lasts[lack], atom[wi]]
+            np.negative(prod, out=prod,
+                        where=(above & 1).astype(bool)[:, None, None])
+            acc = prod[:, 0]
+            for j in range(1, prod.shape[1]):
+                acc += prod[:, j]
+            dest = rank[src | 1 << wi]
+            nxt[dest, above] = acc
+            nxt_lasts[dest, above] = atom[wi]
+        masks, layer, lasts = grown, nxt, nxt_lasts
+    for n in ns:
+        out.setdefault(n, np.empty((0, B), gt.dtype))
     return out
+
+
+def _wedge_splits(comps, k: int):
+    """The ordered splits of k variables into parts of the sizes ``comps``:
+    (rows, odd), per part the table row of its mask for each split, and
+    whether the split's sign is odd.  Each part runs over the combinations
+    of what the earlier parts leave in lexicographic order, the earlier
+    parts varying slowest, the order of the recursive sum this replaces.
+    The sign is that of merging each part into the union of the earlier
+    ones: the parity of the pairs x > y with x in an earlier part and y in
+    a later one."""
+    import numpy as np
+
+    count, rank, by_count = _subsets(k)
+    rest = np.array([(1 << k) - 1])
+    parts: list = []
+    for n in comps[:-1]:
+        cand = by_count[n] if n <= k else rest[:0]
+        # lexicographic order of combinations: descending in the mask with
+        # its bits reversed
+        rev = np.zeros_like(cand)
+        for i in range(k):
+            rev |= (cand >> i & 1) << (k - 1 - i)
+        cand = cand[np.argsort(-rev, kind="stable")]
+        split, pick = np.nonzero((cand[None, :] & ~rest[:, None]) == 0)
+        parts = [p[split] for p in parts] + [cand[pick]]
+        rest = rest[split] ^ cand[pick]
+    keep = count[rest] == comps[-1]
+    parts = [p[keep] for p in parts] + [rest[keep]]
+    odd = np.zeros(len(parts[0]), dtype=bool)
+    placed = np.zeros_like(parts[0])
+    for part in parts:
+        for i in range(k):
+            odd ^= (part >> i & 1 & count[placed >> (i + 1)]).astype(bool)
+        placed |= part
+    return [rank[p] for p in parts], odd
+
+
+def _gather(table, idx):
+    """Rows ``idx`` of a coefficient table as one array: a table is an
+    array from ``_by_depth`` or a list of row arrays from ``_stream``."""
+    import numpy as np
+
+    if isinstance(table, list):
+        return np.stack([table[i] for i in idx.tolist()])
+    return table[idx]
+
+
+def _wedge(comps, tables, k: int, zero):
+    """The word's coefficient on all k variables from the coefficient
+    tables of its components: over the splits of ``_wedge_splits``, the
+    product of the parts' coefficients taken from the last part backwards,
+    negated where the sign is odd, and summed split by split from the row
+    ``zero``, for float or object rows.  The splits go in chunks of about
+    2^16 entries, each summed by one running sum that starts from the
+    total so far."""
+    import numpy as np
+
+    rows, odd = _wedge_splits(comps, k)
+    step = max(1, (1 << 16) // max(len(zero), 1))
+    total = zero
+    for lo in range(0, len(odd), step):
+        cut = slice(lo, lo + step)
+        val = _gather(tables[comps[-1]], rows[-1][cut])
+        for n, r in zip(comps[-2::-1], rows[-2::-1]):
+            val = _gather(tables[n], r[cut]) * val
+        np.negative(val, out=val, where=odd[cut, None])
+        total = np.add.accumulate(np.concatenate([total[None], val]),
+                                  axis=0)[-1]
+    return total
 
 
 def _stream(paths: list, depth: int, free, rows, tmp, arrays):
@@ -667,27 +738,39 @@ class FormEvaluator:
         ``_cycle_coefficients`` on a batch of one, over the exact inverse."""
         if n % 2 == 0:
             return {}
-        gram = self._object_gram(_invert_exact(self.x.evaluate(point)))
-        out = _cycle_coefficients(n, gram, self.variables, self.atoms_of,
-                                  _PathArrays(object))
-        return {s: c[0] for s, c in out.items()}
+        table = _cycle_coefficients((n,), self._gram_at(point),
+                                    self.variables, self.atoms_of,
+                                    _PathArrays(object))[n]
+        return dict(zip(_subset_keys(n, self.variables),
+                        [row[0] for row in table]))
+
+    def _gram_at(self, point):
+        """The Fraction Gram over the exact inverse at the point."""
+        return self._object_gram(_invert_exact(self.x.evaluate(point)))
 
     def word_top_coefficient(self, spec: FormSpec, point) -> Fraction:
         """Top chart coefficient of the wedge word at the point.
 
+        One Gram at the point serves every component, and
+        ``_cycle_coefficients`` builds their tables together for ``_wedge``.
         The chart dimension counts every variable but the chart, including
         those with no atom (an edge in no cycle), whose differential no
         coefficient carries: the word is then 0."""
-        allvars = frozenset(range(1, self.nvars + 1)) - {self.chart}
-        if len(allvars) != spec.degree:
+        import numpy as np
+
+        ndim = len(frozenset(range(1, self.nvars + 1)) - {self.chart})
+        if ndim != spec.degree:
             raise FormError(
                 f"word degree {spec.degree} does not match chart dimension "
-                f"{len(allvars)}")
-        comps = list(spec.components)
-        # zero coefficients dropped: their splits add nothing
-        per = {n: {s: c for s, c in self.coefficients(n, point).items() if c}
-               for n in set(comps)}
-        return _wedge_total(comps, per, allvars, Fraction(0))
+                f"{ndim}")
+        comps = spec.components
+        gram = self._gram_at(point)
+        if len(self.variables) < ndim:
+            return Fraction(0)
+        tables = _cycle_coefficients(comps, gram, self.variables,
+                                     self.atoms_of, _PathArrays(object))
+        return _wedge(comps, tables, ndim,
+                      np.array([Fraction(0)], dtype=object))[0]
 
 
 def canonical_form_numeric(x: LinearFormMatrix, spec: FormSpec,
@@ -807,13 +890,29 @@ class CycleIncidence:
             bad |= ~np.isfinite(a).all(axis=(0, 1))
         return logpsi, a, bad
 
+    @cached_property
+    def _cycles_of(self):
+        """Per edge, its (cycle, +-1) pairs as Python integers."""
+        return [[(i, int(c)) for i, c in enumerate(row) if c]
+                for row in self.q.tolist()]
+
     def exact_laplacian(self, x):
-        """The Laplacian at the float row ``x`` in rational arithmetic."""
-        pt = [Fraction(float(c)) for c in x]
-        q = [[int(c) for c in row] for row in self.q.tolist()]
-        hs = range(self.h)
-        return [[sum(p * r[i] * r[j] for p, r in zip(pt, q)) for j in hs]
-                for i in hs]
+        """The Laplacian at the float row ``x`` in rational arithmetic.
+
+        A float is an integer over a power of two, so the row is scaled to
+        integers by its largest denominator, each entry is an integer sum
+        over the edges' cycles, and it is divided by the scale once."""
+        ratios = [float(c).as_integer_ratio() for c in x]
+        scale = max((d for _, d in ratios), default=1)
+        acc = [[0] * self.h for _ in range(self.h)]
+        for (num, den), cycles in zip(ratios, self._cycles_of):
+            if num:
+                v = num * (scale // den)
+                for i, ci in cycles:
+                    row = acc[i]
+                    for j, cj in cycles:
+                        row[j] += v if ci == cj else -v
+        return [[Fraction(v, scale) for v in row] for row in acc]
 
     def psi_exact(self, x):
         """Psi at the float row ``x``, exactly: the product of the pivots of
@@ -878,7 +977,9 @@ class CycleIncidence:
 
 
 class _PathArrays:
-    """Free list of the subset DP's (B,) arrays of one dtype.
+    """Free list of ``_stream``'s (B,) arrays of one dtype: its paths and
+    the coefficient rows it returns, which ``_dp_word`` gives back after the
+    wedge.
 
     ``take`` pops a free array or makes one; ``give`` returns an array that
     ``take`` handed out, and drops one of another length, which ``take``
@@ -914,9 +1015,10 @@ class BatchedGraphFormEvaluator:
     batch, ``CycleIncidence.gram``, feeds the exact evaluator's subset DP
     ``_cycle_coefficients``, with one atom per edge and numpy arrays over
     the sample axis.  The DP accumulates in place, keeping the per-element
-    order of the floating-point operations of the plain term-by-term sum:
-    a multi-component word's estimate is bit-identical to that sum over the
-    same Gram.  A single-component word needs only the coefficient on all
+    order of the floating-point operations of the plain term-by-term sum,
+    and ``_wedge`` sums the signed split products in the order of the
+    recursive split: a multi-component word's estimate is bit-identical to
+    that sum over the same Gram.  A single-component word needs only the coefficient on all
     chart variables, whose cycles ``_top_cycle_coefficient`` closes by
     joining half paths, using the Gram's symmetry: its estimates match the
     DP's to rounding, not bit for bit.  A top word, omega5 ^ omega9 ^ ...
@@ -928,11 +1030,12 @@ class BatchedGraphFormEvaluator:
     rows, and keeps the DP when they disagree.  The engine passes one block
     of samples at a time, which bounds the Gram tensor and the DP's path
     arrays.  A block of at most ``_DEPTH_ROWS`` rows (the two-row check,
-    a short last block) runs the DP one depth at a time (``_by_depth``);
-    a longer one runs it mask by mask (``_stream``), drawing its path
-    arrays from the evaluator's one ``_PathArrays``, so they are allocated
-    once per block length, not once per block.  Both drivers give the same
-    bits.
+    a short last block) runs the DP one depth at a time for every anchor
+    and component in one sweep (``_by_depth``); a longer one runs it mask
+    by mask (``_stream``) once per component, drawing its path arrays and
+    coefficient rows from the evaluator's one ``_PathArrays``, so they are
+    allocated once per block length, not once per block.  Both drivers give
+    the same bits.
     """
 
     def __init__(self, g: Graph, spec: FormSpec):
@@ -961,9 +1064,10 @@ class BatchedGraphFormEvaluator:
         multigraph that passes the edge count) leaves rounding noise there,
         which does not, and keeps the DP.  Two rows are under
         ``_DEPTH_ROWS``, so a word of several components (K6 omega5 ^
-        omega9) takes ``_by_depth`` here, with ``_stream``'s bits, and a
-        one-component word (W3 omega5) the half-path join.  None when the
-        word is not top."""
+        omega9) takes ``_by_depth`` here, which closes all its components
+        from one sweep with ``_stream``'s bits, and ``_wedge``; a
+        one-component word (W3 omega5) takes the half-path join.  None when
+        the word is not top."""
         import numpy as np
 
         g, m = self.graph, self.graph.nv - 1
@@ -1008,24 +1112,23 @@ class BatchedGraphFormEvaluator:
         return self._dp_word(xs)
 
     def _dp_word(self, xs):
-        """``evaluate`` by the Gram and the subset DP (or the half-path join
-        of a one-component word), the path arrays taken from
-        ``self.arrays``."""
+        """``evaluate`` by the Gram, the subset DP of every component and
+        ``_wedge`` (or the half-path join of a one-component word), the
+        path arrays taken from ``self.arrays``."""
         import numpy as np
 
-        arrays = self.arrays
         gt = self.inc.gram(xs)
-        comps = list(self.spec.components)
+        comps = self.spec.components
         if len(comps) == 1:
-            return _top_cycle_coefficient(comps[0], gt, arrays)
-        per = {n: _cycle_coefficients(n, gt, self.chart_vars, self.atoms_of,
-                                      arrays)
-               for n in set(comps)}
-        total = _wedge_total(comps, per, frozenset(self.chart_vars),
-                             np.zeros(xs.shape[0]))
-        for table in per.values():
-            for val in table.values():
-                arrays.give(val)
+            return _top_cycle_coefficient(comps[0], gt, self.arrays)
+        tables = _cycle_coefficients(comps, gt, self.chart_vars,
+                                     self.atoms_of, self.arrays)
+        total = _wedge(comps, tables, len(self.chart_vars),
+                       np.zeros(xs.shape[0]))
+        for table in tables.values():
+            if isinstance(table, list):  # rows from the free list
+                for row in table:
+                    self.arrays.give(row)
         return total
 
     def integrand_values(self, xs):

@@ -190,7 +190,11 @@ class TropicalSampler:
     order: ``bit`` the edge, ``cum`` the cumulative probability of dropping
     it (T(mask - edge) over the sum of these, added left to right), and
     ``hdrop`` the loop number lost with it.  Columns past the size of the
-    subset hold 1.0 in ``cum`` and 0 elsewhere.
+    subset hold 1.0 in ``cum`` and 0 elsewhere.  The tables are built edge
+    by edge in increasing order, each edge over strided views that pair
+    every mask holding it with its partner without it, and scattered into
+    each mask's column for the edge, so every sum adds its terms left to
+    right.
     """
 
     def __init__(self, measure: TropicalMeasure):
@@ -199,32 +203,32 @@ class TropicalSampler:
         self.n = n
         h = measure.h
         T = measure.subset_weights()
-        masks = np.arange(size, dtype=np.int32)
-        bitno = np.zeros(size, dtype=np.int8)
-        bitno[1 << np.arange(n)] = np.arange(n)
-
-        def columns():
-            """Per column, the j-th lowest bit of every mask (0 if none)."""
-            rest = masks
-            for _ in range(n):
-                low = rest & -rest
-                rest = rest ^ low
-                yield low
-
+        pc = _popcounts(n)
         total = np.zeros(size)
-        for low in columns():
-            total += np.where(low != 0, T[masks ^ low], 0.0)
-        total[0] = 1.0  # the empty subset has no column; avoids 0 / 0
+        acc = np.zeros(size)
         self.cum = np.ones((size, n))
         self.bit = np.zeros((size, n), dtype=np.int8)
         self.hdrop = np.zeros((size, n), dtype=np.int8)
-        acc = np.zeros(size)
-        for j, low in enumerate(columns()):
-            sub = masks ^ low
-            acc += np.where(low != 0, T[sub] / total, 0.0)
-            self.cum[:, j] = np.where(low != 0, acc, 1.0)
-            self.bit[:, j] = bitno[low]
-            self.hdrop[:, j] = h - h[sub]
+        cum, bit, hdrop = self.cum.ravel(), self.bit.ravel(), self.hdrop.ravel()
+
+        def split(a, i):
+            """(masks above edge i, without / with i, masks below i): a mask
+            holding i and its partner without it sit at the same place."""
+            return a.reshape(-1, 2, 1 << i)
+
+        # edge by edge, so each sum adds its terms in increasing edge order
+        for i in range(n):
+            split(total, i)[:, 1] += split(T, i)[:, 0]
+        total[0] = 1.0  # the empty subset drops no edge; avoids 0 / 0
+        masks = np.arange(size, dtype=np.int32)
+        for i in range(n):
+            held = split(acc, i)[:, 1]
+            held += split(T, i)[:, 0] / split(total, i)[:, 1]
+            # edge i's column in a mask is the number of its edges below i
+            at = split(masks, i)[:, 1] * n + pc[:1 << i]
+            cum[at] = held
+            bit[at] = i
+            hdrop[at] = split(h, i)[:, 1] - split(h, i)[:, 0]
         self.cum[0] = 0.0
         # int / int division of Python integers is correctly rounded
         self.omega_f = (measure.omega_num

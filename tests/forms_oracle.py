@@ -1,7 +1,9 @@
-"""Exterior-algebra oracle for the form-coefficient DP, used only by tests."""
+"""Exterior-algebra oracle for the form-coefficient DP and the recursive
+wedge split, used only by tests."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from periodforge.forms import _coefficient_matrices, _invert_exact, _merge_sign
@@ -61,3 +63,42 @@ def dense_coefficients(x: LinearFormMatrix, n: int, point,
     if not exact:
         result = {s: float(c) for s, c in result.items()}
     return result
+
+
+# ---------------------------------------------------------------------------
+# recursive wedge (the split order and sign that ``forms._wedge`` keeps)
+# ---------------------------------------------------------------------------
+
+def wedge_splits(comps, per, rest: frozenset, idx: int = 0):
+    """Ordered splits of ``rest`` into the parts of a wedge word.
+
+    Yields (parts, product of their coefficients), skipping every split
+    with a part that has no entry in ``per``.  The product is taken from
+    the last part backwards.  A module-level generator, so no recursive
+    closure holds the coefficient tables ``per`` in a reference cycle.
+    """
+    n = comps[idx]
+    if idx == len(comps) - 1:
+        if len(rest) == n and rest in per[n]:
+            yield (rest,), per[n][rest]
+        return
+    for combo in itertools.combinations(sorted(rest), n):
+        s = frozenset(combo)
+        c1 = per[n].get(s)
+        if c1 is None:
+            continue
+        for tail, cval in wedge_splits(comps, per, rest - s, idx + 1):
+            yield (s,) + tail, c1 * cval
+
+
+def recursive_wedge(comps, per, allvars: frozenset, total):
+    """``total`` plus the signed products over the splits of ``allvars``,
+    added one split at a time."""
+    for parts, val in wedge_splits(comps, per, allvars):
+        sign = 1
+        placed: list[int] = []
+        for s in parts:
+            sign *= _merge_sign(frozenset(placed), s)
+            placed.extend(s)
+        total = total + sign * val
+    return total

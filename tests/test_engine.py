@@ -209,6 +209,56 @@ def test_tables_match_fraction_reference(name, g, nu, k):
     assert np.array_equal(s.omega_f, omega_f)
 
 
+def _column_sampler_tables(m):
+    """(cum, bit, hdrop) built column by column over every mask: column j
+    holds each mask's j-th lowest edge, so each sum adds its terms in
+    increasing edge order."""
+    n = m.n
+    size = 1 << n
+    h, T = m.h, m.subset_weights()
+    masks = np.arange(size, dtype=np.int32)
+    bitno = np.zeros(size, dtype=np.int8)
+    bitno[1 << np.arange(n)] = np.arange(n)
+
+    def columns():
+        rest = masks
+        for _ in range(n):
+            low = rest & -rest
+            rest = rest ^ low
+            yield low
+
+    total = np.zeros(size)
+    for low in columns():
+        total += np.where(low != 0, T[masks ^ low], 0.0)
+    total[0] = 1.0
+    cum = np.ones((size, n))
+    bit = np.zeros((size, n), dtype=np.int8)
+    hdrop = np.zeros((size, n), dtype=np.int8)
+    acc = np.zeros(size)
+    for j, low in enumerate(columns()):
+        sub = masks ^ low
+        acc += np.where(low != 0, T[sub] / total, 0.0)
+        cum[:, j] = np.where(low != 0, acc, 1.0)
+        bit[:, j] = bitno[low]
+        hdrop[:, j] = h - h[sub]
+    cum[0] = 0.0
+    return cum, bit, hdrop
+
+
+@pytest.mark.parametrize("g", [zigzag(8), complete(6), wheel(5)],
+                         ids=["Z8", "K6", "W5"])
+def test_tables_match_column_reference(g):
+    """The edge-by-edge tables against the column-by-column build, also at
+    the 16-edge cap (Z8), where the flat table index passes 2^20 and the
+    Fraction reference is too slow to run."""
+    m = build_measure(g)
+    s = TropicalSampler(m)
+    cum, bit, hdrop = _column_sampler_tables(m)
+    assert np.array_equal(s.cum, cum)
+    assert np.array_equal(s.bit, bit)
+    assert np.array_equal(s.hdrop, hdrop)
+
+
 def test_divergent_subset_matches_reference():
     chain = Graph((0, 0, 0), ((1, 2), (1, 2), (2, 3), (2, 3)))
     for g in (dunce_graph(), chain):
@@ -609,6 +659,39 @@ def test_non_finite_sample_aborts_form_integral(monkeypatch):
     with pytest.raises(engine.NonFinitePointError) as info:
         integrate_canonical(wheel(3), FormSpec((5,)), 4, seed=0)
     assert info.value.point[3] == np.inf
+
+
+def test_small_block_two_component_word_matches_stream(monkeypatch):
+    """omega5 ^ omega9 on the first convergent generator of GC at loop 6
+    with 15 edges is not a top word, so every block runs the subset DP.
+    ``_DEPTH_ROWS`` samples make one block, which the depth-major driver
+    takes without entering ``_stream``; its mean and stderr are the bits
+    of the same integral with every block on ``_stream``."""
+    from periodforge import forms
+    from periodforge.graphcomplex import gc_basis
+
+    def refuse(*args):
+        raise AssertionError("_stream entered")
+
+    spec = FormSpec((5, 9))
+    for gen in gc_basis(6, 15):
+        try:
+            build_measure(gen.graph)
+        except DivergentIntegrandError:
+            continue
+        break
+    g = gen.graph
+    assert forms.BatchedGraphFormEvaluator(g, spec).top is None
+    rows = forms._DEPTH_ROWS
+    with monkeypatch.context() as m:
+        m.setattr(forms, "_stream", refuse)
+        depth = integrate_canonical(g, spec, rows, seed=3)
+    monkeypatch.setattr(forms, "_DEPTH_ROWS", 0)
+    stream = integrate_canonical(g, spec, rows, seed=3)
+    assert depth.samples == stream.samples == rows
+    assert depth.stderr > 0
+    assert ([float.hex(depth.mean), float.hex(depth.stderr)]
+            == [float.hex(stream.mean), float.hex(stream.stderr)])
 
 
 def test_integrate_chain_class_streams(monkeypatch):

@@ -12,12 +12,13 @@ from periodforge.polynomials import (Poly, PolynomialError, cycle_basis,
                                      laplacian)
 from periodforge.forms import (BatchedGraphFormEvaluator, CycleIncidence,
                                FormError, FormEvaluator, FormSpec,
-                               RationalForm, _PathArrays, _cycle_coefficients,
-                               _invert_exact, _rank_one_terms,
-                               _top_cycle_coefficient, _wedge_total,
+                               RationalForm, _PathArrays, _by_depth,
+                               _cycle_coefficients, _invert_exact,
+                               _rank_one_terms, _subset_keys,
+                               _top_cycle_coefficient, _wedge,
                                canonical_form_numeric,
                                canonical_form_symbolic, graph_canonical_form)
-from forms_oracle import dense_coefficients
+from forms_oracle import dense_coefficients, recursive_wedge
 
 
 def _display_form(nvars, n, coeff, det):
@@ -432,11 +433,17 @@ def test_batched_matches_scalar_on_w5():
 def _dp_word(ev, xs):
     """The word at the rows of ``xs`` by the Gram, the subset DP of each
     component and the wedge split, whatever route ``ev.evaluate`` takes."""
-    per = {n: _cycle_coefficients(n, ev.inc.gram(xs), ev.chart_vars,
-                                  ev.atoms_of, _PathArrays(float))
-           for n in set(ev.spec.components)}
-    return _wedge_total(list(ev.spec.components), per,
-                        frozenset(ev.chart_vars), np.zeros(xs.shape[0]))
+    comps = ev.spec.components
+    tables = _cycle_coefficients(comps, ev.inc.gram(xs), ev.chart_vars,
+                                 ev.atoms_of, _PathArrays(float))
+    return _wedge(comps, tables, len(ev.chart_vars), np.zeros(xs.shape[0]))
+
+
+def _dp_dict(n, gt, variables, atoms_of):
+    """``_cycle_coefficients`` for one n as a dict of variable sets."""
+    table = _cycle_coefficients((n,), gt, variables, atoms_of,
+                                _PathArrays(gt.dtype))[n]
+    return dict(zip(_subset_keys(n, variables), table))
 
 
 def test_k6_wedge_identity_pointwise():
@@ -518,8 +525,7 @@ def _reference_component_coefficients(chart_vars, n, gram, atoms_of):
 def _assert_gram_dp_matches_reference(variables, atoms_of, n, gt):
     ref = _reference_component_coefficients(variables, n,
                                             gt.transpose(2, 0, 1), atoms_of)
-    got = _cycle_coefficients(n, gt, variables, atoms_of,
-                              _PathArrays(gt.dtype))
+    got = _dp_dict(n, gt, variables, atoms_of)
     # the key order is not part of the result
     assert set(got) == set(ref)
     for s in ref:
@@ -588,17 +594,21 @@ def test_short_words_bit_identical_to_reference(n):
                                                                       pt)
 
 
-def _hex_table(table):
-    return {s: [float.hex(v) for v in val.tolist()] for s, val in
-            table.items()}
+def _bits(table):
+    """A coefficient table's entries as hex floats, or as they are when
+    they are Fractions."""
+    return [v if isinstance(v, Fraction) else float.hex(v)
+            for v in np.asarray(table).ravel().tolist()]
 
 
 @pytest.mark.parametrize("graph", ["W3", "W5", "K6"])
 def test_depth_driver_bit_identical_to_stream(graph, monkeypatch):
-    """On 5, 9 and 14 chart variables, at 1, 2 and ``_DEPTH_ROWS`` rows and
-    for n = 1, 3, 5, 9, the depth-major driver gives ``_stream``'s
-    coefficients bit for bit: on Dirichlet Grams, and on Grams of -1, -0.0,
-    0 and 1, whose cancellations leave signed zeros."""
+    """On 5, 9 and 14 chart variables, at 1, 2 and ``_DEPTH_ROWS`` rows,
+    the depth-major driver closes n = 1, 3, 5, 9 from one sweep over every
+    anchor, and each table is the one ``_stream`` gives for that n alone,
+    bit for bit: on Dirichlet Grams, on Grams of -1, -0.0, 0 and 1, whose
+    cancellations leave signed zeros, and on Grams of Fractions (quarters
+    from -1 to 1; n <= 5 on K6), where the two are equal."""
     from periodforge import forms
     from periodforge.graphs import complete
 
@@ -606,22 +616,59 @@ def test_depth_driver_bit_identical_to_stream(graph, monkeypatch):
                "K6": (complete(6), (5, 9))}[graph]
     ev = BatchedGraphFormEvaluator(g, FormSpec(spec))
     rng = np.random.default_rng(53)
+    ns = (1, 3, 5, 9)
     for rows in (1, 2, forms._DEPTH_ROWS):
         signed = rng.integers(-1, 2, size=(g.ne, g.ne, rows)).astype(float)
         signed[rng.random(signed.shape) < 0.2] = -0.0
+        quarters = np.vectorize(lambda v: Fraction(int(v), 4), otypes=[
+            object])(rng.integers(-4, 5, size=(g.ne, g.ne, rows)))
         for gt in (ev.inc.gram(rng.dirichlet(np.ones(g.ne), size=rows)),
-                   signed):
-            for n in (1, 3, 5, 9):
-                depth = _cycle_coefficients(n, gt, ev.chart_vars,
-                                            ev.atoms_of, _PathArrays(float))
-                with monkeypatch.context() as m:
-                    m.setattr(forms, "_DEPTH_ROWS", 0)
-                    stream = _cycle_coefficients(n, gt, ev.chart_vars,
+                   signed, quarters):
+            # omega9 of K6 in Fractions takes seconds a row
+            word = ns[:3] if graph == "K6" and gt is quarters else ns
+            depth = _by_depth(word, gt, ev.chart_vars, ev.atoms_of)
+            assert sorted(depth) == list(word)
+            with monkeypatch.context() as m:
+                m.setattr(forms, "_DEPTH_ROWS", 0)
+                for n in word:
+                    stream = _cycle_coefficients((n,), gt, ev.chart_vars,
                                                  ev.atoms_of,
-                                                 _PathArrays(float))
-                assert _hex_table(depth) == _hex_table(stream), (rows, n)
-                assert _hex_table(forms._by_depth(
-                    n, gt, ev.chart_vars, ev.atoms_of)) == _hex_table(depth)
+                                                 _PathArrays(gt.dtype))[n]
+                    assert len(depth[n]) == len(stream), (rows, n)
+                    assert _bits(depth[n]) == _bits(stream), (rows, n)
+
+
+@pytest.mark.parametrize("comps, k", [((5, 9), 14), ((1, 3), 4),
+                                      ((1, 2, 3), 6), ((2, 3, 4), 9)])
+def test_array_wedge_matches_recursive_wedge(comps, k):
+    """The wedge over index arrays of the splits against the recursive
+    split of ``forms_oracle``, which sums the same signed products in the
+    same order: bit for bit on float tables with signed zeros, rows of
+    zeros and rows of both signs, and equal on Fraction tables."""
+    rng = np.random.default_rng(sum(comps) + k)
+    variables = list(range(1, k + 1))
+    for dtype in (float, object):
+        rows = 1 if dtype is object else 5
+        tables = {}
+        for n in comps:
+            count = len(_subset_keys(n, variables))
+            if dtype is object:
+                table = np.array([[Fraction(int(a), int(b))] for a, b in zip(
+                    rng.integers(-5, 6, count), rng.integers(1, 6, count))],
+                                 dtype=object)
+            else:
+                table = rng.normal(size=(count, rows))
+                table[rng.random(table.shape) < 0.3] = 0.0
+                table[rng.random(table.shape) < 0.3] = -0.0
+                table[:, 0] = -0.0
+            tables[n] = table
+        zero = (np.array([Fraction(0)], dtype=object) if dtype is object
+                else np.zeros(rows))
+        per = {n: dict(zip(_subset_keys(n, variables), tables[n]))
+               for n in comps}
+        want = recursive_wedge(comps, per, frozenset(variables), zero)
+        got = _wedge(comps, tables, k, zero)
+        assert _bits(got) == _bits(want), dtype
 
 
 def test_top_word_constants_are_pinned():
@@ -717,9 +764,8 @@ def test_half_path_join_matches_the_dp(k, rows):
     if k == 3:
         xs = np.vstack([xs, [[1, 1, 1, 1e-300, 1e-300, 1e-300]]])
     gt = ev.inc.gram(xs)
-    dp = _cycle_coefficients(n, gt, ev.chart_vars, ev.atoms_of,
-                             _PathArrays(float))
-    want = dp[frozenset(ev.chart_vars)]
+    want = _dp_dict(n, gt, ev.chart_vars, ev.atoms_of)[
+        frozenset(ev.chart_vars)]
     got = _top_cycle_coefficient(n, gt, _PathArrays(float))
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
@@ -803,6 +849,44 @@ def test_log_psi_matches_exact_psi():
             exact = psi.evaluate([Fraction(float(c)) for c in x])
             want = math.log(exact.numerator) - math.log(exact.denominator)
             assert abs(math.expm1(got - want)) <= 1e-9
+
+
+def _fraction_laplacian(inc, x):
+    """The Laplacian at the float row ``x`` built Fraction by Fraction:
+    sum_e x_e q_ei q_ej, each coordinate read as the rational it stores."""
+    pt = [Fraction(float(c)) for c in x]
+    q = [[int(c) for c in row] for row in inc.q.tolist()]
+    hs = range(inc.h)
+    return [[sum(p * r[i] * r[j] for p, r in zip(pt, q)) for j in hs]
+            for i in hs]
+
+
+def test_exact_laplacian_matches_fraction_sum():
+    """The integer-scaled Laplacian equals the Fraction-by-Fraction sum on
+    Dirichlet rows and on rows with subnormal, 1e-300, 1e300, zero and
+    -0.0 coordinates, on K6, Z8 and banana(6).  On the rows with a
+    subnormal, a 1e300 and exponents from -1074 to 1000, ``psi_exact`` on
+    it equals the spanning-tree polynomial at the same rationals."""
+    from periodforge.graphs import banana, complete, zigzag
+
+    rng = np.random.default_rng(61)
+    for g in (complete(6), zigzag(8), banana(6)):
+        inc = CycleIncidence(g)
+        psi = graph_polynomial(g)
+        xs = rng.dirichlet(np.ones(g.ne), size=12)
+        xs[0, 0] = 5e-324
+        xs[1, :3] = [1e300, 2.5e-310, 3.0]
+        xs[2, 1:] = 1e-300
+        xs[3, ::2] = 0.0
+        xs[4, 1::2] = -0.0
+        xs[5] = 2.0 ** rng.integers(-1074, 1000, g.ne)
+        for x in xs:
+            lap = inc.exact_laplacian(x)
+            assert lap == _fraction_laplacian(inc, x)
+            assert all(isinstance(v, Fraction) for row in lap for v in row)
+        for x in xs[[0, 1, 5]]:
+            assert inc.psi_exact(x) == psi.evaluate(
+                [Fraction(float(c)) for c in x])
 
 
 def test_batched_exact_gram_row():
